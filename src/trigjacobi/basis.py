@@ -110,27 +110,87 @@ def norm_constant(params: JacobiParams, n) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
-    """Values P_n(x) for 0 <= n <= nmax by the three-term recurrence.
+class JacobiRecurrence:
+    """P_n(x) for n = d0, d0+1, ... by the three-term recurrence, resumable.
 
-    Returns an array of shape (nmax+1,) + x.shape. The recurrence coefficients
-    are nonsingular for every n >= 2 when alpha, beta > -1, and degree 1 is
-    written explicitly, so the degenerate combination alpha+beta = -1 is safe.
+    Each `fill(out)` writes the next len(out) degrees into the rows of `out`
+    and carries the last two rows, so a long series is produced in windows
+    of any size with memory bounded by the window. Degrees below zero are
+    zero rows. The recurrence coefficients are nonsingular for every n >= 2
+    when alpha, beta > -1, and degree 1 is written explicitly, so the
+    degenerate combination alpha+beta = -1 is safe.
     """
-    a, b = params.alpha, params.beta
+
+    def __init__(self, params: JacobiParams, x, degree: int = 0):
+        self.params = params
+        self.x = np.asarray(x, dtype=float)
+        self.degree = min(degree, 0)
+        # rows degree-2 and degree-1; zero below degree 0
+        self._p2 = np.zeros(self.x.shape)
+        self._p1 = np.zeros(self.x.shape)
+        self._tmp = np.empty(self.x.shape)
+        if degree > 0:
+            self.advance(degree)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next out.shape[0] degrees into out, row by row."""
+        self._run(list(out))
+        return out
+
+    def advance(self, count: int) -> np.ndarray:
+        """Step `count` degrees without keeping them; returns the last row
+        (the recurrence's own carried copy, overwritten by the next step)."""
+        spare = [np.empty(self.x.shape) for _ in range(min(count, 3))]
+        self._run([spare[i % 3] for i in range(count)])
+        return self._p1
+
+    def _run(self, rows: list) -> None:
+        a, b = self.params.alpha, self.params.beta
+        x, n = self.x, self.degree
+        p2, p1 = self._p2, self._p1
+        i = 0
+        while i < len(rows) and n < 2:
+            row = rows[i]
+            if n < 0:
+                row.fill(0.0)
+            elif n == 0:
+                row.fill(1.0)
+            else:
+                np.subtract(x, 1.0, out=row)
+                row *= (a + b + 2.0) / 2.0
+                row += a + 1.0
+            p2, p1 = p1, row
+            i += 1
+            n += 1
+        if i < len(rows):
+            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, coefficients per block
+            ns = np.arange(n, n + len(rows) - i, dtype=float)
+            s = 2.0 * ns + a + b
+            c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
+            c1 = (s - 1.0) / c0
+            coef_a = (c1 * s * (s - 2.0)).tolist()
+            coef_b = (c1 * (a * a - b * b)).tolist()
+            coef_c = (2.0 * (ns + a - 1.0) * (ns + b - 1.0) * s / c0).tolist()
+            tmp = self._tmp
+            for row, an, bn, cn in zip(rows[i:], coef_a, coef_b, coef_c):
+                np.multiply(x, an, out=row)
+                row += bn
+                row *= p1
+                np.multiply(p2, cn, out=tmp)
+                row -= tmp
+                p2, p1 = p1, row
+            n += len(rows) - i
+        if rows:
+            # p2 may be the old carried row, so it is copied first
+            np.copyto(self._p2, p2)
+            np.copyto(self._p1, p1)
+        self.degree = n
+
+
+def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
+    """Values P_n(x) for 0 <= n <= nmax; shape (nmax+1,) + x.shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((nmax + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for n in range(2, nmax + 1):
-        c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c1 = 2.0 * n + a + b - 1.0
-        c2 = (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-        c3 = a * a - b * b
-        c4 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        out[n] = (c1 * (c2 * x + c3) * out[n - 1] - c4 * out[n - 2]) / c0
-    return out
+    return JacobiRecurrence(params, x).fill(np.empty((nmax + 1,) + x.shape))
 
 
 def jacobi_poly(params: JacobiParams, n: int, x) -> float | np.ndarray:
@@ -150,18 +210,74 @@ def _deriv_gamma_ratio(params: JacobiParams, n: np.ndarray, k: int) -> np.ndarra
     return np.exp(gammaln(s + k) - gammaln(s) - k * math.log(2.0))
 
 
-def jacobi_deriv_table(params: JacobiParams, nmax: int, x, k: int) -> np.ndarray:
-    """k-th x-derivatives of P_n(x), n = 0..nmax, via the parameter-shift identity."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if k == 0:
-        return jacobi_table(params, nmax, x)
-    out = np.zeros((nmax + 1,) + x.shape, dtype=float)
-    if nmax < k:
-        return out
-    shifted = jacobi_table(params.shifted(k), nmax - k, x)
-    ns = np.arange(k, nmax + 1, dtype=float)
-    ratio = _deriv_gamma_ratio(params, ns, k)
-    out[k:] = ratio[(...,) + (None,) * x.ndim] * shifted
+def derivative_scale(params: JacobiParams, n, j: int,
+                     normalized: bool = True) -> np.ndarray:
+    """kappa_j(n) with d^j/dx^j (c_n P_n) = kappa_j(n) P_{n-j}^{(a+j,b+j)}.
+
+    The parameter-shift Gamma ratio, times c_n when normalized; zero for
+    n < j, where the derivative vanishes (n may also be negative there).
+    """
+    n = np.asarray(n, dtype=float)
+    live = np.maximum(n, j)  # keeps the formulas finite where the result is 0
+    vals = _deriv_gamma_ratio(params, live, j) if j > 0 else np.ones(n.shape)
+    if normalized:
+        vals = vals * np.exp(log_norm_constant(params, live))
+    return np.where(n >= j, vals, 0.0)
+
+
+def _poly_row_terms(s, c, order: int) -> dict:
+    # d^order/dtheta^order of f(cos theta) = sum_j pi_j(theta) f^(j)(cos theta)
+    if order == 0:
+        return {0: 1.0}
+    if order == 1:
+        return {1: -s}
+    if order == 2:
+        return {1: -c, 2: s * s}
+    return {1: s, 2: 3.0 * s * c, 3: -s ** 3}
+
+
+def theta_row_terms(theta, order: int, odd: bool = False) -> dict:
+    """One theta-derivative order of the trigonometric polynomials (odd=False)
+    or of the odd factors s_n (odd=True), as a sum over x-derivative orders j:
+
+        row_n(theta) = sum_j pi_j(theta) * kappa_j(n) * P_{n-j}^{(q+j)}(cos theta)
+
+    with q = params for the polynomials and params + 1 for the odd factors,
+    and kappa_j = derivative_scale(q, n, j). Returns {j: pi_j}; pi_0 of the
+    undifferentiated polynomials is the scalar 1. Supports order <= 3.
+    """
+    if order > 3:
+        raise ValueError("theta derivatives implemented up to order 3")
+    theta = np.asarray(theta, dtype=float)
+    s, c = np.sin(theta), np.cos(theta)
+    if not odd:
+        return _poly_row_terms(s, c, order)
+    # s_n = (1/2) sin(theta) * (shifted polynomial): Leibniz rule
+    sin_derivs = (s, c, -s, -c)
+    out = {}
+    for i in range(order + 1):
+        w = 0.5 * math.comb(order, i) * sin_derivs[i]
+        for j, pi in _poly_row_terms(s, c, order - i).items():
+            out[j] = out.get(j, 0.0) + w * pi
+    return out
+
+
+def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int, odd: bool,
+                 normalized: bool = True) -> np.ndarray:
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    q = params.shifted(1) if odd else params
+    x = np.cos(theta)
+    ns = np.arange(nmax + 1)
+    rows = {}
+    out = np.zeros((dmax + 1, nmax + 1, theta.size))
+    for d in range(dmax + 1):
+        for j, pi in theta_row_terms(theta, d, odd).items():
+            if j not in rows:
+                raw = JacobiRecurrence(q.shifted(j), x, degree=-j).fill(
+                    np.empty((nmax + 1, theta.size)))
+                raw *= derivative_scale(q, ns, j, normalized)[:, None]
+                rows[j] = raw
+            out[d] += pi * rows[j]
     return out
 
 
@@ -173,27 +289,7 @@ def trig_poly_table(params: JacobiParams, nmax: int, theta, dmax: int = 0,
     derivative of c_n P_n(cos theta) (or of the unnormalized P_n(cos theta)).
     Supports dmax <= 3.
     """
-    if dmax > 3:
-        raise ValueError("theta derivatives implemented up to order 3")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.cos(theta)
-    s, c = np.sin(theta), x
-    p0 = jacobi_table(params, nmax, x)
-    out = np.empty((dmax + 1, nmax + 1, theta.size), dtype=float)
-    out[0] = p0
-    if dmax >= 1:
-        p1 = jacobi_deriv_table(params, nmax, x, 1)
-        out[1] = -s * p1
-    if dmax >= 2:
-        p2 = jacobi_deriv_table(params, nmax, x, 2)
-        out[2] = -c * p1 + s * s * p2
-    if dmax >= 3:
-        p3 = jacobi_deriv_table(params, nmax, x, 3)
-        out[3] = s * p1 + 3.0 * s * c * p2 - s ** 3 * p3
-    if normalized:
-        cn = norm_constant(params, np.arange(nmax + 1))
-        out *= cn[None, :, None]
-    return out
+    return _theta_table(params, nmax, theta, dmax, False, normalized)
 
 
 def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np.ndarray:
@@ -202,19 +298,20 @@ def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> n
     s_n = sqrt(2) * Phi_{2n+1} restricted to its natural formula; odd about 0.
     Shape (dmax+1, nmax+1, npts), dmax <= 3.
     """
-    if dmax > 3:
-        raise ValueError("theta derivatives implemented up to order 3")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    T = trig_poly_table(params.shifted(1), nmax, theta, dmax)
-    s, c = np.sin(theta), np.cos(theta)
-    out = np.empty_like(T)
-    out[0] = 0.5 * s * T[0]
-    if dmax >= 1:
-        out[1] = 0.5 * (c * T[0] + s * T[1])
-    if dmax >= 2:
-        out[2] = 0.5 * (-s * T[0] + 2.0 * c * T[1] + s * T[2])
-    if dmax >= 3:
-        out[3] = 0.5 * (-c * T[0] - 3.0 * s * T[1] + 3.0 * c * T[2] + s * T[3])
+    return _theta_table(params, nmax, theta, dmax, True)
+
+
+def _theta_row(params: JacobiParams, n: int, theta: np.ndarray, order: int,
+               odd: bool) -> np.ndarray:
+    """Row n of the theta-derivative table of one order, without the table:
+    each recurrence keeps only its last two rows."""
+    q = params.shifted(1) if odd else params
+    x = np.cos(theta)
+    out = np.zeros(theta.shape)
+    for j, pi in theta_row_terms(theta, order, odd).items():
+        if n >= j:
+            value = JacobiRecurrence(q.shifted(j), x).advance(n - j + 1)
+            out += pi * (float(derivative_scale(q, n, j)) * value)
     return out
 
 
@@ -274,13 +371,12 @@ def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
     _check_domain(elem, theta)
     p, n = elem.params, elem.index
     if elem.kind == TRIG_POLY:
-        return trig_poly_table(p, n, theta, order)[order, n]
+        return _theta_row(p, n, theta, order, False)
     if elem.kind == SYM_POLY:
         root2 = 1.0 / math.sqrt(2.0)
         if n % 2 == 0:
-            return root2 * trig_poly_table(p, n // 2, theta, order)[order, n // 2]
-        k = (n - 1) // 2
-        return root2 * odd_factor_table(p, k, theta, order)[order, k]
+            return root2 * _theta_row(p, n // 2, theta, order, False)
+        return root2 * _theta_row(p, (n - 1) // 2, theta, order, True)
     if order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
     if elem.kind == JACOBI_FN:

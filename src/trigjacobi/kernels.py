@@ -8,12 +8,15 @@ come in two genuinely different evaluation routes (term-wise ladder factors
 vs t-derivatives with a pointwise first-order tail), which the tests compare.
 
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
-q covering both the polynomial sup growth and the derivative powers.
+q covering both the polynomial sup growth and the derivative powers. They
+are streamed: the recurrences a kernel needs advance a fixed chunk of terms
+at a time, and each chunk is added into the output before the next one is
+built, so memory does not grow with the series length. Nothing is cached
+between calls.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,10 +26,11 @@ from scipy.special import comb
 
 from .basis import (
     JacobiParams,
+    JacobiRecurrence,
     coeff_A,
+    derivative_scale,
     eigenvalue,
-    odd_factor_table,
-    trig_poly_table,
+    theta_row_terms,
 )
 from .quadrature import TGrid
 
@@ -40,8 +44,8 @@ class TruncationError(ValueError):
 @dataclass(frozen=True)
 class TruncationConfig:
     eps_tail: float = 1e-10
-    n_cap: int = 4000
-    t_floor: float = 1e-4
+    n_cap: int = 32768
+    t_floor: float = 5e-3
 
     def series_length(self, params: JacobiParams, t: float, orders: int) -> int:
         """Smallest n with e^{-tn} (n+1)^q below eps_tail.
@@ -71,6 +75,9 @@ class TruncationConfig:
 
 
 DEFAULT_TRUNCATION = TruncationConfig()
+# time grid of the operators given none; built and validated once, and safe
+# to share because its arrays are read-only
+DEFAULT_TGRID = TGrid()
 
 
 @dataclass(frozen=True)
@@ -91,30 +98,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(sum(self.weights))
-
-
-# --- cached theta-derivative tables -----------------------------------------
-
-_TABLE_CACHE: dict = {}
-_TABLE_CACHE_CAP = 24
-
-
-def _grid_key(theta: np.ndarray) -> str:
-    return hashlib.sha1(theta.tobytes()).hexdigest()
-
-
-def _tables(params: JacobiParams, kind: str, theta: np.ndarray,
-            nmax: int, dmax: int) -> np.ndarray:
-    key = (params.alpha, params.beta, kind, _grid_key(theta))
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None and hit.shape[0] > dmax and hit.shape[1] > nmax:
-        return hit
-    build = trig_poly_table if kind == "even" else odd_factor_table
-    table = build(params, nmax, theta, dmax)
-    if len(_TABLE_CACHE) >= _TABLE_CACHE_CAP:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[key] = table
-    return table
 
 
 # --- kernel families ---------------------------------------------------------
@@ -204,83 +187,167 @@ def _ladder_roots(params: JacobiParams, ks: np.ndarray) -> np.ndarray:
     return np.sqrt(ks * (ks + params.alpha + params.beta + 1.0))
 
 
-def _factors(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray,
-             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """speed, coef (n,), theta factor (n, |theta|), phi factor (n, |phi|)."""
+def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """speed and coefficient of the first n terms."""
     p = handle.params
     kind = handle.family[0]
-    ks = np.arange(n, dtype=float)
-
-    if kind in ("poisson", "ladder", "direct"):
-        comp = handle.family[1]
-        N, M = (0, 0) if kind == "poisson" else handle.family[2:4]
-        speed = _speeds(p, comp, n)
-        if comp == "even":
-            lam_idx = ks
-            phifac = _tables(p, "even", phi, n, 0)[0, :n]
-        else:
-            lam_idx = ks + 1.0
-            phifac = _tables(p, "odd", phi, n, 0)[0, :n]
-        lam = eigenvalue(p, lam_idx)
-        if kind == "poisson":
-            coef = np.full(n, 0.5)
-            thetafac = (_tables(p, "even", theta, n, 0)[0, :n] if comp == "even"
-                        else _tables(p, "odd", theta, n, 0)[0, :n])
-            return speed, coef, thetafac, phifac
-        if kind == "ladder":
-            roots = _ladder_roots(p, lam_idx)
-            coef = 0.5 * (-np.sqrt(lam)) ** M * (-roots) ** N
-            if N % 2 == 0:
-                thetafac = (_tables(p, "even", theta, n, 0)[0, :n]
-                            if comp == "even"
-                            else _tables(p, "odd", theta, n, 0)[0, :n])
-            elif comp == "even":
-                # land on the odd companions, index k-1, empty at k=0
-                S = _tables(p, "odd", theta, n, 0)
-                thetafac = np.zeros((n, theta.size))
-                thetafac[1:] = S[0, : n - 1]
-            else:
-                T = _tables(p, "even", theta, n + 1, 0)
-                thetafac = T[0, 1 : n + 1]
-            return speed, coef, thetafac, phifac
-        # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
-        # never collapsed to the ladder coefficient
-        k0, tail = N // 2, N % 2
-        js = np.arange(k0 + 1)
-        binom = comb(k0, js) * (-p.lam0) ** (k0 - js)
-        mult = np.zeros(n)
-        for j, c in zip(js, binom):
-            mult += c * (-np.sqrt(lam)) ** (2 * j + M)
-        coef = 0.5 * mult
-        if tail == 0:
-            thetafac = (_tables(p, "even", theta, n, 0)[0, :n]
-                        if comp == "even"
-                        else _tables(p, "odd", theta, n, 0)[0, :n])
-        elif comp == "even":
-            thetafac = _tables(p, "even", theta, n, 1)[1, :n]
-        else:
-            S = _tables(p, "odd", theta, n, 1)
-            thetafac = -S[1, :n] - coeff_A(p, theta)[None, :] * S[0, :n]
-        return speed, coef, thetafac, phifac
-
     if kind == "partial":
-        shift, L, N, M = handle.family[1:5]
-        ps = p.shifted(shift)
-        speed = _speeds(ps, "even", n)
-        coef = 0.5 * (-speed) ** M
-        thetafac = _tables(ps, "even", theta, n, N)[N, :n]
-        phifac = _tables(ps, "even", phi, n, L)[L, :n]
-        return speed, coef, thetafac, phifac
+        M = handle.family[4]
+        speed = _speeds(p.shifted(handle.family[1]), "even", n)
+        return speed, 0.5 * (-speed) ** M
+    comp = handle.family[1]
+    speed = _speeds(p, comp, n)
+    if kind == "poisson":
+        return speed, np.full(n, 0.5)
+    N, M = handle.family[2:4]
+    ks = np.arange(n, dtype=float)
+    lam = eigenvalue(p, ks if comp == "even" else ks + 1.0)
+    if kind == "ladder":
+        roots = _ladder_roots(p, ks if comp == "even" else ks + 1.0)
+        return speed, 0.5 * (-np.sqrt(lam)) ** M * (-roots) ** N
+    # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
+    # never collapsed to the ladder coefficient
+    k0 = N // 2
+    js = np.arange(k0 + 1)
+    binom = comb(k0, js) * (-p.lam0) ** (k0 - js)
+    mult = np.zeros(n)
+    for j, c in zip(js, binom):
+        mult += c * (-np.sqrt(lam)) ** (2 * j + M)
+    return speed, 0.5 * mult
 
-    raise AssertionError(kind)
+
+@dataclass
+class _Side:
+    """The theta or the phi factor of the series: term k reads row k + offset
+    of the table of `terms` ({j: pi_j}, see basis.theta_row_terms) built on
+    the parameters `params`."""
+
+    params: JacobiParams
+    terms: dict
+    offset: int = 0
+
+
+def _side(params: JacobiParams, points: np.ndarray, order: int = 0,
+          odd: bool = False, offset: int = 0) -> _Side:
+    q = params.shifted(1) if odd else params
+    return _Side(q, theta_row_terms(points, order, odd), offset)
+
+
+def _sides(handle: KernelHandle, theta: np.ndarray,
+           phi: np.ndarray) -> tuple[_Side, _Side]:
+    p = handle.params
+    kind = handle.family[0]
+    if kind == "partial":
+        shift, L, N = handle.family[1:4]
+        ps = p.shifted(shift)
+        return _side(ps, theta, N), _side(ps, phi, L)
+    odd = handle.family[1] == "odd"
+    N = 0 if kind == "poisson" else handle.family[2]
+    if N % 2 == 0:
+        theta_side = _side(p, theta, odd=odd)
+    elif kind == "ladder":
+        # odd chains land on the other component: the odd companions at
+        # index k-1 (empty at k=0), or the polynomials at index k+1
+        theta_side = _side(p, theta, odd=not odd, offset=1 if odd else -1)
+    elif not odd:
+        theta_side = _side(p, theta, order=1)
+    else:
+        # first-order tail -d_theta - A on the odd companions
+        s1 = theta_row_terms(theta, 1, odd=True)
+        s0 = theta_row_terms(theta, 0, odd=True)
+        A = coeff_A(p, theta)
+        terms = {j: -s1.get(j, 0.0) - A * s0.get(j, 0.0)
+                 for j in sorted(set(s1) | set(s0))}
+        theta_side = _Side(p.shifted(1), terms)
+    return theta_side, _side(p, phi, odd=odd)
+
+
+# series terms evaluated together; bounds the working memory at
+# _CHUNK x (points) per recurrence, whatever the series length
+_CHUNK = 256
+
+
+class _Stream:
+    """Both factors of a series, produced _CHUNK terms at a time.
+
+    One recurrence runs per distinct (parameters, start degree); when theta
+    and phi need the same one, it runs once over both point sets (or once
+    over one of them when the two coincide). A factor with a single term
+    is handed out as the raw recurrence rows: its kappa goes into `weight`
+    and its pi into `theta_scale` / `phi_scale`, applied by the caller.
+    """
+
+    def __init__(self, sides: tuple[_Side, _Side],
+                 points: tuple[np.ndarray, np.ndarray], n: int):
+        same = points[0].shape == points[1].shape and np.array_equal(*points)
+        users: dict = {}
+        for s, side in enumerate(sides):
+            for j in side.terms:
+                key = (side.params.shifted(j), side.offset - j)
+                users.setdefault(key, []).append((s, j))
+        self._recs, self._bufs = [], []
+        # per side: j -> (recurrence index, columns of its buffer)
+        self._where = ({}, {})
+        for (q, start), used in users.items():
+            both = len({s for s, _ in used}) == 2
+            if both and same:
+                x, cols = points[0], (slice(None), slice(None))
+            elif both:
+                size = points[0].size
+                x = np.concatenate(points)
+                cols = (slice(0, size), slice(size, None))
+            else:
+                x = points[used[0][0]]
+                cols = (slice(None), slice(None))
+            for s, j in used:
+                self._where[s][j] = (len(self._recs), cols[s])
+            self._recs.append(JacobiRecurrence(q, np.cos(x), degree=start))
+            self._bufs.append(np.empty((_CHUNK, x.size)))
+
+        ks = np.arange(n)
+        self._sides = sides
+        self._kappa = [{j: derivative_scale(side.params, ks + side.offset, j)
+                        for j in side.terms} for side in sides]
+        self.weight = np.ones(n)
+        scales = [1.0, 1.0]
+        # a factor of several terms is summed into its own buffer per chunk
+        self._mixed = [None, None]
+        for s, side in enumerate(sides):
+            if len(side.terms) == 1:
+                (j, pi), = side.terms.items()
+                self.weight *= self._kappa[s][j]
+                scales[s] = pi
+            else:
+                self._mixed[s] = np.empty((2, _CHUNK, points[s].size))
+        self.theta_scale, self.phi_scale = scales
+
+    def factors(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows k0..k1-1 of the theta and the phi factor."""
+        m = k1 - k0
+        for rec, buf in zip(self._recs, self._bufs):
+            rec.fill(buf[:m])
+        out = []
+        for s, side in enumerate(self._sides):
+            raw = {j: self._bufs[r][:m, cols] for j, (r, cols) in self._where[s].items()}
+            if self._mixed[s] is None:
+                out.extend(raw.values())
+                continue
+            mixed, tmp = self._mixed[s][0][:m], self._mixed[s][1][:m]
+            mixed.fill(0.0)
+            for j, pi in side.terms.items():
+                np.multiply(raw[j], self._kappa[s][j][k0:k1, None], out=tmp)
+                tmp *= pi
+                mixed += tmp
+            out.append(mixed)
+        return out[0], out[1]
 
 
 def _eval_pairs(handle: KernelHandle, theta, phi, t,
                 cfg: TruncationConfig, n_override: int | None) -> np.ndarray:
     """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt).
 
-    Terms are summed in k-slices so each t only pays for the series length
-    its own truncation bound demands.
+    The series is streamed in chunks of terms; each t only pays for the
+    series length its own truncation bound demands.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -293,18 +360,30 @@ def _eval_pairs(handle: KernelHandle, theta, phi, t,
     else:
         n_arr = np.array([cfg.series_length(p_tab, ti, handle.orders)
                           for ti in t])
-    n_max = int(n_arr.max())
-    speed, coef, thetafac, phifac = _factors(handle, theta, phi, n_max)
-    A = (coef[:, None] * thetafac * phifac)  # (n_max, npairs)
+    # longest series first, so the times still summing form a prefix
+    order = np.argsort(-n_arr, kind="stable")
+    t_sorted, n_sorted = t[order], n_arr[order]
+    n_max = int(n_sorted[0])
+    speed, coef = _series(handle, n_max)
+    stream = _Stream(_sides(handle, theta, phi), (theta, phi), n_max)
+    weight = coef * stream.weight
     out = np.zeros((t.size, theta.size))
-    bounds = np.unique(n_arr)[::-1]
-    lo_next = np.concatenate([bounds[1:], [0]])
-    for b, lo in zip(bounds, lo_next):
-        rows = np.where(n_arr >= b)[0]
-        ks = slice(int(lo), int(b))
-        E = np.exp(-np.outer(t[rows], speed[ks]))
-        out[rows] += E @ A[ks]
-    return out.T
+    prod = np.empty((_CHUNK, theta.size))
+    for k0 in range(0, n_max, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_max)
+        live = int(np.count_nonzero(n_sorted > k0))
+        E = np.outer(t_sorted[:live], -speed[k0:k1])
+        np.exp(E, out=E)
+        E *= weight[k0:k1]
+        for i in np.nonzero(n_sorted[:live] < k1)[0]:
+            E[i, n_sorted[i] - k0:] = 0.0
+        th, ph = stream.factors(k0, k1)
+        A = np.multiply(th, ph, out=prod[: k1 - k0])
+        out[:live] += E @ A
+    out *= stream.theta_scale * stream.phi_scale
+    result = np.empty_like(out)
+    result[order] = out
+    return result.T
 
 
 def _eval_matrix(handle: KernelHandle, theta, phi, t: float,
@@ -313,9 +392,17 @@ def _eval_matrix(handle: KernelHandle, theta, phi, t: float,
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     n = cfg.series_length(handle.table_params, float(t), handle.orders)
-    speed, coef, thetafac, phifac = _factors(handle, theta, phi, n)
-    d = coef * np.exp(-float(t) * speed)
-    return (thetafac * d[:, None]).T @ phifac
+    speed, coef = _series(handle, n)
+    stream = _Stream(_sides(handle, theta, phi), (theta, phi), n)
+    d = coef * stream.weight * np.exp(-float(t) * speed)
+    out = np.zeros((theta.size, phi.size))
+    for k0 in range(0, n, _CHUNK):
+        k1 = min(k0 + _CHUNK, n)
+        th, ph = stream.factors(k0, k1)
+        out += (th * d[k0:k1, None]).T @ ph
+    out *= np.reshape(stream.theta_scale, (-1, 1))
+    out *= stream.phi_scale
+    return out
 
 
 # --- kernels defined by time integrals ---------------------------------------

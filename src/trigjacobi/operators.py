@@ -35,7 +35,7 @@ from .basis import (
     ladder_step,
     psi,
 )
-from .kernels import DiscreteMeasure
+from .kernels import DEFAULT_TGRID, DiscreteMeasure
 from .quadrature import TGrid, ThetaGrid, inner_product, t_norm
 
 SETTINGS = ("sym_poly", "sym_fn", "restricted", "nonsym")
@@ -96,7 +96,7 @@ class OperatorSpec:
             raise ValueError("square kinds need M + N >= 1")
 
     def time_grid(self) -> TGrid:
-        return self.tgrid if self.tgrid is not None else TGrid()
+        return self.tgrid if self.tgrid is not None else DEFAULT_TGRID
 
 
 def expand(f: GridFunction, nmax: int) -> np.ndarray:

@@ -120,7 +120,11 @@ class TGrid:
         # fourth order so short grids still pass the validation below
         w[[0, 1, 2]] += np.array([-3.0, 4.0, -1.0]) * h / 24.0
         w[[-1, -2, -3]] += np.array([-3.0, 4.0, -1.0]) * h / 24.0
-        object.__setattr__(self, "nodes", np.exp(u))
+        nodes = np.exp(u)
+        # read-only: one grid may be shared, e.g. the operators' default
+        nodes.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "log_weights", w)
         self._validate()
 

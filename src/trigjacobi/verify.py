@@ -157,21 +157,9 @@ def report_json(doc: dict) -> str:
 
 # --- ratio sweeps -------------------------------------------------------------
 
-def _ball_measures(params: JacobiParams, theta: np.ndarray, d: float) -> np.ndarray:
-    return np.array([ball_measure(params, Ball(float(th), d)) for th in theta])
-
-
-def _sweep_constant(ratio_fn: Callable, params: JacobiParams,
-                    spec: SweepSpec) -> tuple[float, list]:
-    """Max of ratio_fn over all bands; per-band maxima for the report."""
-    levels = []
-    overall = 0.0
-    for d, theta, phi in spec.bands():
-        r = np.asarray(ratio_fn(d, theta, phi))
-        m = float(np.max(r))
-        levels.append({"distance": d, "pairs": int(r.size), "max_ratio": m})
-        overall = max(overall, m)
-    return overall, levels
+def _ball_measures(params: JacobiParams, theta: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return np.array([ball_measure(params, Ball(float(th), float(r)))
+                     for th, r in zip(theta, d)])
 
 
 def ratio_sweep_report(claim: str, ratio_fn: Callable, params: JacobiParams,
@@ -180,11 +168,26 @@ def ratio_sweep_report(claim: str, ratio_fn: Callable, params: JacobiParams,
                        details: dict | None = None) -> EstimateReport:
     """Estimate sup LHS/RHS on the base sweep, re-estimate on the refined one.
 
+    ratio_fn(d, theta, phi) is called once, on every band of both sweeps
+    concatenated, with the per-pair distance d; it must act pair by pair.
     Passes when the constant is finite (and below `bound` when the claim has
     an explicit constant) and the refined estimate stays within drift_limit.
     """
-    constant, levels = _sweep_constant(ratio_fn, params, spec)
-    refined, _ = _sweep_constant(ratio_fn, params, spec.refined())
+    bands = [(sweep, d, theta, phi)
+             for sweep, s in enumerate((spec, spec.refined()))
+             for d, theta, phi in s.bands()]
+    dist = np.concatenate([np.full(th.size, d) for _, d, th, _ in bands])
+    theta = np.concatenate([th for _, _, th, _ in bands])
+    phi = np.concatenate([ph for _, _, _, ph in bands])
+    r = np.asarray(ratio_fn(dist, theta, phi))
+    levels, sups, lo = [], [0.0, 0.0], 0
+    for sweep, d, th, _ in bands:
+        m = float(np.max(r[lo:lo + th.size]))
+        lo += th.size
+        if sweep == 0:
+            levels.append({"distance": d, "pairs": int(th.size), "max_ratio": m})
+        sups[sweep] = max(sups[sweep], m)
+    constant, refined = sups
     drift = refined / constant if constant > 0.0 else 1.0
     ok = math.isfinite(constant) and math.isfinite(refined)
     ok = ok and max(drift, 1.0 / drift) < drift_limit

@@ -21,6 +21,7 @@ from trigjacobi.basis import (
     JACOBI_FN,
     BasisElement,
     JacobiParams,
+    JacobiRecurrence,
     apply_jacobi_operator,
     coeff_A,
     coeff_A_prime,
@@ -235,6 +236,31 @@ class TestTrigPoly:
         table = jacobi_table(p, 6, x)
         for n in (0, 3, 6):
             assert_allclose(table[n], jacobi_poly(p, n, x), rtol=1e-13)
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    def test_windows_resume_where_they_stopped(self, a, b):
+        from scipy.special import eval_jacobi
+
+        p = params_of(a, b)
+        x = np.cos(np.array([0.02, 0.8, 1.9, 3.1]))
+        rec = JacobiRecurrence(p, x, degree=-2)
+        rows = np.concatenate([rec.fill(np.empty((m, x.size)))
+                               for m in (1, 1, 1, 2, 5, 1, 3, 40, 1)])
+        assert np.all(rows[:2] == 0.0)
+        assert_allclose(rows[2:], jacobi_table(p, rows.shape[0] - 3, x),
+                        rtol=1e-13, atol=1e-13)
+        want = eval_jacobi(np.arange(rows.shape[0] - 2)[:, None], a, b, x[None, :])
+        assert_allclose(rows[2:], want, rtol=1e-11, atol=1e-11)
+
+    def test_advance_returns_the_last_degree(self):
+        p = params_of(1.5, -0.7)
+        x = np.linspace(-0.9, 0.9, 5)
+        assert_allclose(JacobiRecurrence(p, x).advance(8), jacobi_table(p, 7, x)[7],
+                        rtol=1e-14)
+        assert_allclose(JacobiRecurrence(p, x, degree=3).fill(np.empty((2, 5))),
+                        jacobi_table(p, 4, x)[3:], rtol=1e-14)
 
 
 class TestDerivativeTables:

@@ -77,6 +77,12 @@ class TestEvalKernel:
                          "--theta", "1.0,2.0", "--phi", "1.0,2.0,3.0"], capsys)
         assert rc == 2
 
+    def test_default_time_floor_evaluates(self, capsys):
+        rc, out = run_cli(["eval", "kernel", "--kind", "even", "--t", "0.005",
+                           "--theta", "1.0", "--phi", "1.3"], capsys)
+        assert rc == 0
+        assert math.isfinite(float(data_rows(out)[0].split(",")[3]))
+
     def test_below_time_floor_exit_3(self, capsys):
         rc, _ = run_cli(["eval", "kernel", "--kind", "even", "--t", "1e-6",
                          "--theta", "1.0", "--phi", "2.0"], capsys)

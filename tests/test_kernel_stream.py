@@ -1,0 +1,202 @@
+"""The streamed kernel series against a reference built outside the package.
+
+The reference sums each series term by term from scipy.special.eval_jacobi
+and the closed-form Gamma norms, with every factor spelled out from its
+definition; nothing here comes from trigjacobi.basis. Series lengths are
+forced with n_override just below, at and above one chunk of the engine,
+and across several chunks.
+"""
+
+from __future__ import annotations
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.special import eval_jacobi, gammaln
+
+from trigjacobi.basis import JacobiParams
+from trigjacobi.kernels import (
+    _CHUNK,
+    TruncationConfig,
+    kernel_derivative,
+    partial_derivative_kernel,
+    poisson_kernel,
+)
+
+PARAMS = [(0.0, 0.0), (1.5, -0.7), (-0.7, -0.6)]
+LENGTHS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17]
+TIMES = np.array([0.02, 0.3])
+THETA = np.array([0.05, 0.7, 1.6, 2.4, 3.1])
+PHI = np.array([1.9, 0.3, 1.55, 3.05, 0.02])
+
+
+def norm(a, b, n):
+    """c_n with c_n P_n^{(a,b)}(cos theta) of unit norm in dmu+."""
+    n = np.asarray(n, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        generic = 0.5 * (np.log(2 * n + a + b + 1) + gammaln(n + 1)
+                         + gammaln(n + a + b + 1) - gammaln(n + a + 1)
+                         - gammaln(n + b + 1))
+    zero = 0.5 * (gammaln(a + b + 2) - gammaln(a + 1) - gammaln(b + 1))
+    return np.exp(np.where(n == 0, zero, generic))
+
+
+def poly(a, b, k, theta):
+    """c_k P_k(cos theta), rows k, columns theta; zero rows for k < 0."""
+    k = np.asarray(k)
+    out = np.zeros((k.size, theta.size))
+    live = k >= 0
+    kk = k[live].astype(np.int64)[:, None]
+    out[live] = norm(a, b, kk) * eval_jacobi(kk, a, b, np.cos(theta)[None, :])
+    return out
+
+
+def poly_dtheta(a, b, k, theta):
+    """d/dtheta c_k P_k(cos theta) = -sin(theta) c_k (k+a+b+1)/2 P_{k-1}^{(a+1,b+1)}."""
+    k = np.asarray(k)
+    out = np.zeros((k.size, theta.size))
+    live = k >= 1
+    kk = k[live].astype(np.int64)[:, None]
+    out[live] = (-np.sin(theta)[None, :] * norm(a, b, kk) * (kk + a + b + 1) / 2.0
+                 * eval_jacobi(kk - 1, a + 1, b + 1, np.cos(theta)[None, :]))
+    return out
+
+
+def odd(a, b, k, theta):
+    """s_k = (1/2) sin(theta) c'_k P_k^{(a+1,b+1)}(cos theta)."""
+    return 0.5 * np.sin(theta)[None, :] * poly(a + 1, b + 1, k, theta)
+
+
+def odd_dtheta(a, b, k, theta):
+    return 0.5 * (np.cos(theta)[None, :] * poly(a + 1, b + 1, k, theta)
+                  + np.sin(theta)[None, :] * poly_dtheta(a + 1, b + 1, k, theta))
+
+
+def reference(a, b, family, n, theta, phi, t):
+    """Kernel values and the sum of the absolute values of the terms,
+    both of shape (npairs, nt), from the series' definition."""
+    ks = np.arange(n)
+    half = (a + b + 1) / 2.0
+    kind = family[0]
+    if kind == "partial":
+        _, shift, L, N, M = family
+        a, b = a + shift, b + shift
+        speed = np.abs(ks + (a + b + 1) / 2.0)
+        coef = 0.5 * (-speed) ** M
+        th = (poly_dtheta if N else poly)(a, b, ks, theta)
+        ph = (poly_dtheta if L else poly)(a, b, ks, phi)
+    else:
+        comp = family[1]
+        N, M = (0, 0) if kind == "poisson" else family[2:4]
+        idx = ks if comp == "even" else ks + 1
+        speed = np.abs(idx + half)  # sqrt(lam)
+        root = np.sqrt(idx * (idx + a + b + 1.0))
+        base = poly if comp == "even" else odd
+        ph = base(a, b, ks, phi)
+        if kind == "direct":
+            # (d_t^2 - lam_0)^{N//2} d_t^M; first-order tail applied in theta
+            coef = 0.5 * root ** (2 * (N // 2)) * (-speed) ** M
+            if N % 2 == 0:
+                th = base(a, b, ks, theta)
+            elif comp == "even":
+                th = poly_dtheta(a, b, ks, theta)
+            else:
+                A = ((a + 0.5) / np.tan(theta / 2.0)
+                     - (b + 0.5) * np.tan(theta / 2.0))
+                th = -odd_dtheta(a, b, ks, theta) - A[None, :] * odd(a, b, ks, theta)
+        else:
+            # ladder: delta P_k = -r_k s_{k-1}, delta* s_k = -r_{k+1} P_{k+1}
+            coef = 0.5 * (-speed) ** M * (-root) ** N
+            if N % 2 == 0:
+                th = base(a, b, ks, theta)
+            elif comp == "even":
+                th = odd(a, b, ks - 1, theta)
+            else:
+                th = poly(a, b, ks + 1, theta)
+    terms = (coef[:, None, None] * np.exp(-np.outer(speed, t))[:, None, :]
+             * (th * ph)[:, :, None])
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+def families():
+    out = [("poisson", "even"), ("poisson", "odd")]
+    for route in ("ladder", "direct"):
+        for comp in ("even", "odd"):
+            out += [(route, comp, N, 0) for N in range(1, 5)]
+    out += [("partial", 1, L, N, 0) for L in (0, 1) for N in (0, 1)]
+    out += [("ladder", "odd", 1, 1), ("partial", 0, 1, 0, 2)]
+    return out
+
+
+def handle_for(params, family):
+    if family[0] == "poisson":
+        return poisson_kernel(params, family[1])
+    if family[0] == "partial":
+        return partial_derivative_kernel(params, *family[1:])
+    route, comp, N, M = family
+    return kernel_derivative(poisson_kernel(params, comp), N, M, route=route)
+
+
+@pytest.mark.parametrize("a,b", PARAMS)
+@pytest.mark.parametrize("family", families(), ids=str)
+def test_matches_reference_series(a, b, family):
+    h = handle_for(JacobiParams(a, b), family)
+    for n in LENGTHS:
+        got = h.eval_pairs(THETA, PHI, TIMES, n_override=n)
+        want, scale = reference(a, b, family, n, THETA, PHI, TIMES)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, got - want)
+
+
+@pytest.mark.parametrize("a,b", PARAMS)
+@pytest.mark.parametrize("family", [("poisson", "even"), ("ladder", "even", 1, 0),
+                                    ("direct", "odd", 1, 0), ("partial", 1, 1, 1, 0)],
+                         ids=str)
+def test_matrix_matches_reference_series(a, b, family):
+    h = handle_for(JacobiParams(a, b), family)
+    cfg = TruncationConfig()
+    t = 0.05
+    n = cfg.series_length(h.table_params, t, h.orders)
+    assert n > _CHUNK
+    grid = np.array([0.1, 0.9, 1.7, 2.9])
+    got = h.eval_matrix(grid, grid, t, cfg)
+    th, ph = np.meshgrid(grid, grid, indexing="ij")
+    want, scale = reference(a, b, family, n, th.ravel(), ph.ravel(), np.array([t]))
+    assert np.all(np.abs(got.ravel() - want[:, 0]) <= 1e-12 * scale[:, 0])
+
+
+@pytest.mark.parametrize("comp", ["even", "odd"])
+def test_mixed_lengths_equal_single_time_calls(comp):
+    # lengths from tens of terms to several chunks, in no particular order
+    a, b = 1.5, -0.7
+    family = ("ladder", comp, 1, 1)
+    h = handle_for(JacobiParams(a, b), family)
+    cfg = TruncationConfig()
+    t = np.array([0.4, 0.01, 3.0, 0.05, 0.01, 1.0])
+    together = h.eval_pairs(THETA, PHI, t, cfg)
+    for i, ti in enumerate(t):
+        alone = h.eval_pairs(THETA, PHI, [ti], cfg)[:, 0]
+        n = cfg.series_length(h.table_params, ti, h.orders)
+        want, scale = reference(a, b, family, n, THETA, PHI, np.array([ti]))
+        assert np.all(np.abs(together[:, i] - alone) <= 1e-13 * scale[:, 0])
+        assert np.all(np.abs(together[:, i] - want[:, 0]) <= 1e-12 * scale[:, 0])
+
+
+def test_memory_bounded_by_chunk_not_series_length():
+    p = JacobiParams(1.5, -0.7)
+    h = poisson_kernel(p, "even")
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(0.01, math.pi - 0.01, 720)
+    phi = rng.uniform(0.01, math.pi - 0.01, 720)
+    t = 5e-3
+    n = TruncationConfig().series_length(p, t, h.orders)
+    table_bytes = n * theta.size * 8
+    assert table_bytes > 60e6
+    tracemalloc.start()
+    try:
+        h.eval_pairs(theta, phi, [t])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 8, (peak, table_bytes)

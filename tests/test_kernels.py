@@ -254,6 +254,14 @@ class TestTruncation:
         with pytest.raises(TruncationError):
             cfg.series_length(p, 0.01, 0)
 
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    def test_defaults_reach_their_own_floor(self, a, b):
+        # the default cap covers every series the default floor allows
+        cfg = TruncationConfig()
+        p = JacobiParams(a, b)
+        for orders in range(5):
+            assert cfg.series_length(p, cfg.t_floor, orders) <= cfg.n_cap
+
     def test_tail_bound_is_honest(self):
         # doubling the computed length must not change the kernel beyond eps
         p = JacobiParams(1.5, -0.7)

@@ -397,6 +397,18 @@ class TestTransference:
         assert np.allclose(via_conj.values, direct.values, rtol=1e-9, atol=1e-11)
 
 
+class TestDefaultTimeGrid:
+    def test_built_once_and_shared(self):
+        first = OperatorSpec("maximal").time_grid()
+        again = OperatorSpec("square", M=1).time_grid()
+        assert first is again
+        assert np.array_equal(first.nodes, TGrid().nodes)
+
+    def test_explicit_grid_wins(self):
+        grid = TGrid(1e-3, 10.0)
+        assert OperatorSpec("maximal", tgrid=grid).time_grid() is grid
+
+
 class TestValidation:
     def test_spec_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,13 @@ class TestTGrid:
         assert g.nodes[0] == pytest.approx(1e-4)
         assert g.nodes[-1] == pytest.approx(40.0)
 
+    def test_arrays_are_read_only(self):
+        g = TGrid()
+        with pytest.raises(ValueError):
+            g.nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            g.log_weights[0] = 1.0
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             TGrid(t_min=1e-4, t_max=40.0, points_per_decade=4)

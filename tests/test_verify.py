@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from trigjacobi.basis import JacobiParams
+from trigjacobi.kernels import poisson_kernel
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     SweepSpec,
+    _ball_measures,
     check_ball_comparability,
     check_domination,
     check_lemma_instances,
@@ -17,6 +19,7 @@ from trigjacobi.verify import (
     check_weight_classes,
     empirical_lp_sweep,
     lemma_claim_id,
+    ratio_sweep_report,
     report_json,
     run_suite,
 )
@@ -46,6 +49,52 @@ class TestSharpConstants:
         rep = check_sharp_constants(ngrid=256)[3]
         assert rep.claim == "sharp-constant-b-diagonal-identity"
         assert rep.constant <= 1e-9
+
+
+class TestSweepContract:
+    """ratio_sweep_report evaluates every band of both sweeps in one call."""
+
+    @staticmethod
+    def band_loop(ratio_fn, spec):
+        levels, overall = [], 0.0
+        for d, theta, phi in spec.bands():
+            m = float(np.max(ratio_fn(np.full(theta.size, d), theta, phi)))
+            levels.append({"distance": d, "pairs": theta.size, "max_ratio": m})
+            overall = max(overall, m)
+        return overall, levels
+
+    def test_levels_match_a_loop_over_bands(self):
+        def ratio(d, theta, phi):
+            return _ball_measures(P, theta, d) * np.sin(theta) * phi / d
+
+        calls = []
+
+        def counted(d, theta, phi):
+            calls.append(theta.size)
+            return ratio(d, theta, phi)
+
+        rep = ratio_sweep_report("probe", counted, P, TEST_SWEEP)
+        base, levels = self.band_loop(ratio, TEST_SWEEP)
+        refined, _ = self.band_loop(ratio, TEST_SWEEP.refined())
+        assert len(calls) == 1
+        assert rep.levels == levels
+        assert rep.constant == max(base, refined)
+        assert rep.drift == refined / base
+
+    def test_kernel_ratio_matches_a_loop_over_bands(self):
+        odd = poisson_kernel(P, "odd")
+        ts = np.array([0.05, 0.4, 2.0])
+
+        def ratio(d, theta, phi):
+            s = odd.eval_pairs(theta, phi, ts)
+            return np.max(np.abs(s), axis=-1) * _ball_measures(P, theta, d)
+
+        rep = ratio_sweep_report("probe", ratio, P, TEST_SWEEP)
+        _, levels = self.band_loop(ratio, TEST_SWEEP)
+        for got, want in zip(rep.levels, levels):
+            assert got["distance"] == want["distance"]
+            assert got["pairs"] == want["pairs"]
+            assert got["max_ratio"] == pytest.approx(want["max_ratio"], rel=1e-12)
 
 
 class TestBallComparability:
