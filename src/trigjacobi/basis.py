@@ -41,6 +41,8 @@ class JacobiParams:
     def shifted(self, k: float) -> "JacobiParams":
         if k < 0:
             raise ValueError("parameter shift must be nonnegative")
+        if k == 0:
+            return self
         return JacobiParams(self.alpha + k, self.beta + k)
 
     @property
@@ -130,21 +132,11 @@ class JacobiRecurrence:
         self._p1 = np.zeros(self.x.shape)
         self._tmp = np.empty(self.x.shape)
         if degree > 0:
-            self.advance(degree)
+            self.fill(np.empty((degree,) + self.x.shape))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the next out.shape[0] degrees into out, row by row."""
-        self._run(list(out))
-        return out
-
-    def advance(self, count: int) -> np.ndarray:
-        """Step `count` degrees without keeping them; returns the last row
-        (the recurrence's own carried copy, overwritten by the next step)."""
-        spare = [np.empty(self.x.shape) for _ in range(min(count, 3))]
-        self._run([spare[i % 3] for i in range(count)])
-        return self._p1
-
-    def _run(self, rows: list) -> None:
+        rows = list(out)
         a, b = self.params.alpha, self.params.beta
         x, n = self.x, self.degree
         p2, p1 = self._p2, self._p1
@@ -163,16 +155,9 @@ class JacobiRecurrence:
             i += 1
             n += 1
         if i < len(rows):
-            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, coefficients per block
-            ns = np.arange(n, n + len(rows) - i, dtype=float)
-            s = 2.0 * ns + a + b
-            c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
-            c1 = (s - 1.0) / c0
-            coef_a = (c1 * s * (s - 2.0)).tolist()
-            coef_b = (c1 * (a * a - b * b)).tolist()
-            coef_c = (2.0 * (ns + a - 1.0) * (ns + b - 1.0) * s / c0).tolist()
+            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}
             tmp = self._tmp
-            for row, an, bn, cn in zip(rows[i:], coef_a, coef_b, coef_c):
+            for row, an, bn, cn in zip(rows[i:], *_coefficients(a, b, n, len(rows) - i)):
                 np.multiply(x, an, out=row)
                 row += bn
                 row *= p1
@@ -185,6 +170,30 @@ class JacobiRecurrence:
             np.copyto(self._p2, p2)
             np.copyto(self._p1, p1)
         self.degree = n
+        return out
+
+
+def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
+    """A_k, B_k, C_k of the recurrence for k = n..n+m-1, as three lists.
+
+    Vectorized for long blocks; short ones, as in a single basis element,
+    use Python floats, because there numpy's per-call cost dominates.
+    """
+    if m < 32:
+        ns = [float(k) for k in range(n, n + m)]
+        s = [2.0 * k + a + b for k in ns]
+        c0 = [2.0 * k * (k + a + b) * (sk - 2.0) for k, sk in zip(ns, s)]
+        c1 = [(sk - 1.0) / ck for sk, ck in zip(s, c0)]
+        return ([ci * sk * (sk - 2.0) for ci, sk in zip(c1, s)],
+                [ci * (a * a - b * b) for ci in c1],
+                [2.0 * (k + a - 1.0) * (k + b - 1.0) * sk / ck
+                 for k, sk, ck in zip(ns, s, c0)])
+    ns = np.arange(n, n + m, dtype=float)
+    s = 2.0 * ns + a + b
+    c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
+    c1 = (s - 1.0) / c0
+    return ((c1 * s * (s - 2.0)).tolist(), (c1 * (a * a - b * b)).tolist(),
+            (2.0 * (ns + a - 1.0) * (ns + b - 1.0) * s / c0).tolist())
 
 
 def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
@@ -210,22 +219,7 @@ def _deriv_gamma_ratio(params: JacobiParams, n: np.ndarray, k: int) -> np.ndarra
     return np.exp(gammaln(s + k) - gammaln(s) - k * math.log(2.0))
 
 
-def derivative_scale(params: JacobiParams, n, j: int,
-                     normalized: bool = True) -> np.ndarray:
-    """kappa_j(n) with d^j/dx^j (c_n P_n) = kappa_j(n) P_{n-j}^{(a+j,b+j)}.
-
-    The parameter-shift Gamma ratio, times c_n when normalized; zero for
-    n < j, where the derivative vanishes (n may also be negative there).
-    """
-    n = np.asarray(n, dtype=float)
-    live = np.maximum(n, j)  # keeps the formulas finite where the result is 0
-    vals = _deriv_gamma_ratio(params, live, j) if j > 0 else np.ones(n.shape)
-    if normalized:
-        vals = vals * np.exp(log_norm_constant(params, live))
-    return np.where(n >= j, vals, 0.0)
-
-
-def _poly_row_terms(s, c, order: int) -> dict:
+def _poly_order_terms(s, c, order: int) -> dict:
     # d^order/dtheta^order of f(cos theta) = sum_j pi_j(theta) f^(j)(cos theta)
     if order == 0:
         return {0: 1.0}
@@ -236,48 +230,91 @@ def _poly_row_terms(s, c, order: int) -> dict:
     return {1: s, 2: 3.0 * s * c, 3: -s ** 3}
 
 
-def theta_row_terms(theta, order: int, odd: bool = False) -> dict:
-    """One theta-derivative order of the trigonometric polynomials (odd=False)
-    or of the odd factors s_n (odd=True), as a sum over x-derivative orders j:
-
-        row_n(theta) = sum_j pi_j(theta) * kappa_j(n) * P_{n-j}^{(q+j)}(cos theta)
-
-    with q = params for the polynomials and params + 1 for the odd factors,
-    and kappa_j = derivative_scale(q, n, j). Returns {j: pi_j}; pi_0 of the
-    undifferentiated polynomials is the scalar 1. Supports order <= 3.
-    """
-    if order > 3:
-        raise ValueError("theta derivatives implemented up to order 3")
-    theta = np.asarray(theta, dtype=float)
-    s, c = np.sin(theta), np.cos(theta)
+def _order_terms(s, c, order: int, odd: bool) -> dict:
+    # {j: pi_j} of one theta-derivative order of the polynomials or odd factors
     if not odd:
-        return _poly_row_terms(s, c, order)
+        return _poly_order_terms(s, c, order)
     # s_n = (1/2) sin(theta) * (shifted polynomial): Leibniz rule
     sin_derivs = (s, c, -s, -c)
     out = {}
     for i in range(order + 1):
         w = 0.5 * math.comb(order, i) * sin_derivs[i]
-        for j, pi in _poly_row_terms(s, c, order - i).items():
+        for j, pi in _poly_order_terms(s, c, order - i).items():
             out[j] = out.get(j, 0.0) + w * pi
     return out
+
+
+class RowTerm:
+    """One term of a row of theta-derivatives (see theta_row_terms):
+
+        row n  +=  pi * scale(n) * P_{degree(n)}^{(params)}(cos theta)
+
+    with params = source shifted by lag and degree(n) = n - lag.
+    """
+
+    def __init__(self, source: JacobiParams, lag: int, pi, normalized: bool = True):
+        self.source, self.lag, self.pi, self.normalized = source, lag, pi, normalized
+        self.params = source.shifted(lag)
+
+    def degree(self, n: int) -> int:
+        return n - self.lag
+
+    def scale(self, n) -> np.ndarray:
+        """kappa(n) with d^lag/dx^lag (c_n P_n) = kappa(n) P_{n-lag}^{(params)}:
+        the parameter-shift Gamma ratio, times c_n when normalized; zero for
+        n < lag, where the derivative vanishes (n may be negative there)."""
+        n = np.asarray(n, dtype=float)
+        j = self.lag
+        live = np.maximum(n, j)  # keeps the formulas finite where the result is 0
+        if j == 0:
+            vals = (np.exp(log_norm_constant(self.source, live)) if self.normalized
+                    else np.ones(n.shape))
+        else:
+            vals = _deriv_gamma_ratio(self.source, live, j)
+            if self.normalized:
+                vals *= np.exp(log_norm_constant(self.source, live))
+        return np.where(n >= j, vals, 0.0)
+
+
+def theta_row_terms(params: JacobiParams, theta, weights: dict, odd: bool = False,
+                    normalized: bool = True) -> list[RowTerm]:
+    """Row n of sum_d weights[d] * (d/dtheta)^d f_n as a list of RowTerm.
+
+    f_n is the trigonometric polynomial c_n P_n(cos theta) (odd=False; the
+    unnormalized P_n when normalized=False) or the odd factor s_n (odd=True,
+    see odd_factor_table). Each theta derivative of f(cos theta) is a sum
+    over x-derivative orders j, and d^j/dx^j moves P_n to P_{n-j} with
+    parameters shifted by j, so one term per j covers every order and
+    weight: its pi collects the weighted trigonometric factors. Weights are
+    scalars or arrays over theta; orders up to 3.
+    """
+    if any(d > 3 for d in weights):
+        raise ValueError("theta derivatives implemented up to order 3")
+    theta = np.asarray(theta, dtype=float)
+    s, c = np.sin(theta), np.cos(theta)
+    pis = {}
+    for d, w in weights.items():
+        for j, pi in _order_terms(s, c, d, odd).items():
+            pis[j] = pis.get(j, 0.0) + w * pi
+    source = params.shifted(1) if odd else params
+    return [RowTerm(source, j, pis[j], normalized) for j in sorted(pis)]
 
 
 def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int, odd: bool,
                  normalized: bool = True) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    q = params.shifted(1) if odd else params
     x = np.cos(theta)
     ns = np.arange(nmax + 1)
     rows = {}
     out = np.zeros((dmax + 1, nmax + 1, theta.size))
     for d in range(dmax + 1):
-        for j, pi in theta_row_terms(theta, d, odd).items():
-            if j not in rows:
-                raw = JacobiRecurrence(q.shifted(j), x, degree=-j).fill(
+        for term in theta_row_terms(params, theta, {d: 1.0}, odd, normalized):
+            if term.lag not in rows:
+                raw = JacobiRecurrence(term.params, x, degree=term.degree(0)).fill(
                     np.empty((nmax + 1, theta.size)))
-                raw *= derivative_scale(q, ns, j, normalized)[:, None]
-                rows[j] = raw
-            out[d] += pi * rows[j]
+                raw *= term.scale(ns)[:, None]
+                rows[term.lag] = raw
+            out[d] += term.pi * rows[term.lag]
     return out
 
 
@@ -299,20 +336,6 @@ def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> n
     Shape (dmax+1, nmax+1, npts), dmax <= 3.
     """
     return _theta_table(params, nmax, theta, dmax, True)
-
-
-def _theta_row(params: JacobiParams, n: int, theta: np.ndarray, order: int,
-               odd: bool) -> np.ndarray:
-    """Row n of the theta-derivative table of one order, without the table:
-    each recurrence keeps only its last two rows."""
-    q = params.shifted(1) if odd else params
-    x = np.cos(theta)
-    out = np.zeros(theta.shape)
-    for j, pi in theta_row_terms(theta, order, odd).items():
-        if n >= j:
-            value = JacobiRecurrence(q.shifted(j), x).advance(n - j + 1)
-            out += pi * (float(derivative_scale(q, n, j)) * value)
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,12 +394,13 @@ def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
     _check_domain(elem, theta)
     p, n = elem.params, elem.index
     if elem.kind == TRIG_POLY:
-        return _theta_row(p, n, theta, order, False)
+        return trig_poly_table(p, n, theta, order)[order, n]
     if elem.kind == SYM_POLY:
         root2 = 1.0 / math.sqrt(2.0)
         if n % 2 == 0:
-            return root2 * _theta_row(p, n // 2, theta, order, False)
-        return root2 * _theta_row(p, (n - 1) // 2, theta, order, True)
+            return root2 * trig_poly_table(p, n // 2, theta, order)[order, n // 2]
+        k = (n - 1) // 2
+        return root2 * odd_factor_table(p, k, theta, order)[order, k]
     if order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
     if elem.kind == JACOBI_FN:

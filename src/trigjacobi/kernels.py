@@ -28,7 +28,6 @@ from .basis import (
     JacobiParams,
     JacobiRecurrence,
     coeff_A,
-    derivative_scale,
     eigenvalue,
     theta_row_terms,
 )
@@ -216,21 +215,17 @@ def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
     return speed, 0.5 * mult
 
 
-@dataclass
 class _Side:
-    """The theta or the phi factor of the series: term k reads row k + offset
-    of the table of `terms` ({j: pi_j}, see basis.theta_row_terms) built on
-    the parameters `params`."""
+    """The theta or the phi factor of the series: term k is row k + offset
+    of the sum of `terms` (basis.RowTerm, see basis.theta_row_terms)."""
 
-    params: JacobiParams
-    terms: dict
-    offset: int = 0
+    def __init__(self, terms: list, offset: int = 0):
+        self.terms, self.offset = terms, offset
 
 
 def _side(params: JacobiParams, points: np.ndarray, order: int = 0,
           odd: bool = False, offset: int = 0) -> _Side:
-    q = params.shifted(1) if odd else params
-    return _Side(q, theta_row_terms(points, order, odd), offset)
+    return _Side(theta_row_terms(params, points, {order: 1.0}, odd), offset)
 
 
 def _sides(handle: KernelHandle, theta: np.ndarray,
@@ -253,12 +248,8 @@ def _sides(handle: KernelHandle, theta: np.ndarray,
         theta_side = _side(p, theta, order=1)
     else:
         # first-order tail -d_theta - A on the odd companions
-        s1 = theta_row_terms(theta, 1, odd=True)
-        s0 = theta_row_terms(theta, 0, odd=True)
-        A = coeff_A(p, theta)
-        terms = {j: -s1.get(j, 0.0) - A * s0.get(j, 0.0)
-                 for j in sorted(set(s1) | set(s0))}
-        theta_side = _Side(p.shifted(1), terms)
+        theta_side = _Side(theta_row_terms(
+            p, theta, {1: -1.0, 0: -coeff_A(p, theta)}, odd=True))
     return theta_side, _side(p, phi, odd=odd)
 
 
@@ -270,11 +261,12 @@ _CHUNK = 256
 class _Stream:
     """Both factors of a series, produced _CHUNK terms at a time.
 
-    One recurrence runs per distinct (parameters, start degree); when theta
-    and phi need the same one, it runs once over both point sets (or once
-    over one of them when the two coincide). A factor with a single term
-    is handed out as the raw recurrence rows: its kappa goes into `weight`
-    and its pi into `theta_scale` / `phi_scale`, applied by the caller.
+    One recurrence runs per distinct (parameters, start degree) of the
+    sides' row terms; when theta and phi need the same one, it runs once
+    over both point sets (or once over one of them when the two coincide).
+    A factor with a single term is handed out as the raw recurrence rows:
+    its scale goes into `weight` and its pi into `theta_scale` /
+    `phi_scale`, applied by the caller.
     """
 
     def __init__(self, sides: tuple[_Side, _Side],
@@ -282,12 +274,12 @@ class _Stream:
         same = points[0].shape == points[1].shape and np.array_equal(*points)
         users: dict = {}
         for s, side in enumerate(sides):
-            for j in side.terms:
-                key = (side.params.shifted(j), side.offset - j)
-                users.setdefault(key, []).append((s, j))
+            for i, term in enumerate(side.terms):
+                key = (term.params, term.degree(side.offset))
+                users.setdefault(key, []).append((s, i))
         self._recs, self._bufs = [], []
-        # per side: j -> (recurrence index, columns of its buffer)
-        self._where = ({}, {})
+        # per side, per term: (recurrence index, columns of its buffer)
+        where = ({}, {})
         for (q, start), used in users.items():
             both = len({s for s, _ in used}) == 2
             if both and same:
@@ -299,24 +291,25 @@ class _Stream:
             else:
                 x = points[used[0][0]]
                 cols = (slice(None), slice(None))
-            for s, j in used:
-                self._where[s][j] = (len(self._recs), cols[s])
+            for s, i in used:
+                where[s][i] = (len(self._recs), cols[s])
             self._recs.append(JacobiRecurrence(q, np.cos(x), degree=start))
             self._bufs.append(np.empty((_CHUNK, x.size)))
+        self._where = [[where[s][i] for i in range(len(side.terms))]
+                       for s, side in enumerate(sides)]
 
         ks = np.arange(n)
         self._sides = sides
-        self._kappa = [{j: derivative_scale(side.params, ks + side.offset, j)
-                        for j in side.terms} for side in sides]
+        self._kappa = [[term.scale(ks + side.offset) for term in side.terms]
+                       for side in sides]
         self.weight = np.ones(n)
         scales = [1.0, 1.0]
         # a factor of several terms is summed into its own buffer per chunk
         self._mixed = [None, None]
         for s, side in enumerate(sides):
             if len(side.terms) == 1:
-                (j, pi), = side.terms.items()
-                self.weight *= self._kappa[s][j]
-                scales[s] = pi
+                self.weight *= self._kappa[s][0]
+                scales[s] = side.terms[0].pi
             else:
                 self._mixed[s] = np.empty((2, _CHUNK, points[s].size))
         self.theta_scale, self.phi_scale = scales
@@ -328,15 +321,15 @@ class _Stream:
             rec.fill(buf[:m])
         out = []
         for s, side in enumerate(self._sides):
-            raw = {j: self._bufs[r][:m, cols] for j, (r, cols) in self._where[s].items()}
+            raw = [self._bufs[r][:m, cols] for r, cols in self._where[s]]
             if self._mixed[s] is None:
-                out.extend(raw.values())
+                out.extend(raw)
                 continue
             mixed, tmp = self._mixed[s][0][:m], self._mixed[s][1][:m]
             mixed.fill(0.0)
-            for j, pi in side.terms.items():
-                np.multiply(raw[j], self._kappa[s][j][k0:k1, None], out=tmp)
-                tmp *= pi
+            for rows, kappa, term in zip(raw, self._kappa[s], side.terms):
+                np.multiply(rows, kappa[k0:k1, None], out=tmp)
+                tmp *= term.pi
                 mixed += tmp
             out.append(mixed)
         return out[0], out[1]

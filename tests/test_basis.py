@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from trigjacobi.basis import (
@@ -254,13 +254,12 @@ class TestRecurrence:
         want = eval_jacobi(np.arange(rows.shape[0] - 2)[:, None], a, b, x[None, :])
         assert_allclose(rows[2:], want, rtol=1e-11, atol=1e-11)
 
-    def test_advance_returns_the_last_degree(self):
+    def test_starts_at_a_positive_degree(self):
         p = params_of(1.5, -0.7)
         x = np.linspace(-0.9, 0.9, 5)
-        assert_allclose(JacobiRecurrence(p, x).advance(8), jacobi_table(p, 7, x)[7],
-                        rtol=1e-14)
-        assert_allclose(JacobiRecurrence(p, x, degree=3).fill(np.empty((2, 5))),
-                        jacobi_table(p, 4, x)[3:], rtol=1e-14)
+        for degree in (1, 2, 3, 8):
+            assert_allclose(JacobiRecurrence(p, x, degree=degree).fill(np.empty((2, 5))),
+                            jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
 
 
 class TestDerivativeTables:
@@ -551,13 +550,19 @@ class TestValidation:
     b=st.floats(min_value=-0.95, max_value=4.0),
     x=st.floats(min_value=-1.0, max_value=1.0),
 )
+@example(n=1, a=0.0, b=1.6686144172785375e-25, x=1.0)
 def test_recurrence_tracks_mpmath(n, a, b, x):
     import mpmath as mp
     from hypothesis import assume
 
     got = jacobi_poly(JacobiParams(a, b), n, x)
     try:
-        want = float(mp.jacobi(n, a, b, x))
+        # mpmath needs the working precision to hold a parameter far below 1
+        # next to ones of order 1: at 53 bits it gives P_1^(0, 1e-25)(1) = 0,
+        # not 1
+        tiny = min((abs(v) for v in (a, b) if v), default=1.0)
+        with mp.workprec(64 + max(0, -mp.mag(tiny))):
+            want = float(mp.jacobi(n, a, b, x))
     except ValueError:
         # mpmath's hypergeometric route can fail to converge near x = +-1
         # for fractional parameters; that is its limitation, not a data point
