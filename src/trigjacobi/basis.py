@@ -62,19 +62,6 @@ def half_index(n: int) -> int:
     return (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class EigenData:
-    n: int
-    lam: float
-    half_index: int
-
-
-def eigen(params: JacobiParams, n: int) -> EigenData:
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return EigenData(n=n, lam=eigenvalue(params, n), half_index=half_index(n))
-
-
 def psi(params: JacobiParams, theta) -> np.ndarray:
     """Weight factor |sin(t/2)|^(alpha+1/2) * cos(t/2)^(beta+1/2) on (-pi,pi)."""
     theta = np.asarray(theta, dtype=float)
@@ -374,8 +361,8 @@ class BasisElement:
         return eigenvalue(self.params, self.eigen_index)
 
 
-def _check_domain(elem: BasisElement, theta: np.ndarray):
-    if elem.kind in (TRIG_POLY, JACOBI_FN):
+def _check_domain(kind: str, theta: np.ndarray):
+    if kind in (TRIG_POLY, JACOBI_FN):
         if np.any(theta <= 0.0) or np.any(theta >= np.pi):
             raise ValueError("element is defined on (0,pi)")
     else:
@@ -391,7 +378,7 @@ def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
     identities rather than pointwise formulas).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    _check_domain(elem, theta)
+    _check_domain(elem.kind, theta)
     p, n = elem.params, elem.index
     if elem.kind == TRIG_POLY:
         return trig_poly_table(p, n, theta, order)[order, n]
@@ -413,6 +400,33 @@ def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
 
 def eval_basis(elem: BasisElement, theta) -> np.ndarray:
     return eval_basis_dtheta(elem, theta, 0)
+
+
+def basis_matrix(params: JacobiParams, kind: str, nmax: int, theta) -> np.ndarray:
+    """Rows 0..nmax of one family at theta; shape (nmax+1, npts).
+
+    One table per parity (the symmetrized kinds interleave the polynomials
+    and the odd factors), times psi for the function kinds: row n equals
+    eval_basis(BasisElement(params, n, kind), theta) bit for bit, at the
+    cost of one recurrence instead of one per element.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    _check_domain(kind, theta)
+    if kind in (TRIG_POLY, JACOBI_FN):
+        out = trig_poly_table(params, nmax, theta)[0]
+    else:
+        out = np.empty((nmax + 1, theta.size))
+        out[0::2] = trig_poly_table(params, nmax // 2, theta)[0]
+        if nmax > 0:
+            out[1::2] = odd_factor_table(params, (nmax - 1) // 2, theta)[0]
+        out *= 1.0 / math.sqrt(2.0)
+    if kind in (JACOBI_FN, SYM_FN):
+        out = psi(params, theta) * out
+    return out
 
 
 def coeff_A(params: JacobiParams, theta) -> np.ndarray:
@@ -530,14 +544,15 @@ def interlaced_on_element(variant: str, N: int, elem: BasisElement) -> tuple[flo
 
 
 def d_power_on_element(N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
-    """DD^N (or DD_bar^N on the function side) by iterating the ladder.
+    """DD^N (DD_bar^N on sym_fn, the parameter-shifting D^N on jacobi_fn) by
+    iterating the ladder.
 
     The relation to the interlaced chains carries a parity-dependent sign:
     DD^N = (-1)^floor(N/2) delta_N^even on even elements and
     DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones. The signs fall out of the
     ladder automatically; this helper never absorbs them.
     """
-    op = "DD" if elem.kind == SYM_POLY else "DD_bar"
+    op = {SYM_POLY: "DD", JACOBI_FN: "D"}.get(elem.kind, "DD_bar")
     coef, cur = 1.0, elem
     for _ in range(N):
         c, cur = ladder_step(op, cur)

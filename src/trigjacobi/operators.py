@@ -7,15 +7,15 @@ elements, without renormalizing their mu+ norm of 1/2). The non-symmetrized
 setting acts on the Lebesgue-orthonormal family over (0,pi), where the chain
 operators shift the type parameters.
 
-Maximal and square operators evaluate the full time trajectory of the
-transformed expansion on a TGrid and reduce with the corresponding t-norm.
+One core serves every setting: coefficient n goes to a factor times the
+ladder image of source element n, scaled by a function of the speed
+sqrt(lambda_n), with rows from one basis_matrix per family. Maximal and
+square operators share one time trajectory on a TGrid and its t-norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,19 +26,23 @@ from .basis import (
     TRIG_POLY,
     BasisElement,
     JacobiParams,
+    basis_matrix,
     d_power_on_element,
-    eigenvalue,
-    eval_basis,
-    half_index,
     interlaced_fn_chain,
     interlaced_on_element,
-    ladder_step,
     psi,
 )
 from .kernels import DEFAULT_TGRID, DiscreteMeasure
 from .quadrature import TGrid, ThetaGrid, inner_product, t_norm
 
-SETTINGS = ("sym_poly", "sym_fn", "restricted", "nonsym")
+OPERATOR_KINDS = ("semigroup", "riesz", "riesz_interlaced", "multiplier",
+                  "maximal", "square", "square_interlaced")
+_SYM_KINDS = ("semigroup", "riesz", "multiplier", "maximal", "square")
+
+# the operator kinds each setting accepts
+SETTINGS = {"sym_poly": _SYM_KINDS, "sym_fn": _SYM_KINDS, "nonsym": OPERATOR_KINDS,
+            "restricted": ("semigroup", "riesz_interlaced", "multiplier",
+                           "maximal", "square_interlaced")}
 
 _GRID_KIND = {"mu_full": SYM_POLY, "theta_full": SYM_FN,
               "mu_plus": TRIG_POLY, "theta_plus": JACOBI_FN}
@@ -82,10 +86,8 @@ class OperatorSpec:
     tgrid: TGrid | None = None
 
     def __post_init__(self):
-        kinds = ("semigroup", "riesz", "riesz_interlaced", "multiplier",
-                 "maximal", "square", "square_interlaced")
-        if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}")
+        if self.kind not in OPERATOR_KINDS:
+            raise ValueError(f"kind must be one of {OPERATOR_KINDS}")
         if self.kind == "semigroup" and (self.t is None or self.t < 0):
             raise ValueError("semigroup needs t >= 0")
         if self.kind in ("riesz", "riesz_interlaced") and self.N < 1:
@@ -99,6 +101,23 @@ class OperatorSpec:
         return self.tgrid if self.tgrid is not None else DEFAULT_TGRID
 
 
+def _rows(elements: list[BasisElement], theta: np.ndarray) -> np.ndarray:
+    """Values of the elements at theta, one basis_matrix per family."""
+    top = {}
+    for e in elements:
+        top[e.params, e.kind] = max(top.get((e.params, e.kind), 0), e.index)
+    tables = {key: basis_matrix(*key, nmax, theta) for key, nmax in top.items()}
+    return np.array([tables[e.params, e.kind][e.index] for e in elements])
+
+
+def _expand(f: GridFunction, elements: list[BasisElement]) -> np.ndarray:
+    return (f.values * _rows(elements, f.grid.nodes)) @ f.grid.weights
+
+
+def _family(params: JacobiParams, kind: str, nmax: int) -> list[BasisElement]:
+    return [BasisElement(params, n, kind) for n in range(nmax + 1)]
+
+
 def expand(f: GridFunction, nmax: int) -> np.ndarray:
     """Coefficients against the family matching the grid's measure.
 
@@ -107,13 +126,16 @@ def expand(f: GridFunction, nmax: int) -> np.ndarray:
     operator displays (call with the symmetrized elements via
     expand_restricted for those).
     """
-    kind = _GRID_KIND[f.grid.tag]
-    p = f.grid.params
-    out = np.empty(nmax + 1)
-    for n in range(nmax + 1):
-        out[n] = inner_product(f.grid, f.values,
-                               eval_basis(BasisElement(p, n, kind), f.grid.nodes))
-    return out
+    return _expand(f, _family(f.grid.params, _GRID_KIND[f.grid.tag], nmax))
+
+
+def restricted_elements(params: JacobiParams, nmax: int,
+                        component: str) -> list[BasisElement]:
+    """Phi_{2n} (component even) or Phi_{2n+1} (odd) for n = 0..nmax."""
+    if component not in ("even", "odd"):
+        raise ValueError("component must be 'even' or 'odd'")
+    return [BasisElement(params, 2 * n + (component == "odd"), SYM_POLY)
+            for n in range(nmax + 1)]
 
 
 def expand_restricted(f: GridFunction, nmax: int, component: str) -> np.ndarray:
@@ -121,25 +143,15 @@ def expand_restricted(f: GridFunction, nmax: int, component: str) -> np.ndarray:
     exactly as the restricted displays use them."""
     if f.grid.tag != "mu_plus":
         raise ValueError("restricted expansion needs a mu_plus grid")
-    if component not in ("even", "odd"):
-        raise ValueError("component must be 'even' or 'odd'")
-    p = f.grid.params
-    offset = 0 if component == "even" else 1
-    out = np.empty(nmax + 1)
-    for n in range(nmax + 1):
-        elem = BasisElement(p, 2 * n + offset, SYM_POLY)
-        out[n] = inner_product(f.grid, f.values, eval_basis(elem, f.grid.nodes))
-    return out
+    return _expand(f, restricted_elements(f.grid.params, nmax, component))
 
 
 def synthesize(coefs: np.ndarray, elements: list[BasisElement | None],
                theta: np.ndarray) -> np.ndarray:
-    out = np.zeros(theta.shape)
-    for c, elem in zip(coefs, elements):
-        if elem is None or c == 0.0:
-            continue
-        out += c * eval_basis(elem, theta)
-    return out
+    live = [(c, e) for c, e in zip(coefs, elements) if e is not None and c != 0.0]
+    if not live:
+        return np.zeros(np.shape(theta))
+    return np.array([c for c, _ in live]) @ _rows([e for _, e in live], theta)
 
 
 def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
@@ -149,47 +161,74 @@ def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
     atom reproduces the semigroup operator bit for bit.
     """
     if isinstance(multiplier, DiscreteMeasure):
-        out = None
-        for tj, wj in zip(multiplier.times, multiplier.weights):
-            term = wj * np.exp(-tj * z)
-            out = term if out is None else out + term
-        return out
+        return sum(wj * np.exp(-tj * z) for tj, wj in zip(multiplier.times,
+                                                           multiplier.weights))
     if callable(multiplier):
         return np.asarray(multiplier(z), dtype=float)
     if isinstance(multiplier, tuple) and len(multiplier) == 2 and multiplier[0] == "laplace":
-        profile = multiplier[1]
-        ts = tgrid.nodes
-        vals = profile(ts)
+        ts, vals = tgrid.nodes, multiplier[1](tgrid.nodes)
         return np.array([tgrid.integrate(zi * np.exp(-ts * zi) * vals, 1.0)
                          for zi in np.atleast_1d(z)])
     raise ValueError("multiplier must be callable, a DiscreteMeasure, "
                      "or ('laplace', profile)")
 
 
-# --- element mapping per operator -------------------------------------------
+def _chain(kind: str, N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
+    """(factor, image) of the order-N chain of an operator kind on one
+    element, from the ladder closed forms; the identity for the other kinds."""
+    if N == 0 or kind not in ("riesz", "square", "riesz_interlaced", "square_interlaced"):
+        return 1.0, elem
+    if not kind.endswith("_interlaced"):
+        return d_power_on_element(N, elem)
+    if elem.kind == JACOBI_FN:
+        return interlaced_fn_chain(N, elem)
+    return interlaced_on_element("odd" if elem.index % 2 else "even", N, elem)
 
-def _sym_images(params: JacobiParams, spec: OperatorSpec, nmax: int,
-                kind: str) -> tuple[np.ndarray, list[BasisElement | None]]:
-    """Per-index scalar factors and image elements in the symmetrized setting."""
-    z = np.sqrt(eigenvalue(params, np.array([half_index(n)
-                                             for n in range(nmax + 1)], dtype=float)))
+
+def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
+                   source: list[BasisElement]) -> tuple[np.ndarray, ...]:
+    """(E, F, z, V): the action of spec on the source elements at the nodes.
+
+    E[n] and V[n] are the rows of source element n and of its chain image,
+    z[n] = sqrt(lambda_n) its speed, F[n] its factor: e^{-t z}, m(z) or
+    lambda^{-N/2} times the chain factor, and for the time kinds the chain
+    factor times (-z)^M. A vanishing image has F[n] = 0.
+    """
+    chain, images = zip(*(_chain(spec.kind, spec.N, e) for e in source))
+    # a vanishing image (None) comes with a zero factor: any row will do
+    rows = _rows(source + [img or e for img, e in zip(images, source)], grid.nodes)
+    lam = [e.lam for e in source]
+    z = np.sqrt(np.array(lam))
     if spec.kind == "semigroup":
-        factors = np.exp(-spec.t * z)
-        images = [BasisElement(params, n, kind) for n in range(nmax + 1)]
-        return factors, images
-    if spec.kind == "multiplier":
-        factors = _mult_value(spec.multiplier, z, spec.time_grid())
-        images = [BasisElement(params, n, kind) for n in range(nmax + 1)]
-        return factors, images
-    factors = np.zeros(nmax + 1)
-    images: list[BasisElement | None] = [None] * (nmax + 1)
-    for n in range(1, nmax + 1):
-        coef, img = d_power_on_element(spec.N, BasisElement(params, n, kind))
-        if img is None or coef == 0.0:
-            continue
-        factors[n] = float(z[n]) ** (-spec.N) * coef
-        images[n] = img
-    return factors, images
+        F = np.exp(-spec.t * z)
+    elif spec.kind == "multiplier":
+        F = _mult_value(spec.multiplier, z, spec.time_grid())
+    elif spec.kind.startswith("riesz"):
+        # Python float powers: a vectorized power may round differently
+        F = np.array([lk ** (-spec.N / 2.0) * c if c else 0.0
+                      for c, lk in zip(chain, lam)])
+    else:
+        F = np.array(chain) * (-z) ** (0 if spec.kind == "maximal" else spec.M)
+    return rows[:len(source)], F, z, rows[len(source):]
+
+
+def _act(spec: OperatorSpec, f: GridFunction, setting: str,
+         source: list[BasisElement]) -> GridFunction:
+    """Expand f against the source elements and apply spec spectrally."""
+    if spec.kind not in SETTINGS[setting]:
+        raise ValueError(f"{spec.kind} is not a {setting}-setting kind")
+    E, F, z, V = spectral_table(spec, f.grid, source)
+    coefs = (f.values * E) @ f.grid.weights
+    if spec.kind not in ("maximal", "square", "square_interlaced"):
+        return GridFunction(f.grid, (coefs * F) @ V)
+    tgrid = spec.time_grid()
+    V = (coefs * F)[:, None] * V
+    field = np.exp(-np.outer(tgrid.nodes, z)) @ V
+    if spec.kind == "maximal":
+        # the t -> 0 limit of the trajectory is the (band-limited) function
+        return GridFunction(f.grid, np.maximum(np.max(np.abs(field), axis=0),
+                                               np.abs(np.sum(V, axis=0))))
+    return GridFunction(f.grid, t_norm(tgrid, field.T, 2, W=2.0 * spec.M + 2.0 * spec.N))
 
 
 def apply_operator(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction:
@@ -198,64 +237,8 @@ def apply_operator(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFuncti
     if f.grid.tag not in ("mu_full", "theta_full"):
         raise ValueError("symmetrized operators act on full-interval grids")
     kind = _GRID_KIND[f.grid.tag]
-    p = f.grid.params
-    coefs = expand(f, nmax)
-    theta = f.grid.nodes
-    if spec.kind in ("semigroup", "riesz", "multiplier"):
-        factors, images = _sym_images(p, spec, nmax, kind)
-        return GridFunction(f.grid, synthesize(coefs * factors, images, theta))
-    if spec.kind == "maximal":
-        field = _semigroup_field(p, coefs, kind, theta, spec.time_grid())
-        sup_grid = np.max(np.abs(field), axis=0)
-        # the t -> 0 limit of the trajectory is the (band-limited) function
-        ident = synthesize(coefs, [BasisElement(p, n, kind)
-                                   for n in range(nmax + 1)], theta)
-        return GridFunction(f.grid, np.maximum(sup_grid, np.abs(ident)))
-    if spec.kind == "square":
-        field = _square_field(p, coefs, kind, theta, spec)
-        W = 2.0 * spec.M + 2.0 * spec.N
-        vals = t_norm(spec.time_grid(), field.T, 2, W=W)
-        return GridFunction(f.grid, vals)
-    raise ValueError(f"{spec.kind} is not a symmetrized-setting kind")
+    return _act(spec, f, kind, _family(f.grid.params, kind, nmax))
 
-
-def _semigroup_field(params, coefs, kind, theta, tgrid) -> np.ndarray:
-    """Trajectory e^{-t sqrt(lam)} resummation: shape (nt, ntheta)."""
-    nmax = len(coefs) - 1
-    lam = eigenvalue(params, np.array([half_index(n) for n in range(nmax + 1)]))
-    V = np.stack([eval_basis(BasisElement(params, n, kind), theta)
-                  for n in range(nmax + 1)])
-    Wt = coefs[None, :] * np.exp(-np.outer(tgrid.nodes, np.sqrt(lam)))
-    return Wt @ V
-
-
-def _square_field(params, coefs, kind, theta, spec: OperatorSpec) -> np.ndarray:
-    """Trajectory of d_t^M D^N applied to the semigroup of f: (nt, ntheta)."""
-    nmax = len(coefs) - 1
-    rows = []
-    lam_all = []
-    for n in range(nmax + 1):
-        elem = BasisElement(params, n, kind)
-        if spec.kind == "square" and spec.N > 0:
-            coef, img = d_power_on_element(spec.N, elem)
-        elif spec.kind == "square_interlaced" and spec.N > 0:
-            variant = "even" if n % 2 == 0 else "odd"
-            coef, img = interlaced_on_element(variant, spec.N, elem)
-        else:
-            coef, img = 1.0, elem
-        lam = eigenvalue(params, half_index(n))
-        lam_all.append(lam)
-        if img is None or coef == 0.0:
-            rows.append(np.zeros(theta.shape))
-        else:
-            rows.append(coefs[n] * coef * (-math.sqrt(lam)) ** spec.M
-                        * eval_basis(img, theta))
-    V = np.stack(rows)
-    E = np.exp(-np.outer(spec.time_grid().nodes, np.sqrt(np.array(lam_all))))
-    return E @ V
-
-
-# --- restricted setting -------------------------------------------------------
 
 def apply_restricted(spec: OperatorSpec, f: GridFunction, nmax: int,
                      component: str) -> GridFunction:
@@ -263,57 +246,7 @@ def apply_restricted(spec: OperatorSpec, f: GridFunction, nmax: int,
     displays verbatim, chains act through their closed ladder form."""
     if f.grid.tag != "mu_plus":
         raise ValueError("restricted operators act on mu_plus grids")
-    p = f.grid.params
-    offset = 0 if component == "even" else 1
-    d = expand_restricted(f, nmax, component)
-    theta = f.grid.nodes
-    variant = "even" if component == "even" else "odd"
-
-    def lam_of(n):
-        return eigenvalue(p, n if component == "even" else n + 1)
-
-    if spec.kind in ("semigroup", "multiplier"):
-        z = np.sqrt(np.array([lam_of(n) for n in range(nmax + 1)]))
-        if spec.kind == "semigroup":
-            factors = np.exp(-spec.t * z)
-        else:
-            factors = _mult_value(spec.multiplier, z, spec.time_grid())
-        elems = [BasisElement(p, 2 * n + offset, SYM_POLY) for n in range(nmax + 1)]
-        return GridFunction(f.grid, synthesize(d * factors, elems, theta))
-    if spec.kind == "riesz_interlaced":
-        vals = np.zeros(theta.shape)
-        for n in range(nmax + 1):
-            if component == "even" and n == 0:
-                continue
-            coef, img = interlaced_on_element(
-                variant, spec.N, BasisElement(p, 2 * n + offset, SYM_POLY))
-            if coef == 0.0:
-                continue
-            vals += d[n] * lam_of(n) ** (-spec.N / 2.0) * coef * eval_basis(img, theta)
-        return GridFunction(f.grid, vals)
-    if spec.kind in ("maximal", "square_interlaced"):
-        rows, lam_all = [], []
-        for n in range(nmax + 1):
-            elem = BasisElement(p, 2 * n + offset, SYM_POLY)
-            lam_all.append(lam_of(n))
-            if spec.kind == "maximal" or spec.N == 0:
-                coef, img = 1.0, elem
-            else:
-                coef, img = interlaced_on_element(variant, spec.N, elem)
-            if img is None or coef == 0.0:
-                rows.append(np.zeros(theta.shape))
-                continue
-            scale = (-math.sqrt(lam_all[-1])) ** spec.M if spec.kind != "maximal" else 1.0
-            rows.append(d[n] * coef * scale * eval_basis(img, theta))
-        V = np.stack(rows)
-        E = np.exp(-np.outer(spec.time_grid().nodes, np.sqrt(np.array(lam_all))))
-        field = E @ V
-        if spec.kind == "maximal":
-            ident = np.abs(np.sum(V, axis=0))
-            return GridFunction(f.grid, np.maximum(np.max(np.abs(field), axis=0), ident))
-        W = 2.0 * spec.M + 2.0 * spec.N
-        return GridFunction(f.grid, t_norm(spec.time_grid(), field.T, 2, W=W))
-    raise ValueError(f"{spec.kind} is not a restricted-setting kind")
+    return _act(spec, f, "restricted", restricted_elements(f.grid.params, nmax, component))
 
 
 def split_parity(f: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,12 +259,9 @@ def split_parity(f: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n2 % 2 != 0 or not np.array_equal(f.grid.nodes[:half],
                                          -f.grid.nodes[half:][::-1]):
         raise ValueError("grid nodes are not mirror symmetric")
-    neg = f.values[:half][::-1]
-    pos = f.values[half:]
+    neg, pos = f.values[:half][::-1], f.values[half:]
     return f.grid.nodes[half:], 0.5 * (pos + neg), 0.5 * (pos - neg)
 
-
-# --- non-symmetrized setting ---------------------------------------------------
 
 def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction:
     """The (0,pi) Lebesgue-setting operators on the weighted family.
@@ -343,63 +273,7 @@ def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction
     """
     if f.grid.tag != "theta_plus":
         raise ValueError("non-symmetrized operators act on theta_plus grids")
-    p = f.grid.params
-    coefs = expand(f, nmax)
-    theta = f.grid.nodes
-    lam = eigenvalue(p, np.arange(nmax + 1, dtype=float))
-
-    if spec.kind in ("semigroup", "multiplier"):
-        z = np.sqrt(lam)
-        factors = (np.exp(-spec.t * z) if spec.kind == "semigroup"
-                   else _mult_value(spec.multiplier, z, spec.time_grid()))
-        elems = [BasisElement(p, n, JACOBI_FN) for n in range(nmax + 1)]
-        return GridFunction(f.grid, synthesize(coefs * factors, elems, theta))
-
-    def chain_image(n: int) -> tuple[float, BasisElement | None]:
-        elem = BasisElement(p, n, JACOBI_FN)
-        if spec.N == 0:
-            return 1.0, elem
-        if spec.kind in ("riesz", "square"):
-            coef, cur = 1.0, elem
-            for _ in range(spec.N):
-                c, cur = ladder_step("D", cur)
-                coef *= c
-                if cur is None:
-                    return 0.0, None
-            return coef, cur
-        coef, img = interlaced_fn_chain(spec.N, elem)
-        return (coef, img) if coef != 0.0 else (0.0, None)
-
-    if spec.kind in ("riesz", "riesz_interlaced"):
-        vals = np.zeros(theta.shape)
-        for n in range(1, nmax + 1):
-            coef, img = chain_image(n)
-            if img is None:
-                continue
-            vals += coefs[n] * lam[n] ** (-spec.N / 2.0) * coef * eval_basis(img, theta)
-        return GridFunction(f.grid, vals)
-
-    if spec.kind in ("maximal", "square", "square_interlaced"):
-        rows = []
-        for n in range(nmax + 1):
-            if spec.kind == "maximal":
-                coef, img = 1.0, BasisElement(p, n, JACOBI_FN)
-            else:
-                coef, img = chain_image(n)
-            if img is None:
-                rows.append(np.zeros(theta.shape))
-                continue
-            scale = (-math.sqrt(lam[n])) ** spec.M if spec.kind != "maximal" else 1.0
-            rows.append(coefs[n] * coef * scale * eval_basis(img, theta))
-        V = np.stack(rows)
-        E = np.exp(-np.outer(spec.time_grid().nodes, np.sqrt(lam)))
-        field = E @ V
-        if spec.kind == "maximal":
-            ident = np.abs(np.sum(V, axis=0))
-            return GridFunction(f.grid, np.maximum(np.max(np.abs(field), axis=0), ident))
-        W = 2.0 * spec.M + 2.0 * spec.N
-        return GridFunction(f.grid, t_norm(spec.time_grid(), field.T, 2, W=W))
-    raise ValueError(f"{spec.kind} is not a non-symmetrized kind")
+    return _act(spec, f, "nonsym", _family(f.grid.params, JACOBI_FN, nmax))
 
 
 def transfer_function_setting(spec: OperatorSpec, f: GridFunction, nmax: int,
@@ -412,6 +286,5 @@ def transfer_function_setting(spec: OperatorSpec, f: GridFunction, nmax: int,
     if not np.array_equal(f.grid.nodes, companion.nodes):
         raise ValueError("companion grid must share the nodes")
     w = psi(f.grid.params, f.grid.nodes)
-    inner = GridFunction(companion, f.values / w)
-    out = apply_operator(spec, inner, nmax)
+    out = apply_operator(spec, GridFunction(companion, f.values / w), nmax)
     return GridFunction(f.grid, w * out.values)

@@ -7,8 +7,10 @@ nodes integrate against plain dtheta whenever the integrand carries a psi^2
 factor, which every function-setting inner product does.
 
 Time grids are log-uniform with trapezoid weights in log t; each constructed
-grid is checked against a closed-form incomplete-Gamma integral and rejected
-if the quadrature cannot reproduce it.
+grid is checked against a closed-form incomplete-Gamma integral. A grid at
+the default density or above that fails the check doubles its density, up
+to three times; a grid that still fails, or a coarser one that fails, is
+rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from .basis import JacobiParams
 from .measure import mu_density
 
 TAGS = ("mu_plus", "mu_full", "theta_plus", "theta_full")
+
+# time grids: the default density in points per decade, and how many times a
+# grid at that density or above may double it to pass its quadrature check
+_DENSITY = 32
+_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class TGrid:
 
     t_min: float = 1e-4
     t_max: float = 40.0
-    points_per_decade: int = 32
+    points_per_decade: int = _DENSITY
     nodes: np.ndarray = field(init=False, repr=False)
     log_weights: np.ndarray = field(init=False, repr=False)
 
@@ -109,6 +116,20 @@ class TGrid:
             raise ValueError("need 0 < t_min < t_max")
         if self.points_per_decade < 4:
             raise ValueError("points_per_decade must be at least 4")
+        # a short range can miss the check at the default density: double it
+        # (to_dict records the density used) a few times before giving up; a
+        # coarser density is checked as given
+        failure = self._build()
+        for _ in range(_DOUBLINGS if self.points_per_decade >= _DENSITY else 0):
+            if failure is None:
+                break
+            object.__setattr__(self, "points_per_decade", 2 * self.points_per_decade)
+            failure = self._build()
+        if failure is not None:
+            raise ValueError(failure)
+
+    def _build(self) -> str | None:
+        """Set the nodes and weights; the quadrature check's failure, if any."""
         decades = math.log10(self.t_max / self.t_min)
         npts = max(int(round(decades * self.points_per_decade)) + 1, 9)
         u = np.linspace(math.log(self.t_min), math.log(self.t_max), npts)
@@ -126,9 +147,6 @@ class TGrid:
         w.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "log_weights", w)
-        self._validate()
-
-    def _validate(self):
         # int t^{W-1} e^{-2t} dt over [t_min, t_max], closed form via the
         # regularized lower incomplete Gamma
         for W in (1.0, 2.0):
@@ -136,9 +154,9 @@ class TGrid:
             want = math.exp(gammaln(W) - W * math.log(2.0)) * (
                 gammainc(W, 2.0 * self.t_max) - gammainc(W, 2.0 * self.t_min))
             if abs(got - want) > 1e-6 * abs(want):
-                raise ValueError(
-                    f"time grid fails its quadrature check at W={W}: "
-                    f"{got!r} vs {want!r}; refine points_per_decade")
+                return (f"time grid fails its quadrature check at W={W}: "
+                        f"{got!r} vs {want!r}; refine points_per_decade")
+        return None
 
     def integrate(self, samples, W: float) -> float | np.ndarray:
         """int f(t) t^{W-1} dt with f given by samples on the nodes.

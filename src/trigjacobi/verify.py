@@ -35,11 +35,11 @@ from .basis import (
     BasisElement,
     JacobiParams,
     apply_jacobi_operator,
+    basis_matrix,
     coeff_b,
     eval_basis,
     eigenvalue,
     half_index,
-    interlaced_on_element,
 )
 from .kernels import (
     DiscreteMeasure,
@@ -57,7 +57,14 @@ from .measure import (
     unweighted_bp_admissible,
     unweighted_bp_window,
 )
-from .operators import GridFunction, OperatorSpec, apply_operator, grid_function
+from .operators import (
+    GridFunction,
+    OperatorSpec,
+    apply_operator,
+    grid_function,
+    restricted_elements,
+    spectral_table,
+)
 from .quadrature import TGrid, gauss_jacobi_grid, t_norm
 
 SCHEMA_VERSION = 1
@@ -293,8 +300,7 @@ def check_orthonormality(params: JacobiParams, nmax: int = 20,
     out = []
     for kind in (TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN):
         grid = gauss_jacobi_grid(params, 2 * nmax + 8, _GRID_FOR_KIND[kind])
-        V = np.stack([eval_basis(BasisElement(params, n, kind), grid.nodes)
-                      for n in range(nmax + 1)])
+        V = basis_matrix(params, kind, nmax, grid.nodes)
         G = (V * grid.weights) @ V.T
         err = float(np.max(np.abs(G - np.eye(nmax + 1))))
         out.append(EstimateReport(
@@ -755,24 +761,10 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
 def _restricted_matrix(params: JacobiParams, grid, N: int, nmax: int,
                        component: str) -> np.ndarray:
     """Dense discretization of the interlaced Riesz transform on a mu+ grid."""
-    offset = 0 if component == "even" else 1
-    variant = component
-    rows_in, rows_out, factors = [], [], []
-    for n in range(nmax + 1):
-        if component == "even" and n == 0:
-            continue
-        elem = BasisElement(params, 2 * n + offset, SYM_POLY)
-        coef, img = interlaced_on_element(variant, N, elem)
-        if coef == 0.0:
-            continue
-        lam = eigenvalue(params, n if component == "even" else n + 1)
-        rows_in.append(eval_basis(elem, grid.nodes))
-        rows_out.append(eval_basis(img, grid.nodes))
-        factors.append(lam ** (-N / 2.0) * coef)
-    Vin = np.stack(rows_in)
-    Vout = np.stack(rows_out)
-    f = np.array(factors)
-    return Vout.T @ (f[:, None] * (Vin * grid.weights[None, :]))
+    E, F, _, V = spectral_table(OperatorSpec("riesz_interlaced", N=N), grid,
+                                restricted_elements(params, nmax, component))
+    live = F != 0.0
+    return V[live].T @ (F[live, None] * (E[live] * grid.weights[None, :]))
 
 
 def empirical_lp_sweep(params: JacobiParams, p: float,

@@ -23,11 +23,11 @@ from trigjacobi.basis import (
     JacobiParams,
     JacobiRecurrence,
     apply_jacobi_operator,
+    basis_matrix,
     coeff_A,
     coeff_A_prime,
     coeff_b,
     d_power_on_element,
-    eigen,
     eigenvalue,
     eval_basis,
     eval_basis_dtheta,
@@ -193,11 +193,6 @@ class TestEigen:
     def test_half_index(self):
         assert [half_index(n) for n in range(7)] == [0, 1, 1, 2, 2, 3, 3]
 
-    def test_eigen_record(self):
-        e = eigen(params_of(0.0, 0.0), 5)
-        assert e.half_index == 3
-        assert e.lam == pytest.approx(30.25)
-
 
 class TestNormConstant:
     @pytest.mark.parametrize("key", sorted(NORM_CONSTANTS))
@@ -260,6 +255,29 @@ class TestRecurrence:
         for degree in (1, 2, 3, 8):
             assert_allclose(JacobiRecurrence(p, x, degree=degree).fill(np.empty((2, 5))),
                             jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 64])
+    @pytest.mark.parametrize("kind", [TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN])
+    @pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.5, -0.5), (-0.7, -0.6)])
+    def test_rows_are_the_elements_bitwise(self, ab, kind, nmax):
+        p = params_of(*ab)
+        half = kind in (TRIG_POLY, JACOBI_FN)
+        theta = np.linspace(0.02, 3.1, 29) if half else np.linspace(-3.1, 3.1, 30)
+        table = basis_matrix(p, kind, nmax, theta)
+        assert table.shape == (nmax + 1, theta.size)
+        for n in range(nmax + 1):
+            assert np.array_equal(table[n], eval_basis(BasisElement(p, n, kind), theta))
+
+    def test_rejects_bad_input(self):
+        p = params_of(0.0, 0.0)
+        with pytest.raises(ValueError):
+            basis_matrix(p, "chebyshev", 3, [0.5])
+        with pytest.raises(ValueError):
+            basis_matrix(p, SYM_POLY, -1, [0.5])
+        with pytest.raises(ValueError):
+            basis_matrix(p, JACOBI_FN, 3, [-0.5])
 
 
 class TestDerivativeTables:
@@ -476,6 +494,19 @@ class TestInterlacedChains:
         sign = (-1) ** (N // 2) if n % 2 == 0 else (-1) ** ((N + 1) // 2)
         assert img_pow == img_chain
         assert c_pow == pytest.approx(sign * c_chain)
+
+    @pytest.mark.parametrize("N", range(1, 4))
+    def test_d_power_on_jacobi_fn_shifts_parameters(self, N):
+        # D phi_n^{a,b} = -r_n phi_{n-1}^{a+1,b+1}, r_n = sqrt(n (n + a + b + 1))
+        p = params_of(1.5, -0.7)
+        coef, img = d_power_on_element(N, BasisElement(p, 5, JACOBI_FN))
+        want = 1.0
+        for k in range(N):
+            n, q = 5 - k, p.shifted(k)
+            want *= -math.sqrt(n * (n + q.alpha + q.beta + 1.0))
+        assert img == BasisElement(p.shifted(N), 5 - N, JACOBI_FN)
+        assert coef == pytest.approx(want)
+        assert d_power_on_element(6, BasisElement(p, 5, JACOBI_FN)) == (0.0, None)
 
     def test_even_chain_kills_the_constant(self):
         p = params_of(0.0, 0.0)

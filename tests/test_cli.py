@@ -161,6 +161,13 @@ class TestVerifyCommand:
         rc, _ = run_cli(["verify", "identities"], capsys)
         assert rc == 1
 
+    def test_short_time_range_runs(self, capsys):
+        # the sweep's time grid refines itself instead of failing its check
+        rc, out = run_cli(["verify", "all", "--profile", "quick",
+                           "--t-min", "0.01", "--t-max", "2"], capsys)
+        assert rc == 0
+        assert json.loads(out)["passed"]
+
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "nonsense"])

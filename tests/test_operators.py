@@ -35,6 +35,7 @@ from trigjacobi.operators import (
     transfer_function_setting,
 )
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
+from trigjacobi.verify import _restricted_matrix
 
 PARAMS = JacobiParams(1.5, -0.7)
 LEGENDRE = JacobiParams(0.0, 0.0)
@@ -307,6 +308,20 @@ class TestRestrictedKernelRoute:
         assert np.allclose(quad, spectral.values, rtol=1e-8, atol=1e-11)
 
 
+class TestRestrictedMatrix:
+    @pytest.mark.parametrize("component", ["even", "odd"])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matrix_is_the_operator(self, component, N):
+        # the dense discretization behind the lp sweeps and the operator
+        # itself read the same chain and row arrays
+        grid = gauss_jacobi_grid(PARAMS, 40, "mu_plus")
+        f = np.exp(-grid.nodes) * np.sin(3.0 * grid.nodes)
+        T = _restricted_matrix(PARAMS, grid, N, 16, component)
+        want = apply_restricted(OperatorSpec("riesz_interlaced", N=N),
+                                GridFunction(grid, f), 16, component).values
+        assert np.allclose(T @ f, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 class TestNonsym:
     def test_semigroup_matches_weighted_kernel(self):
         # the function-setting kernel is psi(theta) psi(phi) times twice the
@@ -442,6 +457,32 @@ class TestValidation:
             expand_restricted(f_full, 4, "even")
         with pytest.raises(ValueError):
             expand_restricted(f_plus, 4, "sideways")
+
+    # one accepted and one rejected kind per entry point, by the grid it needs
+    @pytest.mark.parametrize("tag,spec,accepted", [
+        ("mu_full", OperatorSpec("riesz", N=1), True),
+        ("mu_full", OperatorSpec("riesz_interlaced", N=1), False),
+        ("theta_full", OperatorSpec("square_interlaced", M=1), False),
+        ("mu_plus", OperatorSpec("square_interlaced", M=1, N=1), True),
+        ("mu_plus", OperatorSpec("square", M=1), False),
+        ("mu_plus", OperatorSpec("riesz", N=1), False),
+        ("theta_plus", OperatorSpec("riesz_interlaced", N=2), True),
+        ("theta_plus", OperatorSpec("square", N=1), True),
+    ])
+    def test_each_setting_accepts_its_kinds(self, tag, spec, accepted):
+        grid = gauss_jacobi_grid(PARAMS, 12, tag)
+        f = grid_function(grid, np.cos(grid.nodes))
+        if tag in ("mu_full", "theta_full"):
+            call = lambda: apply_operator(spec, f, 4)
+        elif tag == "mu_plus":
+            call = lambda: apply_restricted(spec, f, 4, "even")
+        else:
+            call = lambda: nonsym_apply(spec, f, 4)
+        if accepted:
+            assert np.all(np.isfinite(call().values))
+        else:
+            with pytest.raises(ValueError, match="is not a"):
+                call()
 
     def test_transference_needs_shared_nodes(self):
         tgrid = gauss_jacobi_grid(PARAMS, 8, "theta_full")

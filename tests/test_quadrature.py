@@ -18,6 +18,7 @@ from trigjacobi.basis import (
     JacobiParams,
     eval_basis,
 )
+from trigjacobi import quadrature
 from trigjacobi.measure import interval_measure
 from trigjacobi.quadrature import (
     TGrid,
@@ -120,6 +121,29 @@ class TestTGrid:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             TGrid(t_min=1e-4, t_max=40.0, points_per_decade=4)
+
+    @pytest.mark.parametrize("t_max", [2.0, 4.0, 5.0])
+    def test_short_range_doubles_its_density(self, t_max):
+        # 32 per decade misses the check here by about 2.7x; 64 passes
+        g = TGrid(0.01, t_max)
+        assert g.points_per_decade == 64
+        W = 2.0
+        got = g.integrate(np.exp(-2.0 * g.nodes), W)
+        assert_allclose(got, self._truncated_gamma(g, W, 2.0), rtol=1e-6)
+        back = TGrid.from_dict(g.to_dict())
+        assert np.array_equal(back.nodes, g.nodes)
+        assert np.array_equal(back.log_weights, g.log_weights)
+
+    def test_passing_grid_keeps_its_density(self):
+        assert TGrid().points_per_decade == 32
+        assert TGrid(5e-3, 40.0).points_per_decade == 32
+
+    def test_raises_once_doublings_run_out(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_DOUBLINGS", 1)
+        assert TGrid(0.01, 2.0).points_per_decade == 64
+        monkeypatch.setattr(quadrature, "_DOUBLINGS", 0)
+        with pytest.raises(ValueError, match="quadrature check"):
+            TGrid(0.01, 2.0)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
