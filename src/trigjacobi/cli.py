@@ -270,8 +270,8 @@ def _eval_operator(cfg: RunConfig) -> str:
 
     tgrid = None
     if cfg.t_min is not None or cfg.t_max is not None:
-        tgrid = TGrid(cfg.t_min if cfg.t_min else 1e-4,
-                      cfg.t_max if cfg.t_max else 40.0)
+        tgrid = TGrid(1e-4 if cfg.t_min is None else cfg.t_min,
+                      40.0 if cfg.t_max is None else cfg.t_max)
     multiplier = None
     if cfg.atom_t is not None:
         weights = cfg.atom_w if cfg.atom_w else (1.0,) * len(cfg.atom_t)

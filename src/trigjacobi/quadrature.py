@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln, roots_jacobi
+from scipy.special import gammainc, gammaincc, gammaln, roots_jacobi
 
 from .basis import JacobiParams
 from .measure import mu_density
@@ -148,11 +148,16 @@ class TGrid:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "log_weights", w)
         # int t^{W-1} e^{-2t} dt over [t_min, t_max], closed form via the
-        # regularized lower incomplete Gamma
+        # regularized incomplete Gamma: from 2 t_min >= W on, the lower
+        # values sit near 1 and lose the digits, so the upper ones are used
         for W in (1.0, 2.0):
             got = self.integrate(np.exp(-2.0 * self.nodes), W)
-            want = math.exp(gammaln(W) - W * math.log(2.0)) * (
-                gammainc(W, 2.0 * self.t_max) - gammainc(W, 2.0 * self.t_min))
+            lo, hi = 2.0 * self.t_min, 2.0 * self.t_max
+            if lo >= W:
+                mass = gammaincc(W, lo) - gammaincc(W, hi)
+            else:
+                mass = gammainc(W, hi) - gammainc(W, lo)
+            want = math.exp(gammaln(W) - W * math.log(2.0)) * mass
             if abs(got - want) > 1e-6 * abs(want):
                 return (f"time grid fails its quadrature check at W={W}: "
                         f"{got!r} vs {want!r}; refine points_per_decade")

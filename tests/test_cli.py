@@ -125,6 +125,13 @@ class TestEvalOperator:
                          "--n", "40", "--grid", "32"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
+    def test_zero_time_bound_exit_2(self, bound, capsys):
+        # a zero bound is a bad range, not a request for the default
+        rc, _ = run_cli(["eval", "operator", "--kind", "maximal",
+                         "--n", "2", "--grid", "16", bound, "0"], capsys)
+        assert rc == 2
+
 
 class TestVerifyCommand:
     def test_report_passes_and_embeds_config(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,16 @@ class TestTGrid:
         monkeypatch.setattr(quadrature, "_DOUBLINGS", 0)
         with pytest.raises(ValueError, match="quadrature check"):
             TGrid(0.01, 2.0)
+
+    def test_far_range_checks_against_its_closed_form(self):
+        # both lower incomplete Gammas round to 1 out here; the check's
+        # closed form must still read 1/2 (e^-60 - e^-80), not 0
+        with pytest.raises(ValueError, match="quadrature check") as info:
+            TGrid(30.0, 40.0)
+        quoted = re.search(r"vs (?:np\.float64\()?([-+.\deE]+)", str(info.value))
+        want = float(quoted.group(1))
+        assert want == pytest.approx(0.5 * (math.exp(-60.0) - math.exp(-80.0)),
+                                     rel=1e-6)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from trigjacobi import basis
 from trigjacobi.basis import JacobiParams
-from trigjacobi.kernels import poisson_kernel
+from trigjacobi.kernels import KernelHandle, poisson_kernel
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     SweepSpec,
@@ -15,6 +16,7 @@ from trigjacobi.verify import (
     check_domination,
     check_lemma_instances,
     check_sharp_constants,
+    check_shift_identity,
     check_standard_estimates,
     check_weight_classes,
     empirical_lp_sweep,
@@ -52,7 +54,7 @@ class TestSharpConstants:
 
 
 class TestSweepContract:
-    """ratio_sweep_report evaluates every band of both sweeps in one call."""
+    """ratio_sweep_report reads ratios on every band of both sweeps at once."""
 
     @staticmethod
     def band_loop(ratio_fn, spec):
@@ -67,16 +69,9 @@ class TestSweepContract:
         def ratio(d, theta, phi):
             return _ball_measures(P, theta, d) * np.sin(theta) * phi / d
 
-        calls = []
-
-        def counted(d, theta, phi):
-            calls.append(theta.size)
-            return ratio(d, theta, phi)
-
-        rep = ratio_sweep_report("probe", counted, P, TEST_SWEEP)
+        rep = ratio_sweep_report("probe", ratio(*TEST_SWEEP.pairs()), TEST_SWEEP)
         base, levels = self.band_loop(ratio, TEST_SWEEP)
         refined, _ = self.band_loop(ratio, TEST_SWEEP.refined())
-        assert len(calls) == 1
         assert rep.levels == levels
         assert rep.constant == max(base, refined)
         assert rep.drift == refined / base
@@ -89,12 +84,17 @@ class TestSweepContract:
             s = odd.eval_pairs(theta, phi, ts)
             return np.max(np.abs(s), axis=-1) * _ball_measures(P, theta, d)
 
-        rep = ratio_sweep_report("probe", ratio, P, TEST_SWEEP)
+        rep = ratio_sweep_report("probe", ratio(*TEST_SWEEP.pairs()), TEST_SWEEP)
         _, levels = self.band_loop(ratio, TEST_SWEEP)
         for got, want in zip(rep.levels, levels):
             assert got["distance"] == want["distance"]
             assert got["pairs"] == want["pairs"]
             assert got["max_ratio"] == pytest.approx(want["max_ratio"], rel=1e-12)
+
+    def test_ratios_must_cover_the_pairs(self):
+        d, _, _ = TEST_SWEEP.pairs()
+        with pytest.raises(ValueError, match="ratios"):
+            ratio_sweep_report("probe", np.ones(d.size + 1), TEST_SWEEP)
 
 
 class TestBallComparability:
@@ -118,6 +118,22 @@ class TestIdentitySuite:
                 "riesz-order-two-multiplier",
                 "unit-atom-matches-semigroup-bitwise"} <= claims
 
+    @pytest.mark.parametrize("ab", ALL_PAIRS)
+    def test_shift_identity_holds(self, ab):
+        assert check_shift_identity(JacobiParams(*ab)).passed
+
+    def test_shift_identity_does_not_share_the_recurrence(self, monkeypatch):
+        # a wrong recurrence coefficient moves the odd kernel, not the
+        # check's own reference sum
+        original = basis._coefficients
+
+        def skewed(a, b, n, m):
+            A, B, C = original(a, b, n, m)
+            return A, B, [c * 1.0001 for c in C]
+
+        monkeypatch.setattr(basis, "_coefficients", skewed)
+        assert not check_shift_identity(P).passed
+
 
 class TestDomination:
     @pytest.mark.parametrize("ab", ALL_PAIRS)
@@ -134,6 +150,30 @@ class TestDomination:
         assert rep.constant > 1.0
         rep = check_domination(JacobiParams(0.0, 0.0), TEST_SWEEP)[0]
         assert rep.details["within_unit_constant"]
+
+
+def count_kernel_evaluations(monkeypatch):
+    """Patch KernelHandle.eval_pairs to log (family, number of times) per call."""
+    calls = []
+    original = KernelHandle.eval_pairs
+
+    def counted(self, theta, phi, t, *args, **kwargs):
+        calls.append((self.family, np.size(t)))
+        return original(self, theta, phi, t, *args, **kwargs)
+
+    monkeypatch.setattr(KernelHandle, "eval_pairs", counted)
+    return calls
+
+
+RIESZ_AND_ATOM_CLAIMS = [
+    "riesz-kernel-odd-N1/growth", "riesz-kernel-odd-N1/gradient",
+    "riesz-kernel-odd-N2/growth", "riesz-kernel-odd-N2/gradient",
+    "multiplier-kernel-single-atom/growth",
+    "multiplier-kernel-single-atom/gradient",
+]
+VECTOR_KERNELS = [f"vector-kernel-M{M}-N{N}-{route}"
+                  for M, N in ((1, 0), (0, 1), (1, 1))
+                  for route in ("ladder", "direct")]
 
 
 class TestStandardEstimates:
@@ -154,6 +194,28 @@ class TestStandardEstimates:
                 a = by_claim[f"vector-kernel-M{M}-N{N}-ladder/{part}"]
                 b = by_claim[f"vector-kernel-M{M}-N{N}-direct/{part}"]
                 assert abs(a - b) <= 1e-6 * abs(a)
+
+    def test_claim_order(self, monkeypatch):
+        quick = [r.claim for r in check_standard_estimates(P, TEST_SWEEP, "quick")]
+        assert quick == RIESZ_AND_ATOM_CLAIMS + [
+            f"{v}/{part}" for v in VECTOR_KERNELS for part in ("growth", "gradient")]
+        calls = count_kernel_evaluations(monkeypatch)
+        full = [r.claim for r in check_standard_estimates(P, TEST_SWEEP, "full")]
+        assert full == RIESZ_AND_ATOM_CLAIMS + [
+            f"{v}/{part}" for v in VECTOR_KERNELS
+            for part in ("growth", "smooth-first-quarter", "smooth-first-eighth",
+                         "smooth-second-quarter", "gradient")]
+        # the 13 unmoved evaluations of the quick profile, then three moved
+        # point sets per vector kernel
+        assert len(calls) == 13 + 3 * len(VECTOR_KERNELS)
+
+    def test_each_kernel_family_is_evaluated_once(self, monkeypatch):
+        calls = count_kernel_evaluations(monkeypatch)
+        check_standard_estimates(P, TEST_SWEEP, "quick")
+        assert len(calls) == len(set(calls)) == 13
+        calls.clear()
+        check_lemma_instances(P, TEST_SWEEP, "quick")
+        assert len(calls) == len(set(calls)) == 4
 
 
 class TestLemmaInstances:
