@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,9 +21,6 @@ SYM_POLY = "sym_poly"
 SYM_FN = "sym_fn"
 
 KINDS = (TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN)
-
-# first-order operators accepted by the derivative dispatcher
-OPS = ("delta", "delta_star", "D", "D_star", "DD", "DD_bar")
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,8 @@ class RowTerm:
     with params = source shifted by lag and degree(n) = n - lag.
     """
 
-    def __init__(self, source: JacobiParams, lag: int, pi, normalized: bool = True):
-        self.source, self.lag, self.pi, self.normalized = source, lag, pi, normalized
+    def __init__(self, source: JacobiParams, lag: int, pi):
+        self.source, self.lag, self.pi = source, lag, pi
         self.params = source.shifted(lag)
 
     def degree(self, n: int) -> int:
@@ -248,32 +246,28 @@ class RowTerm:
 
     def scale(self, n) -> np.ndarray:
         """kappa(n) with d^lag/dx^lag (c_n P_n) = kappa(n) P_{n-lag}^{(params)}:
-        the parameter-shift Gamma ratio, times c_n when normalized; zero for
-        n < lag, where the derivative vanishes (n may be negative there)."""
+        c_n times the parameter-shift Gamma ratio; zero for n < lag, where
+        the derivative vanishes (n may be negative there)."""
         n = np.asarray(n, dtype=float)
         j = self.lag
         live = np.maximum(n, j)  # keeps the formulas finite where the result is 0
-        if j == 0:
-            vals = (np.exp(log_norm_constant(self.source, live)) if self.normalized
-                    else np.ones(n.shape))
-        else:
-            vals = _deriv_gamma_ratio(self.source, live, j)
-            if self.normalized:
-                vals *= np.exp(log_norm_constant(self.source, live))
+        vals = np.exp(log_norm_constant(self.source, live))
+        if j > 0:
+            vals *= _deriv_gamma_ratio(self.source, live, j)
         return np.where(n >= j, vals, 0.0)
 
 
-def theta_row_terms(params: JacobiParams, theta, weights: dict, odd: bool = False,
-                    normalized: bool = True) -> list[RowTerm]:
+def theta_row_terms(params: JacobiParams, theta, weights: dict,
+                    odd: bool = False) -> list[RowTerm]:
     """Row n of sum_d weights[d] * (d/dtheta)^d f_n as a list of RowTerm.
 
-    f_n is the trigonometric polynomial c_n P_n(cos theta) (odd=False; the
-    unnormalized P_n when normalized=False) or the odd factor s_n (odd=True,
-    see odd_factor_table). Each theta derivative of f(cos theta) is a sum
-    over x-derivative orders j, and d^j/dx^j moves P_n to P_{n-j} with
-    parameters shifted by j, so one term per j covers every order and
-    weight: its pi collects the weighted trigonometric factors. Weights are
-    scalars or arrays over theta; orders up to 3.
+    f_n is the trigonometric polynomial c_n P_n(cos theta) (odd=False) or
+    the odd factor s_n (odd=True, see odd_factor_table). Each theta
+    derivative of f(cos theta) is a sum over x-derivative orders j, and
+    d^j/dx^j moves P_n to P_{n-j} with parameters shifted by j, so one term
+    per j covers every order and weight: its pi collects the weighted
+    trigonometric factors. Weights are scalars or arrays over theta; orders
+    up to 3.
     """
     if any(d > 3 for d in weights):
         raise ValueError("theta derivatives implemented up to order 3")
@@ -284,36 +278,84 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict, odd: bool = Fals
         for j, pi in _order_terms(s, c, d, odd).items():
             pis[j] = pis.get(j, 0.0) + w * pi
     source = params.shifted(1) if odd else params
-    return [RowTerm(source, j, pis[j], normalized) for j in sorted(pis)]
+    return [RowTerm(source, j, pis[j]) for j in sorted(pis)]
 
 
-def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int, odd: bool,
-                 normalized: bool = True) -> np.ndarray:
+class RowPlan:
+    """The recurrences behind sums of RowTerm rows, each run once.
+
+    A factor (see add) reads RowTerms on one of the plan's point sets: its
+    row k is row degree(k + offset) of each term. One JacobiRecurrence runs
+    per distinct (parameters, start degree) of all factors' terms, over the
+    union of the point sets reading it (equal sets count once) and as far as
+    the longest factor reading it. advance(k0, k1) moves to a window of at
+    most `chunk` rows, which a recurrence fills when rows() first reads it.
+    """
+
+    def __init__(self, points: tuple, chunk: int):
+        self.points, self.chunk = points, chunk
+        self._alias = [next(j for j, q in enumerate(points)
+                            if q is p or q.shape == p.shape and np.array_equal(q, p))
+                       for p in points]
+        self._needs, self._runs = {}, {}
+
+    def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
+        """Register a factor on point set `where` read below row `length`."""
+        where = self._alias[where]
+        keys = [(term.params, term.degree(offset)) for term in terms]
+        for key in keys:
+            sets, n = self._needs.get(key, ((), 0))
+            self._needs[key] = sorted({*sets, where}), max(n, length)
+        return keys, where
+
+    def _run(self, params: JacobiParams, start: int, sets: list, length: int) -> tuple:
+        ends = accumulate(self.points[i].size for i in sets)
+        cols = {i: slice(end - self.points[i].size, end) for i, end in zip(sets, ends)}
+        x = np.cos(np.concatenate([self.points[i] for i in sets]))
+        return (JacobiRecurrence(params, x, degree=start),
+                np.empty((min(self.chunk, length), x.size)), length, cols)
+
+    def advance(self, k0: int, k1: int) -> None:
+        # a recurrence that has made all its rows is no longer read
+        self._runs = {key: run for key, run in self._runs.items()
+                      if run[0].degree - key[1] < run[2]}
+        self._window = k0, k1
+
+    def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
+        """The first m rows of the current window, one array per term."""
+        (k0, k1), out = self._window, []
+        for key in factor[0]:
+            if key not in self._runs:
+                self._runs[key] = self._run(*key, *self._needs[key])
+            rec, buf, length, cols = self._runs[key]
+            if rec.degree - key[1] == k0:
+                rec.fill(buf[:min(k1, length) - k0])
+            out.append(buf[:m, cols[factor[1]]])
+        return out
+
+
+def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int,
+                 odd: bool) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.cos(theta)
     ns = np.arange(nmax + 1)
-    rows = {}
+    plan = RowPlan((theta,), nmax + 1)
+    orders = [theta_row_terms(params, theta, {d: 1.0}, odd) for d in range(dmax + 1)]
+    factors = [plan.add(terms, nmax + 1) for terms in orders]
+    plan.advance(0, nmax + 1)
     out = np.zeros((dmax + 1, nmax + 1, theta.size))
-    for d in range(dmax + 1):
-        for term in theta_row_terms(params, theta, {d: 1.0}, odd, normalized):
-            if term.lag not in rows:
-                raw = JacobiRecurrence(term.params, x, degree=term.degree(0)).fill(
-                    np.empty((nmax + 1, theta.size)))
-                raw *= term.scale(ns)[:, None]
-                rows[term.lag] = raw
-            out[d] += term.pi * rows[term.lag]
+    for d, terms in enumerate(orders):
+        for term, rows in zip(terms, plan.rows(factors[d], nmax + 1)):
+            out[d] += term.pi * (rows * term.scale(ns)[:, None])
     return out
 
 
-def trig_poly_table(params: JacobiParams, nmax: int, theta, dmax: int = 0,
-                    normalized: bool = True) -> np.ndarray:
+def trig_poly_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np.ndarray:
     """Theta-derivative table of the trigonometric polynomials.
 
     Returns T with shape (dmax+1, nmax+1, npts): T[d, n] is the d-th theta
-    derivative of c_n P_n(cos theta) (or of the unnormalized P_n(cos theta)).
-    Supports dmax <= 3.
+    derivative of c_n P_n(cos theta). Supports dmax <= 3.
     """
-    return _theta_table(params, nmax, theta, dmax, False, normalized)
+    return _theta_table(params, nmax, theta, dmax, False)
 
 
 def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np.ndarray:

@@ -9,10 +9,10 @@ vs t-derivatives with a pointwise first-order tail), which the tests compare.
 
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
 q covering both the polynomial sup growth and the derivative powers. They
-are streamed: the recurrences a kernel needs advance a fixed chunk of terms
-at a time, and each chunk is added into the output before the next one is
-built, so memory does not grow with the series length. Nothing is cached
-between calls.
+are streamed: the recurrences of one call's kernels (a basis.RowPlan) advance
+a fixed chunk of terms at a time, and each chunk is added into the outputs
+before the next one is built, so memory does not grow with the series
+length. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import comb
 
-from .basis import (
-    JacobiParams,
-    JacobiRecurrence,
-    coeff_A,
-    eigenvalue,
-    theta_row_terms,
-)
+from .basis import JacobiParams, RowPlan, coeff_A, eigenvalue, psi, theta_row_terms
 from .quadrature import TGrid
 
 COMPONENTS = ("even", "odd")
@@ -103,7 +97,7 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class KernelHandle:
-    """A kernel family member; evaluation happens in eval_pairs/eval_matrix."""
+    """A kernel family member; evaluated by eval_pairs/eval_matrix/eval_kernels."""
 
     params: JacobiParams
     family: tuple
@@ -128,11 +122,26 @@ class KernelHandle:
 
     def eval_pairs(self, theta, phi, t, cfg: TruncationConfig = DEFAULT_TRUNCATION,
                    n_override: int | None = None) -> np.ndarray:
-        return _eval_pairs(self, theta, phi, t, cfg, n_override)
+        """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt)."""
+        return eval_kernels([(self, t)], theta, phi, cfg, n_override)[0]
 
     def eval_matrix(self, theta, phi, t: float,
                     cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
-        return _eval_matrix(self, theta, phi, t, cfg)
+        """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        plan = RowPlan((theta, phi), _CHUNK)
+        stream = _Stream(plan, self, t, cfg)
+        d = stream.weight * np.exp(-float(t) * stream.speed)
+        out = np.zeros((theta.size, phi.size))
+        for k0 in range(0, stream.n, _CHUNK):
+            k1 = min(k0 + _CHUNK, stream.n)
+            plan.advance(k0, k1)
+            th, ph = stream.factors(k0, k1)
+            out += (th * d[k0:k1, None]).T @ ph
+        out *= np.reshape(stream.theta_scale, (-1, 1))
+        out *= stream.phi_scale
+        return out
 
 
 def poisson_kernel(params: JacobiParams, component: str) -> KernelHandle:
@@ -174,36 +183,24 @@ def partial_derivative_kernel(params: JacobiParams, shift: int,
     return KernelHandle(params, ("partial", shift, L, N, M))
 
 
-def _speeds(params: JacobiParams, component: str, n: int) -> np.ndarray:
-    ks = np.arange(n, dtype=float)
-    if component == "even":
-        return np.sqrt(eigenvalue(params, ks))
-    return np.sqrt(eigenvalue(params, ks + 1.0))
-
-
-def _ladder_roots(params: JacobiParams, ks: np.ndarray) -> np.ndarray:
-    # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
-    return np.sqrt(ks * (ks + params.alpha + params.beta + 1.0))
-
-
 def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """speed and coefficient of the first n terms."""
+    """speed sqrt(lam) and coefficient of the first n terms."""
     p = handle.params
     kind = handle.family[0]
+    ks = np.arange(n, dtype=float)
     if kind == "partial":
-        M = handle.family[4]
-        speed = _speeds(p.shifted(handle.family[1]), "even", n)
-        return speed, 0.5 * (-speed) ** M
-    comp = handle.family[1]
-    speed = _speeds(p, comp, n)
+        speed = np.sqrt(eigenvalue(p.shifted(handle.family[1]), ks))
+        return speed, 0.5 * (-speed) ** handle.family[4]
+    # the odd component's term k carries eigenvalue index k + 1
+    idx = ks if handle.family[1] == "even" else ks + 1.0
+    speed = np.sqrt(eigenvalue(p, idx))
     if kind == "poisson":
         return speed, np.full(n, 0.5)
     N, M = handle.family[2:4]
-    ks = np.arange(n, dtype=float)
-    lam = eigenvalue(p, ks if comp == "even" else ks + 1.0)
     if kind == "ladder":
-        roots = _ladder_roots(p, ks if comp == "even" else ks + 1.0)
-        return speed, 0.5 * (-np.sqrt(lam)) ** M * (-roots) ** N
+        # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
+        roots = np.sqrt(idx * (idx + p.alpha + p.beta + 1.0))
+        return speed, 0.5 * (-speed) ** M * (-roots) ** N
     # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
     # never collapsed to the ladder coefficient
     k0 = N // 2
@@ -211,25 +208,18 @@ def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
     binom = comb(k0, js) * (-p.lam0) ** (k0 - js)
     mult = np.zeros(n)
     for j, c in zip(js, binom):
-        mult += c * (-np.sqrt(lam)) ** (2 * j + M)
+        mult += c * (-speed) ** (2 * j + M)
     return speed, 0.5 * mult
 
 
-class _Side:
-    """The theta or the phi factor of the series: term k is row k + offset
-    of the sum of `terms` (basis.RowTerm, see basis.theta_row_terms)."""
-
-    def __init__(self, terms: list, offset: int = 0):
-        self.terms, self.offset = terms, offset
-
-
 def _side(params: JacobiParams, points: np.ndarray, order: int = 0,
-          odd: bool = False, offset: int = 0) -> _Side:
-    return _Side(theta_row_terms(params, points, {order: 1.0}, odd), offset)
+          odd: bool = False, offset: int = 0) -> tuple[list, int]:
+    """The theta or the phi factor of the series: term k is row k + offset
+    of the sum of the RowTerms (see basis.theta_row_terms)."""
+    return theta_row_terms(params, points, {order: 1.0}, odd), offset
 
 
-def _sides(handle: KernelHandle, theta: np.ndarray,
-           phi: np.ndarray) -> tuple[_Side, _Side]:
+def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
     p = handle.params
     kind = handle.family[0]
     if kind == "partial":
@@ -248,8 +238,8 @@ def _sides(handle: KernelHandle, theta: np.ndarray,
         theta_side = _side(p, theta, order=1)
     else:
         # first-order tail -d_theta - A on the odd companions
-        theta_side = _Side(theta_row_terms(
-            p, theta, {1: -1.0, 0: -coeff_A(p, theta)}, odd=True))
+        theta_side = theta_row_terms(p, theta, {1: -1.0, 0: -coeff_A(p, theta)},
+                                     odd=True), 0
     return theta_side, _side(p, phi, odd=odd)
 
 
@@ -259,143 +249,113 @@ _CHUNK = 256
 
 
 class _Stream:
-    """Both factors of a series, produced _CHUNK terms at a time.
+    """One kernel's series at its times, read from a RowPlan over (theta, phi)
+    that other kernels may share.
 
-    One recurrence runs per distinct (parameters, start degree) of the
-    sides' row terms; when theta and phi need the same one, it runs once
-    over both point sets (or once over one of them when the two coincide).
-    A factor with a single term is handed out as the raw recurrence rows:
-    its scale goes into `weight` and its pi into `theta_scale` /
-    `phi_scale`, applied by the caller.
+    Each t pays only for the series length its own bound demands: times are
+    sorted longest series first, so those still summing form a prefix. A
+    single-term factor is handed out as the plan's raw rows, its scale folded
+    into `weight` and its pi into `theta_scale` / `phi_scale`; a factor of
+    several terms is summed into its own buffer per chunk.
     """
 
-    def __init__(self, sides: tuple[_Side, _Side],
-                 points: tuple[np.ndarray, np.ndarray], n: int):
-        same = points[0].shape == points[1].shape and np.array_equal(*points)
-        users: dict = {}
-        for s, side in enumerate(sides):
-            for i, term in enumerate(side.terms):
-                key = (term.params, term.degree(side.offset))
-                users.setdefault(key, []).append((s, i))
-        self._recs, self._bufs = [], []
-        # per side, per term: (recurrence index, columns of its buffer)
-        where = ({}, {})
-        for (q, start), used in users.items():
-            both = len({s for s, _ in used}) == 2
-            if both and same:
-                x, cols = points[0], (slice(None), slice(None))
-            elif both:
-                size = points[0].size
-                x = np.concatenate(points)
-                cols = (slice(0, size), slice(size, None))
-            else:
-                x = points[used[0][0]]
-                cols = (slice(None), slice(None))
-            for s, i in used:
-                where[s][i] = (len(self._recs), cols[s])
-            self._recs.append(JacobiRecurrence(q, np.cos(x), degree=start))
-            self._bufs.append(np.empty((_CHUNK, x.size)))
-        self._where = [[where[s][i] for i in range(len(side.terms))]
-                       for s, side in enumerate(sides)]
-
+    def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
+                 n_override: int | None = None):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if n_override is not None:
+            lengths = np.full(t.shape, int(n_override))
+        else:
+            lengths = np.array([cfg.series_length(handle.table_params, ti, handle.orders)
+                                for ti in t])
+        self.order = np.argsort(-lengths, kind="stable")
+        self.t, self.lengths = t[self.order], lengths[self.order]
+        self.n = n = int(self.lengths[0])
+        self._plan, self._sides = plan, _sides(handle, *plan.points)
+        self._factors = [plan.add(terms, n, s, offset)
+                         for s, (terms, offset) in enumerate(self._sides)]
+        self.keys = {key for keys, _ in self._factors for key in keys}
         ks = np.arange(n)
-        self._sides = sides
-        self._kappa = [[term.scale(ks + side.offset) for term in side.terms]
-                       for side in sides]
-        self.weight = np.ones(n)
+        self._kappa = [[term.scale(ks + offset) for term in terms]
+                       for terms, offset in self._sides]
+        weight = np.ones(n)
         scales = [1.0, 1.0]
-        # a factor of several terms is summed into its own buffer per chunk
         self._mixed = [None, None]
-        for s, side in enumerate(sides):
-            if len(side.terms) == 1:
-                self.weight *= self._kappa[s][0]
-                scales[s] = side.terms[0].pi
+        for s, (terms, _) in enumerate(self._sides):
+            if len(terms) == 1:
+                weight *= self._kappa[s][0]
+                scales[s] = terms[0].pi
             else:
-                self._mixed[s] = np.empty((2, _CHUNK, points[s].size))
+                self._mixed[s] = np.empty((2, _CHUNK, plan.points[s].size))
         self.theta_scale, self.phi_scale = scales
+        self.speed, coef = _series(handle, n)
+        self.weight = coef * weight
+        self.out = np.zeros((t.size, plan.points[0].size))
 
     def factors(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows k0..k1-1 of the theta and the phi factor."""
+        """Rows k0..k1-1 of the theta and the phi factor, in the plan's window."""
         m = k1 - k0
-        for rec, buf in zip(self._recs, self._bufs):
-            rec.fill(buf[:m])
         out = []
-        for s, side in enumerate(self._sides):
-            raw = [self._bufs[r][:m, cols] for r, cols in self._where[s]]
+        for s, (terms, _) in enumerate(self._sides):
+            raw = self._plan.rows(self._factors[s], m)
             if self._mixed[s] is None:
                 out.extend(raw)
                 continue
             mixed, tmp = self._mixed[s][0][:m], self._mixed[s][1][:m]
             mixed.fill(0.0)
-            for rows, kappa, term in zip(raw, self._kappa[s], side.terms):
+            for rows, kappa, term in zip(raw, self._kappa[s], terms):
                 np.multiply(rows, kappa[k0:k1, None], out=tmp)
                 tmp *= term.pi
                 mixed += tmp
             out.append(mixed)
         return out[0], out[1]
 
+    def add(self, k0: int, k1: int, prod: np.ndarray) -> None:
+        """Add terms k0..k1-1 to the samples on the pairs; prod is scratch."""
+        live = int(np.count_nonzero(self.lengths > k0))
+        E = np.outer(self.t[:live], -self.speed[k0:k1])
+        np.exp(E, out=E)
+        E *= self.weight[k0:k1]
+        for i in np.nonzero(self.lengths[:live] < k1)[0]:
+            E[i, self.lengths[i] - k0:] = 0.0
+        th, ph = self.factors(k0, k1)
+        A = np.multiply(th, ph, out=prod[: k1 - k0])
+        self.out[:live] += E @ A
 
-def _eval_pairs(handle: KernelHandle, theta, phi, t,
-                cfg: TruncationConfig, n_override: int | None) -> np.ndarray:
-    """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt).
+    def result(self) -> np.ndarray:
+        self.out *= self.theta_scale * self.phi_scale
+        return self.out[np.argsort(self.order)].T
 
-    The series is streamed in chunks of terms; each t only pays for the
-    series length its own truncation bound demands.
+
+def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
+                 n_override: int | None = None) -> list[np.ndarray]:
+    """Samples K_t(theta_i, phi_i) of several kernels on the same pairs: one
+    (npairs, nt) array per (handle, t) job.
+
+    The jobs read one basis.RowPlan, so each recurrence runs once; jobs that
+    share recurrences take one pass of chunks together, the others a pass
+    each, which keeps a pass's rows in cache. Each job keeps its own series,
+    times and chunk windows: its samples equal a call with it alone, bit for bit.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must pair up")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    p_tab = handle.table_params
-    if n_override is not None:
-        n_arr = np.full(t.shape, int(n_override))
-    else:
-        n_arr = np.array([cfg.series_length(p_tab, ti, handle.orders)
-                          for ti in t])
-    # longest series first, so the times still summing form a prefix
-    order = np.argsort(-n_arr, kind="stable")
-    t_sorted, n_sorted = t[order], n_arr[order]
-    n_max = int(n_sorted[0])
-    speed, coef = _series(handle, n_max)
-    stream = _Stream(_sides(handle, theta, phi), (theta, phi), n_max)
-    weight = coef * stream.weight
-    out = np.zeros((t.size, theta.size))
+    plan = RowPlan((theta, phi), _CHUNK)
+    streams = [_Stream(plan, handle, t, cfg, n_override) for handle, t in jobs]
+    passes = []  # (recurrences, jobs reading them)
+    for s in streams:
+        link = [p for p in passes if p[0] & s.keys]
+        passes = [p for p in passes if not p[0] & s.keys]
+        passes.append((s.keys.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
     prod = np.empty((_CHUNK, theta.size))
-    for k0 in range(0, n_max, _CHUNK):
-        k1 = min(k0 + _CHUNK, n_max)
-        live = int(np.count_nonzero(n_sorted > k0))
-        E = np.outer(t_sorted[:live], -speed[k0:k1])
-        np.exp(E, out=E)
-        E *= weight[k0:k1]
-        for i in np.nonzero(n_sorted[:live] < k1)[0]:
-            E[i, n_sorted[i] - k0:] = 0.0
-        th, ph = stream.factors(k0, k1)
-        A = np.multiply(th, ph, out=prod[: k1 - k0])
-        out[:live] += E @ A
-    out *= stream.theta_scale * stream.phi_scale
-    result = np.empty_like(out)
-    result[order] = out
-    return result.T
-
-
-def _eval_matrix(handle: KernelHandle, theta, phi, t: float,
-                 cfg: TruncationConfig) -> np.ndarray:
-    """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    n = cfg.series_length(handle.table_params, float(t), handle.orders)
-    speed, coef = _series(handle, n)
-    stream = _Stream(_sides(handle, theta, phi), (theta, phi), n)
-    d = coef * stream.weight * np.exp(-float(t) * speed)
-    out = np.zeros((theta.size, phi.size))
-    for k0 in range(0, n, _CHUNK):
-        k1 = min(k0 + _CHUNK, n)
-        th, ph = stream.factors(k0, k1)
-        out += (th * d[k0:k1, None]).T @ ph
-    out *= np.reshape(stream.theta_scale, (-1, 1))
-    out *= stream.phi_scale
-    return out
+    for _, group in passes:
+        n_max = max(s.n for s in group)
+        for k0 in range(0, n_max, _CHUNK):
+            plan.advance(k0, min(k0 + _CHUNK, n_max))
+            for s in group:
+                if s.n > k0:
+                    s.add(k0, min(k0 + _CHUNK, s.n), prod)
+    return [s.result() for s in streams]
 
 
 # --- kernels defined by time integrals ---------------------------------------
@@ -458,14 +418,12 @@ def symmetrized_kernel_pairs(params: JacobiParams, theta, phi, t,
 
     weighted=True multiplies by psi(theta) psi(phi), giving the kernel of the
     function-setting semigroup."""
-    from .basis import psi
-
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     at, ap = np.abs(theta), np.abs(phi)
     sign = np.sign(theta) * np.sign(phi)
-    even = poisson_kernel(params, "even").eval_pairs(at, ap, t, cfg)
-    odd = poisson_kernel(params, "odd").eval_pairs(at, ap, t, cfg)
+    even, odd = eval_kernels([(poisson_kernel(params, c), t) for c in COMPONENTS],
+                             at, ap, cfg)
     out = even + sign[:, None] * odd
     if weighted:
         out = out * (psi(params, theta) * psi(params, phi))[:, None]

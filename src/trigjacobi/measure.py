@@ -1,8 +1,8 @@
 """The measure mu+ on (0,pi), interval measures, and power-weight classes.
 
 The density of mu+ is sin(t/2)^(2a+1) cos(t/2)^(2b+1); under u = sin^2(t/2)
-an interval measure becomes an incomplete Beta integral, which is the closed
-form used by default. Membership tests for the Muckenhoupt-type class over
+an interval measure becomes an incomplete Beta integral, which gives it in
+closed form. Membership tests for the Muckenhoupt-type class over
 ((0,pi), mu+) and for its psi-transferred counterpart over ((0,pi), dt) are
 exact inequalities in (r, s, p), not numerical checks.
 """
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 from scipy.special import betainc, betaln
 
 from .basis import JacobiParams
@@ -62,8 +61,7 @@ def mu_density(params: JacobiParams, theta) -> np.ndarray:
     return s ** (2.0 * params.alpha + 1.0) * c ** (2.0 * params.beta + 1.0)
 
 
-def interval_measure(params: JacobiParams, lo: float, hi: float,
-                     method: str = "betainc") -> float:
+def interval_measure(params: JacobiParams, lo: float, hi: float) -> float:
     """mu+ of (lo, hi) within [0, pi]."""
     if not (0.0 <= lo <= hi <= math.pi + 1e-15):
         raise ValueError("interval must satisfy 0 <= lo <= hi <= pi")
@@ -71,36 +69,30 @@ def interval_measure(params: JacobiParams, lo: float, hi: float,
     if lo == hi:
         return 0.0
     a, b = params.alpha, params.beta
-    if method == "betainc":
-        # u = sin^2(t/2) turns the density into u^a (1-u)^b du; evaluate the
-        # right half through the complementary v = cos^2(t/2) form so the
-        # regularized-Beta difference never cancels near a full endpoint
-        scale = math.exp(betaln(a + 1.0, b + 1.0))
-        half = math.pi / 2.0
-        total = 0.0
-        if lo < half:
-            t0, t1 = lo, min(hi, half)
-            total += float(betainc(a + 1.0, b + 1.0, math.sin(t1 / 2.0) ** 2)
-                           - betainc(a + 1.0, b + 1.0, math.sin(t0 / 2.0) ** 2))
-        if hi > half:
-            t0, t1 = max(lo, half), hi
-            # cos(t/2) = sin((pi-t)/2), and the subtraction pi - t is exact
-            # where it matters, so v vanishes exactly at t = pi
-            v0 = math.sin((math.pi - t0) / 2.0) ** 2
-            v1 = math.sin((math.pi - t1) / 2.0) ** 2
-            total += float(betainc(b + 1.0, a + 1.0, v0)
-                           - betainc(b + 1.0, a + 1.0, v1))
-        return scale * total
-    if method == "quad":
-        val, _ = _adaptive_quad(lambda t: float(mu_density(params, t)), lo, hi,
-                                limit=200)
-        return val
-    raise ValueError(f"unknown method {method!r}")
+    # u = sin^2(t/2) turns the density into u^a (1-u)^b du; evaluate the
+    # right half through the complementary v = cos^2(t/2) form so the
+    # regularized-Beta difference never cancels near a full endpoint
+    scale = math.exp(betaln(a + 1.0, b + 1.0))
+    half = math.pi / 2.0
+    total = 0.0
+    if lo < half:
+        t0, t1 = lo, min(hi, half)
+        total += float(betainc(a + 1.0, b + 1.0, math.sin(t1 / 2.0) ** 2)
+                       - betainc(a + 1.0, b + 1.0, math.sin(t0 / 2.0) ** 2))
+    if hi > half:
+        t0, t1 = max(lo, half), hi
+        # cos(t/2) = sin((pi-t)/2), and the subtraction pi - t is exact
+        # where it matters, so v vanishes exactly at t = pi
+        v0 = math.sin((math.pi - t0) / 2.0) ** 2
+        v1 = math.sin((math.pi - t1) / 2.0) ** 2
+        total += float(betainc(b + 1.0, a + 1.0, v0)
+                       - betainc(b + 1.0, a + 1.0, v1))
+    return scale * total
 
 
-def ball_measure(params: JacobiParams, ball: Ball, method: str = "betainc") -> float:
+def ball_measure(params: JacobiParams, ball: Ball) -> float:
     lo, hi = ball.endpoints
-    return interval_measure(params, lo, hi, method=method)
+    return interval_measure(params, lo, hi)
 
 
 def mu_total(params: JacobiParams) -> float:

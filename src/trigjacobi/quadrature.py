@@ -159,8 +159,9 @@ class TGrid:
                 mass = gammainc(W, hi) - gammainc(W, lo)
             want = math.exp(gammaln(W) - W * math.log(2.0)) * mass
             if abs(got - want) > 1e-6 * abs(want):
-                return (f"time grid fails its quadrature check at W={W}: "
-                        f"{got!r} vs {want!r}; refine points_per_decade")
+                return (f"time grid on [{self.t_min:g}, {self.t_max:g}] fails its "
+                        f"quadrature check at W={W} with {self.points_per_decade} "
+                        f"points per decade: {float(got)!r} vs {float(want)!r}")
         return None
 
     def integrate(self, samples, W: float) -> float | np.ndarray:

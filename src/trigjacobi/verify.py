@@ -47,6 +47,7 @@ from .kernels import (
     DEFAULT_TRUNCATION,
     DiscreteMeasure,
     TruncationConfig,
+    eval_kernels,
     kernel_derivative,
     partial_derivative_kernel,
     poisson_kernel,
@@ -411,14 +412,14 @@ def check_chain_routes(params: JacobiParams, nmax_order: int = 4,
     theta = np.array([0.5, 1.1, 2.3])
     phi = np.array([0.9, 2.0, 2.8])
     ts = np.array([0.2, 0.9])
+    chains = [kernel_derivative(poisson_kernel(params, component), N, 0, route=route)
+              for component in ("even", "odd") for N in range(1, nmax_order + 1)
+              for route in ("ladder", "direct")]
+    samples = eval_kernels([(h, ts) for h in chains], theta, phi)
     worst = 0.0
-    for component in ("even", "odd"):
-        h = poisson_kernel(params, component)
-        for N in range(1, nmax_order + 1):
-            a = kernel_derivative(h, N, 0, route="ladder").eval_pairs(theta, phi, ts)
-            b = kernel_derivative(h, N, 0, route="direct").eval_pairs(theta, phi, ts)
-            scale = np.maximum(np.max(np.abs(a)), 1e-30)
-            worst = max(worst, float(np.max(np.abs(a - b))) / scale)
+    for a, b in zip(samples[0::2], samples[1::2]):
+        scale = np.maximum(np.max(np.abs(a)), 1e-30)
+        worst = max(worst, float(np.max(np.abs(a - b))) / scale)
     return EstimateReport(claim="chain-route-agreement", passed=worst <= tol,
                           constant=worst, tolerance=tol,
                           details={"orders": nmax_order})
@@ -520,8 +521,8 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
     ts = np.array([0.01 * 2.0 ** k for k in range(11)])
     cfg = spec.truncation()
     _, theta, phi = spec.pairs()
-    e = poisson_kernel(params, "even").eval_pairs(theta, phi, ts, cfg)
-    o = poisson_kernel(params, "odd").eval_pairs(theta, phi, ts, cfg)
+    e, o = eval_kernels([(poisson_kernel(params, c), ts) for c in ("even", "odd")],
+                        theta, phi, cfg)
     neg = min(0.0, float(np.min(e)))
     rep = ratio_sweep_report("odd-dominated-by-even",
                              np.max(np.abs(o) / e, axis=-1), spec)
@@ -537,26 +538,31 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
 # --- standard Calderon-Zygmund style estimates -----------------------------------
 
 def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
-                             profile: str = "quick") -> list[EstimateReport]:
+                             profile: str = "quick",
+                             tgrid: TGrid | None = None) -> list[EstimateReport]:
     """Growth and gradient (and, in the full profile, smoothness) of the swept
     kernel set: odd-component Riesz kernels of orders 1 and 2, a single-atom
     multiplier kernel, and the vector square-function kernels for (M, N) in
     {(1,0), (0,1), (1,1)} through both chain routes.
 
-    Each chain kernel is evaluated once on the sweep: the gradient of order N
-    reads chain N+1, and the smoothness ratios reuse it at the unmoved points.
+    One pass evaluates every kernel on the sweep pairs (the gradient of
+    order N reads chain N+1, the smoothness ratios reuse it at the unmoved
+    points); each moved point set takes one more. tgrid: spec.tgrid() if None.
     """
-    tg, cfg = spec.tgrid(), spec.truncation()
+    tg, cfg = tgrid or spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
     mb = _ball_measures(params, theta, d)
     odd = poisson_kernel(params, "odd")
-    chains = {}
-
-    def chain(N, M, route="ladder"):
-        if (N, M, route) not in chains:
-            chains[N, M, route] = kernel_derivative(odd, N, M, route).eval_pairs(
-                theta, phi, tg.nodes, cfg)
-        return chains[N, M, route]
+    vectors = [(N, M, route) for M, N in ((1, 0), (0, 1), (1, 1))
+               for route in ("ladder", "direct")]
+    keys = list(dict.fromkeys([(N, 0, "ladder") for N in (1, 2, 3)]
+                              + [(N + j, M, route) for N, M, route in vectors
+                                 for j in (0, 1)]))
+    atom = np.array([1.0])
+    *samples, size, slope = eval_kernels(
+        [(kernel_derivative(odd, *key), tg.nodes) for key in keys]
+        + [(odd, atom), (kernel_derivative(odd, 1, 0), atom)], theta, phi, cfg)
+    chains = dict(zip(keys, samples))
 
     def riesz(s, N):
         return np.abs(tg.integrate(s, float(N))) * (1.0 / gamma(N))
@@ -564,39 +570,35 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
     out = []
     for N in (1, 2):
         out.append(ratio_sweep_report(f"riesz-kernel-odd-N{N}/growth",
-                                      riesz(chain(N, 0), N) * mb, spec))
+                                      riesz(chains[N, 0, "ladder"], N) * mb, spec))
         out.append(ratio_sweep_report(f"riesz-kernel-odd-N{N}/gradient",
-                                      riesz(chain(N + 1, 0), N) * mb * d, spec))
+                                      riesz(chains[N + 1, 0, "ladder"], N) * mb * d, spec))
 
-    atom = np.array([1.0])
-    size = np.abs(odd.eval_pairs(theta, phi, atom, cfg)[:, 0])
-    slope = np.abs(kernel_derivative(odd, 1, 0).eval_pairs(theta, phi, atom, cfg)[:, 0])
     out.append(ratio_sweep_report("multiplier-kernel-single-atom/growth",
-                                  size * mb, spec))
+                                  np.abs(size[:, 0]) * mb, spec))
     out.append(ratio_sweep_report("multiplier-kernel-single-atom/gradient",
-                                  slope * mb * d, spec))
+                                  np.abs(slope[:, 0]) * mb * d, spec))
 
     # the smoothness moves: (claim, fraction of the distance, moved theta, phi)
     moves = (("smooth-first-quarter", 0.25, theta + 0.25 * d, phi),
              ("smooth-first-eighth", 0.125, theta + 0.125 * d, phi),
              ("smooth-second-quarter", 0.25, theta, phi - 0.25 * d),
              ) if profile == "full" else ()
-    for M, N in ((1, 0), (0, 1), (1, 1)):
+    moved = [eval_kernels([(kernel_derivative(odd, *key), tg.nodes) for key in vectors],
+                          th, ph, cfg) for _, _, th, ph in moves]
+    for i, (N, M, route) in enumerate(vectors):
         W = 2.0 * M + 2.0 * N
-        for route in ("ladder", "direct"):
-            name = f"vector-kernel-M{M}-N{N}-{route}"
-            base = chain(N, M, route)
-            out.append(ratio_sweep_report(f"{name}/growth",
-                                          t_norm(tg, base, 2, W=W) * mb, spec))
-            for claim, frac, th, ph in moves:
-                moved = kernel_derivative(odd, N, M, route).eval_pairs(
-                    th, ph, tg.nodes, cfg)
-                out.append(ratio_sweep_report(
-                    f"{name}/{claim}", t_norm(tg, base - moved, 2, W=W) * mb / frac,
-                    spec))
+        name = f"vector-kernel-M{M}-N{N}-{route}"
+        base = chains[N, M, route]
+        out.append(ratio_sweep_report(f"{name}/growth",
+                                      t_norm(tg, base, 2, W=W) * mb, spec))
+        for (claim, frac, _, _), at_moved in zip(moves, moved):
             out.append(ratio_sweep_report(
-                f"{name}/gradient", t_norm(tg, chain(N + 1, M, route), 2, W=W) * mb * d,
+                f"{name}/{claim}", t_norm(tg, base - at_moved[i], 2, W=W) * mb / frac,
                 spec))
+        out.append(ratio_sweep_report(
+            f"{name}/gradient", t_norm(tg, chains[N + 1, M, route], 2, W=W) * mb * d,
+            spec))
     return out
 
 
@@ -655,11 +657,11 @@ def lemma_claim_id(inst: tuple) -> str:
 
 
 def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
-                          profile: str = "quick",
-                          instances: tuple = None) -> list[EstimateReport]:
+                          profile: str = "quick", instances: tuple = None,
+                          tgrid: TGrid | None = None) -> list[EstimateReport]:
     """Weighted norms of shifted-kernel partial derivatives against the
-    inverse ball measure, optionally with a distance gain. Each distinct
-    partial derivative is evaluated once on the sweep."""
+    inverse ball measure, optionally with a distance gain. One pass evaluates
+    the distinct partial derivatives on the sweep; tgrid: spec.tgrid() if None."""
     if instances is None:
         if profile == "full":
             instances = LEMMA_INSTANCES
@@ -668,16 +670,16 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
             for inst in LEMMA_INSTANCES:
                 first.setdefault(inst[0], inst)
             instances = tuple(first.values())
-    tg, cfg = spec.tgrid(), spec.truncation()
+    tg, cfg = tgrid or spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
     mb = _ball_measures(params, theta, d)
-    samples = {}
+    keys = list(dict.fromkeys(inst[2:5] for inst in instances))
+    samples = dict(zip(keys, eval_kernels(
+        [(partial_derivative_kernel(params, 1, *key), tg.nodes) for key in keys],
+        theta, phi, cfg)))
     out = []
     for inst in instances:
         group, family, L, N, M, W, g1, g2, p = inst
-        if (L, N, M) not in samples:
-            samples[L, N, M] = partial_derivative_kernel(params, 1, L, N, M).eval_pairs(
-                theta, phi, tg.nodes, cfg)
         lhs = (np.sin(theta) ** g1 * np.sin(phi) ** g2
                * t_norm(tg, samples[L, N, M], p, W=float(W)))
         r = lhs * mb
@@ -800,6 +802,8 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         clock[name] = time.perf_counter() - t0
         return res
 
+    # built first, so a time range the grid rejects fails before any work
+    tgrid = spec.tgrid() if suite in ("standard-estimates", "lemma-ratios", "all") else None
     reports = []
     if suite in ("identities", "all"):
         reports += timed("identities", lambda: check_identities(params, profile))
@@ -811,12 +815,14 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
                              xis=(1.0,) if profile == "quick" else (0.5, 1.0, 2.0)))
     if suite in ("standard-estimates", "all"):
         reports += timed("standard-estimates",
-                         lambda: check_standard_estimates(params, spec, profile))
+                         lambda: check_standard_estimates(params, spec, profile,
+                                                          tgrid))
     if suite in ("domination", "all"):
         reports += timed("domination", lambda: check_domination(params, spec))
     if suite in ("lemma-ratios", "all"):
         reports += timed("lemma-ratios",
-                         lambda: check_lemma_instances(params, spec, profile))
+                         lambda: check_lemma_instances(params, spec, profile,
+                                                       tgrid=tgrid))
     if suite in ("lp-sweep", "all"):
         reports += timed("lp-sweep", lambda: empirical_lp_sweep(
             params, 2.0, weights=((0.0, 0.0), (1.0, 1.0)), seed=seed))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trigjacobi.cli as cli
+from trigjacobi import verify
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import TruncationConfig, symmetrized_kernel_pairs
 
@@ -174,6 +175,18 @@ class TestVerifyCommand:
                            "--t-min", "0.01", "--t-max", "2"], capsys)
         assert rc == 0
         assert json.loads(out)["passed"]
+
+    def test_far_time_range_exits_2_before_any_check(self, monkeypatch, capsys):
+        # from t_min of about 8 on, the log-uniform nodes cannot resolve
+        # e^{-2t}; the sweep's grid is built before the first suite runs
+        ran = []
+        monkeypatch.setattr(verify, "check_identities",
+                            lambda *a, **k: ran.append(a) or [])
+        rc = cli.main(["verify", "all", "--profile", "quick", "--t-min", "10"])
+        err = capsys.readouterr().err
+        assert rc == 2 and not ran
+        assert "quadrature check" in err
+        assert "np.float64" not in err and "points_per_decade" not in err
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as err:

@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, gammaln
 
+from trigjacobi import basis
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import (
     _CHUNK,
     TruncationConfig,
+    eval_kernels,
     kernel_derivative,
     partial_derivative_kernel,
     poisson_kernel,
@@ -30,6 +32,8 @@ LENGTHS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17]
 TIMES = np.array([0.02, 0.3])
 THETA = np.array([0.05, 0.7, 1.6, 2.4, 3.1])
 PHI = np.array([1.9, 0.3, 1.55, 3.05, 0.02])
+# lengths from tens of terms to several chunks, in no particular order
+MIXED_TIMES = np.array([0.4, 0.01, 3.0, 0.05, 0.01, 1.0])
 
 
 def norm(a, b, n):
@@ -168,12 +172,11 @@ def test_matrix_matches_reference_series(a, b, family):
 
 @pytest.mark.parametrize("comp", ["even", "odd"])
 def test_mixed_lengths_equal_single_time_calls(comp):
-    # lengths from tens of terms to several chunks, in no particular order
     a, b = 1.5, -0.7
     family = ("ladder", comp, 1, 1)
     h = handle_for(JacobiParams(a, b), family)
     cfg = TruncationConfig()
-    t = np.array([0.4, 0.01, 3.0, 0.05, 0.01, 1.0])
+    t = MIXED_TIMES
     together = h.eval_pairs(THETA, PHI, t, cfg)
     for i, ti in enumerate(t):
         alone = h.eval_pairs(THETA, PHI, [ti], cfg)[:, 0]
@@ -181,6 +184,50 @@ def test_mixed_lengths_equal_single_time_calls(comp):
         want, scale = reference(a, b, family, n, THETA, PHI, np.array([ti]))
         assert np.all(np.abs(together[:, i] - alone) <= 1e-13 * scale[:, 0])
         assert np.all(np.abs(together[:, i] - want[:, 0]) <= 1e-12 * scale[:, 0])
+
+
+@pytest.mark.parametrize("a,b", PARAMS)
+def test_one_pass_equals_single_handle_calls(a, b):
+    # every family in one pass, sharing its recurrences. At the mixed-length
+    # times every other job sums its times in reverse order; the reference
+    # is summed at the forced lengths only, since eval_jacobi costs O(degree)
+    # per value and t = 0.01 needs up to 10^4 terms (the single-handle path
+    # meets it there in test_mixed_lengths_equal_single_time_calls)
+    fams = families()
+    handles = [handle_for(JacobiParams(a, b), f) for f in fams]
+    cfg = TruncationConfig()
+    cases = ([(n, [TIMES] * len(fams)) for n in LENGTHS]
+             + [(None, [MIXED_TIMES, MIXED_TIMES[::-1]] * (len(fams) // 2))])
+    for n, times in cases:
+        together = eval_kernels(list(zip(handles, times)), THETA, PHI, cfg, n)
+        assert len(together) == len(fams)
+        for family, h, t, got in zip(fams, handles, times, together):
+            assert np.array_equal(got, h.eval_pairs(THETA, PHI, t, cfg, n)), (family, n)
+            if n is not None:
+                want, scale = reference(a, b, family, n, THETA, PHI, t)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (family, n)
+
+
+def test_one_recurrence_per_parameters_and_start_degree(monkeypatch):
+    # the odd chains of orders 1-3 read the odd companions (at alpha+1,
+    # beta+1, from degree 0) on both sides; the odd ladder orders read the
+    # polynomials from degree 1, and the direct ones' first-order tail the
+    # derivative at alpha+2, beta+2 from degree -1
+    built = []
+
+    class Counted(basis.JacobiRecurrence):
+        def __init__(self, params, x, degree=0):
+            built.append((params, degree))
+            super().__init__(params, x, degree)
+
+    monkeypatch.setattr(basis, "JacobiRecurrence", Counted)
+    p = JacobiParams(1.5, -0.7)
+    odd = poisson_kernel(p, "odd")
+    jobs = [(kernel_derivative(odd, N, 0, route=route), TIMES)
+            for N in (1, 2, 3) for route in ("ladder", "direct")]
+    eval_kernels(jobs, THETA, PHI)
+    assert sorted(built, key=str) == sorted(
+        [(p.shifted(1), 0), (p, 1), (p.shifted(2), -1)], key=str)
 
 
 def test_memory_bounded_by_chunk_not_series_length():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from trigjacobi import basis
+from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
-from trigjacobi.kernels import KernelHandle, poisson_kernel
+from trigjacobi.kernels import poisson_kernel
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     SweepSpec,
@@ -153,15 +153,17 @@ class TestDomination:
 
 
 def count_kernel_evaluations(monkeypatch):
-    """Patch KernelHandle.eval_pairs to log (family, number of times) per call."""
+    """Patch eval_kernels, which every kernel evaluation on pairs goes
+    through, to log (family, number of times) per kernel evaluated."""
     calls = []
-    original = KernelHandle.eval_pairs
+    original = kernels.eval_kernels
 
-    def counted(self, theta, phi, t, *args, **kwargs):
-        calls.append((self.family, np.size(t)))
-        return original(self, theta, phi, t, *args, **kwargs)
+    def counted(jobs, *args, **kwargs):
+        calls.extend((h.family, np.size(t)) for h, t in jobs)
+        return original(jobs, *args, **kwargs)
 
-    monkeypatch.setattr(KernelHandle, "eval_pairs", counted)
+    for module in (kernels, verify):
+        monkeypatch.setattr(module, "eval_kernels", counted)
     return calls
 
 
