@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
@@ -63,7 +62,7 @@ def half_index(n: int) -> int:
 def psi(params: JacobiParams, theta) -> np.ndarray:
     """Weight factor |sin(t/2)|^(alpha+1/2) * cos(t/2)^(beta+1/2) on (-pi,pi)."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta) >= np.pi):
+    if (np.abs(theta) >= np.pi).any():
         raise ValueError("psi is defined for |theta| < pi")
     s = np.abs(np.sin(theta / 2.0))
     c = np.cos(theta / 2.0)
@@ -112,10 +111,8 @@ class JacobiRecurrence:
         self.params = params
         self.x = np.asarray(x, dtype=float)
         self.degree = min(degree, 0)
-        # rows degree-2 and degree-1; zero below degree 0
-        self._p2 = np.zeros(self.x.shape)
-        self._p1 = np.zeros(self.x.shape)
-        self._tmp = np.empty(self.x.shape)
+        # rows degree-2 and degree-1 (zero below degree 0), and scratch
+        self._p2, self._p1, self._tmp = np.zeros((3,) + self.x.shape)
         if degree > 0:
             self.fill(np.empty((degree,) + self.x.shape))
 
@@ -165,14 +162,15 @@ def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
     use Python floats, because there numpy's per-call cost dominates.
     """
     if m < 32:
-        ns = [float(k) for k in range(n, n + m)]
-        s = [2.0 * k + a + b for k in ns]
-        c0 = [2.0 * k * (k + a + b) * (sk - 2.0) for k, sk in zip(ns, s)]
-        c1 = [(sk - 1.0) / ck for sk, ck in zip(s, c0)]
-        return ([ci * sk * (sk - 2.0) for ci, sk in zip(c1, s)],
-                [ci * (a * a - b * b) for ci in c1],
-                [2.0 * (k + a - 1.0) * (k + b - 1.0) * sk / ck
-                 for k, sk, ck in zip(ns, s, c0)])
+        A, B, C = [], [], []
+        for k in map(float, range(n, n + m)):
+            s = 2.0 * k + a + b
+            c0 = 2.0 * k * (k + a + b) * (s - 2.0)
+            c1 = (s - 1.0) / c0
+            A.append(c1 * s * (s - 2.0))
+            B.append(c1 * (a * a - b * b))
+            C.append(2.0 * (k + a - 1.0) * (k + b - 1.0) * s / c0)
+        return A, B, C
     ns = np.arange(n, n + m, dtype=float)
     s = 2.0 * ns + a + b
     c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
@@ -232,17 +230,14 @@ def _order_terms(s, c, order: int, odd: bool) -> dict:
 class RowTerm:
     """One term of a row of theta-derivatives (see theta_row_terms):
 
-        row n  +=  pi * scale(n) * P_{degree(n)}^{(params)}(cos theta)
+        row n  +=  pi * scale(n) * P_{n - lag}^{(params)}(cos theta)
 
-    with params = source shifted by lag and degree(n) = n - lag.
+    with params = source shifted by lag.
     """
 
     def __init__(self, source: JacobiParams, lag: int, pi):
         self.source, self.lag, self.pi = source, lag, pi
         self.params = source.shifted(lag)
-
-    def degree(self, n: int) -> int:
-        return n - self.lag
 
     def scale(self, n) -> np.ndarray:
         """kappa(n) with d^lag/dx^lag (c_n P_n) = kappa(n) P_{n-lag}^{(params)}:
@@ -269,7 +264,7 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
     trigonometric factors. Weights are scalars or arrays over theta; orders
     up to 3.
     """
-    if any(d > 3 for d in weights):
+    if max(weights, default=0) > 3:
         raise ValueError("theta derivatives implemented up to order 3")
     theta = np.asarray(theta, dtype=float)
     s, c = np.sin(theta), np.cos(theta)
@@ -281,71 +276,88 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
     return [RowTerm(source, j, pis[j]) for j in sorted(pis)]
 
 
+class _Run:
+    """One recurrence of a RowPlan: what reads it, then its rows."""
+
+    def __init__(self, params: JacobiParams, start: int):
+        self.params, self.start, self.sets, self.length, self.rec = params, start, set(), 0, None
+
+    def begin(self, points: tuple, chunk: int) -> None:
+        sets, self.cols, end = sorted(self.sets), {}, 0
+        for i in sets:
+            self.cols[i], end = slice(end, end + points[i].size), end + points[i].size
+        x = np.cos(points[sets[0]] if len(sets) == 1
+                   else np.concatenate([points[i] for i in sets]))
+        self.rec = JacobiRecurrence(self.params, x, degree=self.start)
+        self.buf = np.empty((min(chunk, self.length), x.size))
+
+
 class RowPlan:
     """The recurrences behind sums of RowTerm rows, each run once.
 
     A factor (see add) reads RowTerms on one of the plan's point sets: its
-    row k is row degree(k + offset) of each term. One JacobiRecurrence runs
-    per distinct (parameters, start degree) of all factors' terms, over the
+    row k is row k + offset of each term. One JacobiRecurrence runs per
+    distinct (parameters, start degree) of all factors' terms, over the
     union of the point sets reading it (equal sets count once) and as far as
-    the longest factor reading it. advance(k0, k1) moves to a window of at
-    most `chunk` rows, which a recurrence fills when rows() first reads it.
+    the longest factor reading it. rows() reads the window, rows 0..chunk-1
+    until advance(k0, k1) moves it, which a recurrence fills when first read.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
-        self._alias = [next(j for j, q in enumerate(points)
-                            if q is p or q.shape == p.shape and np.array_equal(q, p))
-                       for p in points]
-        self._needs, self._runs = {}, {}
+        self._runs = {}
+        self._window = 0, chunk
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
-        """Register a factor on point set `where` read below row `length`."""
-        where = self._alias[where]
-        keys = [(term.params, term.degree(offset)) for term in terms]
-        for key in keys:
-            sets, n = self._needs.get(key, ((), 0))
-            self._needs[key] = sorted({*sets, where}), max(n, length)
-        return keys, where
-
-    def _run(self, params: JacobiParams, start: int, sets: list, length: int) -> tuple:
-        ends = accumulate(self.points[i].size for i in sets)
-        cols = {i: slice(end - self.points[i].size, end) for i, end in zip(sets, ends)}
-        x = np.cos(np.concatenate([self.points[i] for i in sets]))
-        return (JacobiRecurrence(params, x, degree=start),
-                np.empty((min(self.chunk, length), x.size)), length, cols)
+        """The factor of `terms` on point set `where`, read below row `length`."""
+        if where:  # a point set equal to an earlier one reads that one's columns
+            p = self.points[where]
+            where = next(j for j, q in enumerate(self.points)
+                         if q is p or q.shape == p.shape and np.array_equal(q, p))
+        runs = []
+        for term in terms:
+            key = term.params, offset - term.lag  # (parameters, start degree)
+            run = self._runs.get(key)
+            if run is None:
+                run = self._runs[key] = _Run(*key)
+            run.sets.add(where)
+            run.length = max(run.length, length)
+            runs.append(run)
+        return runs, where
 
     def advance(self, k0: int, k1: int) -> None:
-        # a recurrence that has made all its rows is no longer read
-        self._runs = {key: run for key, run in self._runs.items()
-                      if run[0].degree - key[1] < run[2]}
+        for run in self._runs.values():
+            if run.rec is not None and run.rec.degree - run.start >= run.length:
+                run.rec = run.buf = None  # it has made all its rows
         self._window = k0, k1
 
     def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
         """The first m rows of the current window, one array per term."""
-        (k0, k1), out = self._window, []
-        for key in factor[0]:
-            if key not in self._runs:
-                self._runs[key] = self._run(*key, *self._needs[key])
-            rec, buf, length, cols = self._runs[key]
-            if rec.degree - key[1] == k0:
-                rec.fill(buf[:min(k1, length) - k0])
-            out.append(buf[:m, cols[factor[1]]])
+        (k0, k1), (runs, where), out = self._window, factor, []
+        for run in runs:
+            if run.rec is None:
+                run.begin(self.points, self.chunk)
+            if run.rec.degree - run.start == k0:
+                run.rec.fill(run.buf[:min(k1, run.length) - k0])
+            out.append(run.buf[:m, run.cols[where]])
         return out
 
 
 def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int,
                  odd: bool) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ns = np.arange(nmax + 1)
-    plan = RowPlan((theta,), nmax + 1)
+    ns = np.arange(nmax + 1.0)
     orders = [theta_row_terms(params, theta, {d: 1.0}, odd) for d in range(dmax + 1)]
-    factors = [plan.add(terms, nmax + 1) for terms in orders]
-    plan.advance(0, nmax + 1)
+    # the rows every order reads: order d's last term is its top lag, d
+    lags = [terms[-1] for terms in orders]
+    plan = RowPlan((theta,), nmax + 1)
+    rows = plan.rows(plan.add(lags, nmax + 1), nmax + 1)
+    for term, raw in zip(lags, rows):
+        raw *= term.scale(ns)[:, None]  # in place: this plan is read only here
     out = np.zeros((dmax + 1, nmax + 1, theta.size))
     for d, terms in enumerate(orders):
-        for term, rows in zip(terms, plan.rows(factors[d], nmax + 1)):
-            out[d] += term.pi * (rows * term.scale(ns)[:, None])
+        for term in terms:
+            out[d] += term.pi * rows[term.lag]
     return out
 
 
@@ -405,11 +417,10 @@ class BasisElement:
 
 def _check_domain(kind: str, theta: np.ndarray):
     if kind in (TRIG_POLY, JACOBI_FN):
-        if np.any(theta <= 0.0) or np.any(theta >= np.pi):
+        if (theta <= 0.0).any() or (theta >= np.pi).any():
             raise ValueError("element is defined on (0,pi)")
-    else:
-        if np.any(np.abs(theta) >= np.pi):
-            raise ValueError("element is defined on (-pi,pi)")
+    elif (np.abs(theta) >= np.pi).any():
+        raise ValueError("element is defined on (-pi,pi)")
 
 
 def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
@@ -422,22 +433,17 @@ def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_domain(elem.kind, theta)
     p, n = elem.params, elem.index
-    if elem.kind == TRIG_POLY:
-        return trig_poly_table(p, n, theta, order)[order, n]
-    if elem.kind == SYM_POLY:
-        root2 = 1.0 / math.sqrt(2.0)
-        if n % 2 == 0:
-            return root2 * trig_poly_table(p, n // 2, theta, order)[order, n // 2]
-        k = (n - 1) // 2
-        return root2 * odd_factor_table(p, k, theta, order)[order, k]
-    if order != 0:
+    weighted = elem.kind in (JACOBI_FN, SYM_FN)
+    if weighted and order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
-    if elem.kind == JACOBI_FN:
-        return psi(p, theta) * eval_basis_dtheta(
-            BasisElement(p, n, TRIG_POLY), theta, 0)
-    # sym_fn: Theta_n = psi * Phi_n exactly, both parities; the sign(theta)
-    # carried by the odd-index definition is absorbed by sin(theta/2) > 0 <=> theta > 0
-    return psi(p, theta) * eval_basis_dtheta(BasisElement(p, n, SYM_POLY), theta, 0)
+    if elem.kind in (TRIG_POLY, JACOBI_FN):
+        out = trig_poly_table(p, n, theta, order)[order, n]
+    else:  # Phi_2k and Phi_2k+1 from the polynomials and the odd factors
+        table = trig_poly_table if n % 2 == 0 else odd_factor_table
+        out = (1.0 / math.sqrt(2.0)) * table(p, n // 2, theta, order)[order, n // 2]
+    # phi_n = psi P_n; Theta_n = psi Phi_n exactly, both parities (the odd index's
+    # sign(theta) is absorbed by sin(theta/2) > 0 <=> theta > 0)
+    return psi(p, theta) * out if weighted else out
 
 
 def eval_basis(elem: BasisElement, theta) -> np.ndarray:
@@ -518,26 +524,20 @@ def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None
         if op in ("DD", "DD_bar"):
             if (op == "DD") != (kind == SYM_POLY):
                 raise ValueError(f"{op} acts on the other symmetrized family")
-            if even:
-                k = n // 2
-                if k == 0:
-                    return 0.0, None
-                return -_ladder_root(p, k), BasisElement(p, n - 1, kind)
-            k = (n - 1) // 2
-            return +_ladder_root(p, k + 1), BasisElement(p, n + 1, kind)
-        if op == "delta":
-            if kind != SYM_POLY or not even:
-                raise ValueError("delta is ladder-closed on even-index sym_poly only")
+        elif op == "delta" and (kind != SYM_POLY or not even):
+            raise ValueError("delta is ladder-closed on even-index sym_poly only")
+        elif op == "delta_star" and (kind != SYM_POLY or even):
+            raise ValueError("delta* is ladder-closed on odd-index sym_poly only")
+        elif op not in ("delta", "delta_star"):
+            raise ValueError(f"operator {op!r} is not ladder-closed on {kind}")
+        if even:  # Phi_2k -> Phi_2k-1, the same step for delta and DD
             k = n // 2
             if k == 0:
                 return 0.0, None
             return -_ladder_root(p, k), BasisElement(p, n - 1, kind)
-        if op == "delta_star":
-            if kind != SYM_POLY or even:
-                raise ValueError("delta* is ladder-closed on odd-index sym_poly only")
-            k = (n - 1) // 2
-            return -_ladder_root(p, k + 1), BasisElement(p, n + 1, kind)
-        raise ValueError(f"operator {op!r} is not ladder-closed on {kind}")
+        # Phi_2k+1 -> Phi_2k+2: DD adds r_k+1, delta* subtracts it
+        root = _ladder_root(p, (n + 1) // 2)
+        return (-root if op == "delta_star" else root), BasisElement(p, n + 1, kind)
     if elem.kind == JACOBI_FN:
         if op == "D":
             if n == 0:

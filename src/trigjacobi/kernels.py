@@ -273,7 +273,7 @@ class _Stream:
         self._plan, self._sides = plan, _sides(handle, *plan.points)
         self._factors = [plan.add(terms, n, s, offset)
                          for s, (terms, offset) in enumerate(self._sides)]
-        self.keys = {key for keys, _ in self._factors for key in keys}
+        self.runs = {run for runs, _ in self._factors for run in runs}
         ks = np.arange(n)
         self._kappa = [[term.scale(ks + offset) for term in terms]
                        for terms, offset in self._sides]
@@ -344,9 +344,9 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
     streams = [_Stream(plan, handle, t, cfg, n_override) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
-        link = [p for p in passes if p[0] & s.keys]
-        passes = [p for p in passes if not p[0] & s.keys]
-        passes.append((s.keys.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
+        link = [p for p in passes if p[0] & s.runs]
+        passes = [p for p in passes if not p[0] & s.runs]
+        passes.append((s.runs.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
     prod = np.empty((_CHUNK, theta.size))
     for _, group in passes:
         n_max = max(s.n for s in group)

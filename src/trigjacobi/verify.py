@@ -538,8 +538,7 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
 # --- standard Calderon-Zygmund style estimates -----------------------------------
 
 def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
-                             profile: str = "quick",
-                             tgrid: TGrid | None = None) -> list[EstimateReport]:
+                             profile: str = "quick") -> list[EstimateReport]:
     """Growth and gradient (and, in the full profile, smoothness) of the swept
     kernel set: odd-component Riesz kernels of orders 1 and 2, a single-atom
     multiplier kernel, and the vector square-function kernels for (M, N) in
@@ -547,9 +546,9 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
 
     One pass evaluates every kernel on the sweep pairs (the gradient of
     order N reads chain N+1, the smoothness ratios reuse it at the unmoved
-    points); each moved point set takes one more. tgrid: spec.tgrid() if None.
+    points); each moved point set takes one more.
     """
-    tg, cfg = tgrid or spec.tgrid(), spec.truncation()
+    tg, cfg = spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
     mb = _ball_measures(params, theta, d)
     odd = poisson_kernel(params, "odd")
@@ -657,11 +656,11 @@ def lemma_claim_id(inst: tuple) -> str:
 
 
 def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
-                          profile: str = "quick", instances: tuple = None,
-                          tgrid: TGrid | None = None) -> list[EstimateReport]:
+                          profile: str = "quick",
+                          instances: tuple = None) -> list[EstimateReport]:
     """Weighted norms of shifted-kernel partial derivatives against the
     inverse ball measure, optionally with a distance gain. One pass evaluates
-    the distinct partial derivatives on the sweep; tgrid: spec.tgrid() if None."""
+    the distinct partial derivatives on the sweep."""
     if instances is None:
         if profile == "full":
             instances = LEMMA_INSTANCES
@@ -670,7 +669,7 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
             for inst in LEMMA_INSTANCES:
                 first.setdefault(inst[0], inst)
             instances = tuple(first.values())
-    tg, cfg = tgrid or spec.tgrid(), spec.truncation()
+    tg, cfg = spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
     mb = _ball_measures(params, theta, d)
     keys = list(dict.fromkeys(inst[2:5] for inst in instances))
@@ -802,8 +801,8 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         clock[name] = time.perf_counter() - t0
         return res
 
-    # built first, so a time range the grid rejects fails before any work
-    tgrid = spec.tgrid() if suite in ("standard-estimates", "lemma-ratios", "all") else None
+    if suite in ("standard-estimates", "lemma-ratios", "all"):
+        spec.tgrid()  # a time range the grid rejects fails before any work
     reports = []
     if suite in ("identities", "all"):
         reports += timed("identities", lambda: check_identities(params, profile))
@@ -815,14 +814,12 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
                              xis=(1.0,) if profile == "quick" else (0.5, 1.0, 2.0)))
     if suite in ("standard-estimates", "all"):
         reports += timed("standard-estimates",
-                         lambda: check_standard_estimates(params, spec, profile,
-                                                          tgrid))
+                         lambda: check_standard_estimates(params, spec, profile))
     if suite in ("domination", "all"):
         reports += timed("domination", lambda: check_domination(params, spec))
     if suite in ("lemma-ratios", "all"):
         reports += timed("lemma-ratios",
-                         lambda: check_lemma_instances(params, spec, profile,
-                                                       tgrid=tgrid))
+                         lambda: check_lemma_instances(params, spec, profile))
     if suite in ("lp-sweep", "all"):
         reports += timed("lp-sweep", lambda: empirical_lp_sweep(
             params, 2.0, weights=((0.0, 0.0), (1.0, 1.0)), seed=seed))
