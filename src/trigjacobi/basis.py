@@ -208,9 +208,7 @@ def _poly_order_terms(s, c, order: int) -> dict:
         return {0: 1.0}
     if order == 1:
         return {1: -s}
-    if order == 2:
-        return {1: -c, 2: s * s}
-    return {1: s, 2: 3.0 * s * c, 3: -s ** 3}
+    return {1: -c, 2: s * s}
 
 
 def _order_terms(s, c, order: int, odd: bool) -> dict:
@@ -218,7 +216,7 @@ def _order_terms(s, c, order: int, odd: bool) -> dict:
     if not odd:
         return _poly_order_terms(s, c, order)
     # s_n = (1/2) sin(theta) * (shifted polynomial): Leibniz rule
-    sin_derivs = (s, c, -s, -c)
+    sin_derivs = (s, c, -s)
     out = {}
     for i in range(order + 1):
         w = 0.5 * math.comb(order, i) * sin_derivs[i]
@@ -262,10 +260,10 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
     d^j/dx^j moves P_n to P_{n-j} with parameters shifted by j, so one term
     per j covers every order and weight: its pi collects the weighted
     trigonometric factors. Weights are scalars or arrays over theta; orders
-    up to 3.
+    up to 2.
     """
-    if max(weights, default=0) > 3:
-        raise ValueError("theta derivatives implemented up to order 3")
+    if max(weights, default=0) > 2:
+        raise ValueError("theta derivatives implemented up to order 2")
     theta = np.asarray(theta, dtype=float)
     s, c = np.sin(theta), np.cos(theta)
     pis = {}
@@ -365,7 +363,7 @@ def trig_poly_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np
     """Theta-derivative table of the trigonometric polynomials.
 
     Returns T with shape (dmax+1, nmax+1, npts): T[d, n] is the d-th theta
-    derivative of c_n P_n(cos theta). Supports dmax <= 3.
+    derivative of c_n P_n(cos theta). Supports dmax <= 2.
     """
     return _theta_table(params, nmax, theta, dmax, False)
 
@@ -374,7 +372,7 @@ def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> n
     """Theta-derivative table of s_n = (1/2) sin(theta) * c_n' P_n^{a+1,b+1}(cos theta).
 
     s_n = sqrt(2) * Phi_{2n+1} restricted to its natural formula; odd about 0.
-    Shape (dmax+1, nmax+1, npts), dmax <= 3.
+    Shape (dmax+1, nmax+1, npts), dmax <= 2.
     """
     return _theta_table(params, nmax, theta, dmax, True)
 

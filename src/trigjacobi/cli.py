@@ -28,8 +28,7 @@ from .kernels import (DiscreteMeasure, TruncationConfig, TruncationError,
 from .operators import (OPERATOR_KINDS, OperatorSpec, apply_operator,
                         apply_restricted, grid_function, nonsym_apply)
 from .quadrature import TGrid, gauss_jacobi_grid
-from .verify import (FULL_SWEEP, QUICK_SWEEP, SUITES, check_weight_classes,
-                     empirical_lp_sweep, report_json, run_suite, suite_report)
+from .verify import FULL_SWEEP, QUICK_SWEEP, SUITES, report_json, run_suite
 
 # setting name -> (quadrature tag, kind of the bundled basis element)
 SETTING_MAP = {
@@ -97,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                      version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
+    # each command takes only the flags it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=0.0,
                         help="first type parameter (default 0)")
@@ -105,18 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=None,
                         help="point count / quadrature order / certification "
                              "grid size, depending on the command")
-    common.add_argument("--t-min", type=float, default=None, dest="t_min",
-                        help="lower end of the time grid")
-    common.add_argument("--t-max", type=float, default=None, dest="t_max",
-                        help="upper end of the time grid")
-    common.add_argument("--eps-tail", type=float, default=1e-10,
-                        dest="eps_tail", help="series tail target")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized probes")
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")
-    common.add_argument("--profile", choices=("quick", "full"),
-                        default="quick", help="preset grid sizes")
+    times = argparse.ArgumentParser(add_help=False)
+    times.add_argument("--t-min", type=float, default=None, dest="t_min",
+                       help="lower end of the time grid")
+    times.add_argument("--t-max", type=float, default=None, dest="t_max",
+                       help="upper end of the time grid")
 
     ev = sub.add_parser("eval", help="write CSV tables of computed values")
     targets = ev.add_subparsers(dest="target", required=True)
@@ -135,8 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated first arguments (default: a grid)")
     k.add_argument("--phi", default=None,
                    help="comma-separated second arguments")
+    k.add_argument("--eps-tail", type=float, default=1e-10,
+                   dest="eps_tail", help="series tail target")
 
-    o = targets.add_parser("operator", parents=[common],
+    o = targets.add_parser("operator", parents=[common, times],
                            help="apply an operator to a bundled basis element")
     o.add_argument("--kind", choices=OPERATOR_KINDS, required=True)
     o.add_argument("--setting", choices=tuple(SETTING_MAP), default="poly-sym")
@@ -150,9 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--atom-w", default=None, dest="atom_w",
                    help="matching atom weights (default: all ones)")
 
-    v = sub.add_parser("verify", parents=[common],
+    v = sub.add_parser("verify", parents=[common, times],
                        help="run a check suite and write its JSON report")
     v.add_argument("suite", choices=SUITES)
+    v.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized probes")
+    v.add_argument("--profile", choices=("quick", "full"),
+                   default="quick", help="preset grid sizes")
     v.add_argument("--p", type=float, default=None,
                    help="exponent for the lp-sweep suite")
     v.add_argument("--weight-r", type=float, default=None, dest="weight_r",
@@ -166,25 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "verify":
-        return RunConfig(
-            command="verify", suite=args.suite, alpha=args.alpha,
-            beta=args.beta, p=args.p, weight_r=args.weight_r,
-            weight_s=args.weight_s, t_min=args.t_min, t_max=args.t_max,
-            eps_tail=args.eps_tail, grid=args.grid, seed=args.seed,
-            out=args.out, profile=args.profile, timings=args.timings)
-    base = dict(command=f"eval {args.target}", alpha=args.alpha,
-                beta=args.beta, kind=args.kind, t_min=args.t_min,
-                t_max=args.t_max, eps_tail=args.eps_tail, grid=args.grid,
-                seed=args.seed, out=args.out, profile=args.profile)
-    if args.target == "basis":
-        return RunConfig(n=args.n, **base)
-    if args.target == "kernel":
-        return RunConfig(t=args.t, theta=_float_list(args.theta),
-                         phi=_float_list(args.phi), **base)
-    return RunConfig(n=args.n, t=args.t, N=args.N, M=args.M,
-                     setting=args.setting, atom_t=_float_list(args.atom_t),
-                     atom_w=_float_list(args.atom_w), **base)
+    """The flags the command took; RunConfig's defaults fill in the rest."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if hasattr(args, f.name)}
+    for key in ("theta", "phi", "atom_t", "atom_w"):
+        if key in given:
+            given[key] = _float_list(given[key])
+    given["command"] = "verify" if args.command == "verify" else f"eval {args.target}"
+    return RunConfig(**given)
 
 
 def _format_cell(value) -> str:
@@ -301,17 +291,12 @@ def _run_verify(cfg: RunConfig) -> tuple[str, int]:
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     ngrid = cfg.grid if cfg.grid else 1024
-
-    custom_lp = any(v is not None for v in (cfg.p, cfg.weight_r, cfg.weight_s))
-    if cfg.suite == "lp-sweep" and custom_lp:
-        weights = ((cfg.weight_r or 0.0, cfg.weight_s or 0.0),)
-        reports = empirical_lp_sweep(params, cfg.p or 2.0, weights=weights,
-                                     seed=cfg.seed)
-        reports += check_weight_classes(params, seed=cfg.seed)
-        doc = suite_report(cfg.suite, params, cfg.profile, reports)
-    else:
-        doc = run_suite(cfg.suite, params, cfg.profile, spec=spec,
-                        ngrid=ngrid, seed=cfg.seed, timings=cfg.timings)
+    lp = {}
+    if any(v is not None for v in (cfg.p, cfg.weight_r, cfg.weight_s)):
+        lp = dict(p=2.0 if cfg.p is None else cfg.p,
+                  weights=((cfg.weight_r or 0.0, cfg.weight_s or 0.0),))
+    doc = run_suite(cfg.suite, params, cfg.profile, spec=spec, ngrid=ngrid,
+                    seed=cfg.seed, timings=cfg.timings, **lp)
     doc["config"] = cfg.to_dict()
     return report_json(doc), 0 if doc["passed"] else 1
 

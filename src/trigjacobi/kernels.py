@@ -37,7 +37,7 @@ class TruncationError(ValueError):
 @dataclass(frozen=True)
 class TruncationConfig:
     eps_tail: float = 1e-10
-    n_cap: int = 32768
+    n_cap: int = 65536
     t_floor: float = 5e-3
 
     def series_length(self, params: JacobiParams, t: float, orders: int) -> int:

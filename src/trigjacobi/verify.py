@@ -77,42 +77,44 @@ SUITES = ("identities", "sharp-constants", "standard-estimates", "domination",
           "lemma-ratios", "lp-sweep", "all")
 
 
+# the largest band distance, the finest band kept, and how many times more
+# pairs per band the refined sweep takes
+_D_MAX = math.pi / 2.0
+_GUARD = 1.5e-2
+_REFINE = 2
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Geometry of a kernel-estimate sweep.
 
-    Distances run over `levels` dyadic bands below d_max; each band carries
+    Distances run over `levels` dyadic bands below pi/2; each band carries
     2 * n_theta pairs with log-spaced first coordinates accumulating at both
-    interval endpoints. Bands finer than `guard` are skipped: there the
+    interval endpoints. Bands finer than 1.5e-2 are skipped: there the
     truncated time integral no longer resolves the near-diagonal kernel.
     """
 
     n_theta: int = 12
     levels: int = 6
-    d_max: float = math.pi / 2.0
-    guard: float = 1.5e-2
-    refine_factor: int = 2
     t_min: float = 5e-3
     t_max: float = 40.0
-    points_per_decade: int = 32
-    n_cap: int = 32768
 
     def tgrid(self) -> TGrid:
-        return TGrid(self.t_min, self.t_max, self.points_per_decade)
+        return TGrid(self.t_min, self.t_max)
 
     def truncation(self) -> TruncationConfig:
-        return TruncationConfig(n_cap=self.n_cap, t_floor=self.t_min)
+        return TruncationConfig(t_floor=self.t_min)
 
     def refined(self) -> "SweepSpec":
-        return replace(self, n_theta=self.n_theta * self.refine_factor)
+        return replace(self, n_theta=self.n_theta * _REFINE)
 
     def bands(self):
         """Yields (distance, theta, phi) per usable dyadic band."""
         for j in range(self.levels):
-            d = self.d_max * 2.0 ** (-j)
-            if d < self.guard:
+            d = _D_MAX * 2.0 ** (-j)
+            if d < _GUARD:
                 continue
-            lo = min(self.guard, 0.2 * (math.pi - d))
+            lo = min(_GUARD, 0.2 * (math.pi - d))
             mid = 0.5 * (math.pi - d)
             left = np.geomspace(lo, mid, self.n_theta)
             theta = np.concatenate([left, (math.pi - d) - left])
@@ -225,16 +227,16 @@ def _sharp_c(theta, phi):
             / ((theta + phi) * (2.0 * math.pi - theta - phi)))
 
 
-def check_sharp_constants(ngrid: int = 1024, rel_tol: float = 1e-9) -> list[EstimateReport]:
+def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
     """The three sharp constants 1/(4 pi), 1/16, 1/pi.
 
     Each is certified two-sided: the ratio never exceeds the constant on a
-    dense grid, and an explicit maximizing sequence approaches it to rel_tol.
-    The middle constant is attained identically on the diagonal.
+    dense grid, and an explicit maximizing sequence approaches it to 1e-9
+    relative. The middle constant is attained identically on the diagonal.
     """
     x = np.linspace(0.0, math.pi, ngrid + 2)[1:-1]
     T, P = np.meshgrid(x, x, indexing="ij")
-    eps = 1e-11
+    eps, rel_tol = 1e-11, 1e-9
     out = []
 
     targets = [
@@ -291,8 +293,8 @@ _GRID_FOR_KIND = {TRIG_POLY: "mu_plus", JACOBI_FN: "theta_plus",
                   SYM_POLY: "mu_full", SYM_FN: "theta_full"}
 
 
-def check_orthonormality(params: JacobiParams, nmax: int = 20,
-                         tol: float = 1e-8) -> list[EstimateReport]:
+def check_orthonormality(params: JacobiParams, nmax: int = 20) -> list[EstimateReport]:
+    tol = 1e-8
     out = []
     for kind in (TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN):
         grid = gauss_jacobi_grid(params, 2 * nmax + 8, _GRID_FOR_KIND[kind])
@@ -305,8 +307,8 @@ def check_orthonormality(params: JacobiParams, nmax: int = 20,
     return out
 
 
-def check_eigen_residuals(params: JacobiParams, nmax: int = 12,
-                          tol: float = 1e-6) -> EstimateReport:
+def check_eigen_residuals(params: JacobiParams) -> EstimateReport:
+    nmax, tol = 12, 1e-6
     theta = np.linspace(-math.pi + 0.05, math.pi - 0.05, 121)
     theta = theta[np.abs(theta) > 1e-3]
     worst = 0.0
@@ -320,14 +322,13 @@ def check_eigen_residuals(params: JacobiParams, nmax: int = 12,
                           details={"nmax": nmax})
 
 
-def check_conjugation(params: JacobiParams, nmax: int = 10,
-                      tol: float = 1e-6) -> EstimateReport:
+def check_conjugation(params: JacobiParams) -> EstimateReport:
     """First-order structure on the function side: with b = psi'/psi,
     (d - b) Theta_{2k} and (-d - b) Theta_{2k+1} reproduce the ladder of the
     polynomial side. Derivatives are taken by central differences, so the
     check does not reuse the ladder code it certifies."""
     theta = np.linspace(0.15, math.pi - 0.15, 41)
-    h = 1e-6
+    nmax, tol, h = 10, 1e-6, 1e-6
     worst = 0.0
     for n in range(1, nmax + 1):
         elem = BasisElement(params, n, SYM_FN)
@@ -358,9 +359,10 @@ def check_conjugation(params: JacobiParams, nmax: int = 10,
                           details={"nmax": nmax, "fd_step": h})
 
 
-def check_semigroup_law(params: JacobiParams, tol: float = 1e-6) -> EstimateReport:
+def check_semigroup_law(params: JacobiParams) -> EstimateReport:
     """Composition through mu+ quadrature; the doubled half-line kernels are
     the actual semigroup there."""
+    tol = 1e-6
     grid = gauss_jacobi_grid(params, 64, "mu_plus")
     t1, t2 = 0.35, 0.6
     worst = 0.0
@@ -377,7 +379,7 @@ def check_semigroup_law(params: JacobiParams, tol: float = 1e-6) -> EstimateRepo
                           details={"t1": t1, "t2": t2})
 
 
-def check_shift_identity(params: JacobiParams, tol: float = 1e-8) -> EstimateReport:
+def check_shift_identity(params: JacobiParams) -> EstimateReport:
     """Odd component against (1/4) sin(theta) sin(phi) times the shifted even
     kernel. The shifted kernel is summed here from scipy's Jacobi polynomials
     at (alpha+1, beta+1), their closed-form L2(dmu+) norms and the speeds
@@ -402,13 +404,14 @@ def check_shift_identity(params: JacobiParams, tol: float = 1e-8) -> EstimateRep
                      for t, n in zip(ts, lengths)], axis=-1)
     want = 0.25 * (np.sin(theta) * np.sin(phi))[:, None] * even
     err = float(np.max(np.abs(odd - want) / np.maximum(np.abs(want), 1e-30)))
-    return EstimateReport(claim="odd-kernel-shift-identity", passed=err <= tol,
-                          constant=err, tolerance=tol, details={})
+    return EstimateReport(claim="odd-kernel-shift-identity", passed=err <= 1e-8,
+                          constant=err, tolerance=1e-8, details={})
 
 
-def check_chain_routes(params: JacobiParams, nmax_order: int = 4,
-                       tol: float = 1e-6) -> EstimateReport:
-    """Ladder-route chain kernels against the direct time-derivative assembly."""
+def check_chain_routes(params: JacobiParams) -> EstimateReport:
+    """Ladder-route chain kernels of orders 1 to 4 against the direct
+    time-derivative assembly."""
+    nmax_order, tol = 4, 1e-6
     theta = np.array([0.5, 1.1, 2.3])
     phi = np.array([0.9, 2.0, 2.8])
     ts = np.array([0.2, 0.9])
@@ -701,12 +704,11 @@ def _restricted_matrix(params: JacobiParams, grid, N: int, nmax: int,
 
 
 def empirical_lp_sweep(params: JacobiParams, p: float,
-                       weights: tuple = ((0.0, 0.0),), N: int = 1,
-                       component: str = "even", orders: tuple = (32, 64),
-                       nmax: int = 16, n_funcs: int = 200,
-                       seed: int = 0) -> list[EstimateReport]:
-    """Operator norm estimates for the interlaced Riesz transform on weighted
-    L^p over ((0,pi), mu+), at two grid resolutions.
+                       weights: tuple = ((0.0, 0.0),), orders: tuple = (32, 64),
+                       n_funcs: int = 200, seed: int = 0) -> list[EstimateReport]:
+    """Operator norm estimates for the first-order interlaced Riesz transform,
+    on the even elements up to index 16, on weighted L^p over ((0,pi), mu+),
+    at two grid resolutions.
 
     Inside the power-weight admissibility window the estimates stabilize
     under refinement; outside they keep growing as the nodes approach the
@@ -721,7 +723,7 @@ def empirical_lp_sweep(params: JacobiParams, p: float,
         norms = []
         for order in orders:
             grid = gauss_jacobi_grid(params, order, "mu_plus")
-            T = _restricted_matrix(params, grid, N, nmax, component)
+            T = _restricted_matrix(params, grid, 1, 16, "even")
             wv = w(grid.nodes) * grid.weights
             if p == 2.0:
                 S = np.sqrt(wv)
@@ -739,7 +741,7 @@ def empirical_lp_sweep(params: JacobiParams, p: float,
             norms.append(est)
         growth = norms[-1] / norms[0]
         out.append(EstimateReport(
-            claim=f"lp-norm/riesz-N{N}-{component}/p{p:g}/r{r:g}-s{s:g}",
+            claim=f"lp-norm/riesz-N1-even/p{p:g}/r{r:g}-s{s:g}",
             passed=bool(np.isfinite(norms).all()),
             constant=norms[-1], drift=growth,
             details={"admissible": admissible, "estimates": norms,
@@ -785,7 +787,10 @@ def check_weight_classes(params: JacobiParams, n_samples: int = 10000,
 
 def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
               spec: SweepSpec | None = None, ngrid: int = 1024,
-              seed: int = 0, timings: bool = False) -> dict:
+              seed: int = 0, timings: bool = False, p: float = 2.0,
+              weights: tuple = ((0.0, 0.0), (1.0, 1.0))) -> dict:
+    """The report of one suite; `p` and `weights` are the lp-sweep's
+    exponent and power weights (r, s)."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     if profile not in ("quick", "full"):
@@ -822,7 +827,7 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
                          lambda: check_lemma_instances(params, spec, profile))
     if suite in ("lp-sweep", "all"):
         reports += timed("lp-sweep", lambda: empirical_lp_sweep(
-            params, 2.0, weights=((0.0, 0.0), (1.0, 1.0)), seed=seed))
+            params, p, weights=weights, seed=seed))
         reports += timed("weight-classes",
                          lambda: check_weight_classes(params, seed=seed))
     return suite_report(suite, params, profile, reports,

@@ -308,6 +308,11 @@ class TestDerivativeTables:
         assert_allclose(S[1, n, 1], fd1, rtol=1e-8)
         assert_allclose(S[2, n, 1], fd2, rtol=1e-4)
 
+    @pytest.mark.parametrize("table", [trig_poly_table, odd_factor_table])
+    def test_orders_above_two_rejected(self, table):
+        with pytest.raises(ValueError):
+            table(params_of(0.0, 0.0), 4, np.array([0.9]), dmax=3)
+
 
 class TestLadder:
     """delta P_n = -sqrt(lam_n - lam_0) s_{n-1}, checked against mpmath.diff."""

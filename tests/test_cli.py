@@ -156,6 +156,27 @@ class TestVerifyCommand:
         assert rc == 0
         doc = json.loads(out)
         assert doc["config"]["weight_r"] == 1.0
+        # byte for byte the report of the suite's two checks at that weight
+        params = JacobiParams(0.0, 0.0)
+        want = verify.suite_report(
+            "lp-sweep", params, "quick",
+            verify.empirical_lp_sweep(params, 2.0, weights=((1.0, 0.0),))
+            + verify.check_weight_classes(params))
+        want["config"] = doc["config"]
+        assert out == verify.report_json(want)
+
+    def test_custom_weight_flags_keep_timings(self, capsys):
+        rc, out = run_cli(["verify", "lp-sweep", "--p", "2", "--timings"], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert set(doc["timings"]) == {"lp-sweep", "weight-classes"}
+        assert doc["checks"][0]["claim"] == "lp-norm/riesz-N1-even/p2/r0-s0"
+
+    @pytest.mark.parametrize("p", ["0", "0.5"])
+    def test_exponent_below_one_exit_2(self, p, capsys):
+        # the exponent the header records is the one the sweep runs
+        rc, _ = run_cli(["verify", "lp-sweep", "--p", p], capsys)
+        assert rc == 2
 
     def test_timings_flag(self, capsys):
         rc, out = run_cli(["verify", "sharp-constants", "--grid", "128",
@@ -202,6 +223,23 @@ class TestVerifyCommand:
 
 
 class TestParser:
+    # flags a command does not read are usage errors, not silent no-ops
+    @pytest.mark.parametrize("command,flag", [
+        *[(("eval", "basis"), f) for f in
+          ("--t-min", "--t-max", "--eps-tail", "--seed", "--profile")],
+        *[(("eval", "kernel", "--t", "0.5"), f) for f in
+          ("--t-min", "--t-max", "--seed", "--profile")],
+        *[(("eval", "operator", "--kind", "semigroup", "--t", "0.5"), f) for f in
+          ("--eps-tail", "--seed", "--profile")],
+        (("verify", "lp-sweep"), "--eps-tail"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))
+    def test_unread_flag_exit_2(self, command, flag, capsys):
+        value = "quick" if flag == "--profile" else "1"
+        with pytest.raises(SystemExit) as err:
+            cli.main([*command, flag, value])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["eval"])

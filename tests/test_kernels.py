@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from trigjacobi import verify
 from trigjacobi.basis import BasisElement, JacobiParams, SYM_POLY, eval_basis, psi
 from trigjacobi.kernels import (
     DEFAULT_TRUNCATION,
@@ -255,12 +256,30 @@ class TestTruncation:
             cfg.series_length(p, 0.01, 0)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
-    def test_defaults_reach_their_own_floor(self, a, b):
-        # the default cap covers every series the default floor allows
+    def test_defaults_reach_their_own_floor(self, a, b, monkeypatch):
+        # the default cap covers every series the default floor allows: the
+        # plain orders 0-4, and every kernel the sweep checks build, among
+        # them the lemma ratios' partial derivatives at shifted parameters
         cfg = TruncationConfig()
         p = JacobiParams(a, b)
         for orders in range(5):
             assert cfg.series_length(p, cfg.t_floor, orders) <= cfg.n_cap
+
+        handles = []
+
+        def record(jobs, theta, phi, cfg=None):
+            handles.extend(h for h, _ in jobs)
+            return [np.zeros((np.size(theta), np.size(ts))) for _, ts in jobs]
+
+        monkeypatch.setattr(verify, "eval_kernels", record)
+        # the kernels a check builds do not depend on the pairs it sweeps
+        spec = verify.SweepSpec(n_theta=1, levels=1)
+        assert spec.truncation() == cfg
+        verify.check_standard_estimates(p, spec, "full")
+        verify.check_lemma_instances(p, spec, instances=verify.LEMMA_INSTANCES)
+        assert {h.family[0] for h in handles} == {"poisson", "ladder", "direct", "partial"}
+        for h in handles:
+            assert cfg.series_length(h.table_params, cfg.t_floor, h.orders) <= cfg.n_cap
 
     def test_tail_bound_is_honest(self):
         # doubling the computed length must not change the kernel beyond eps
