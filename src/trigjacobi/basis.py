@@ -424,7 +424,7 @@ def _check_domain(kind: str, theta: np.ndarray):
 def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
     """Pointwise values (order=0) or theta-derivatives of a basis element.
 
-    Polynomial kinds support order <= 3; the psi-weighted kinds support
+    Polynomial kinds support order <= 2; the psi-weighted kinds support
     order = 0 only (their derivatives are reached through the conjugation
     identities rather than pointwise formulas).
     """
@@ -494,12 +494,58 @@ def coeff_b(params: JacobiParams, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact ladder action on basis elements
+# exact ladder action on index arrays of one family, and on single elements
 # ---------------------------------------------------------------------------
 
-def _ladder_root(params: JacobiParams, n: int) -> float:
-    # sqrt(lambda_n - lambda_0) = sqrt(n (n + alpha + beta + 1))
-    return math.sqrt(n * (n + params.alpha + params.beta + 1.0))
+def _ladder_root(params: JacobiParams, n) -> np.ndarray:
+    # sqrt(lambda_n - lambda_0) = sqrt(n (n + alpha + beta + 1)), elementwise
+    n = np.asarray(n, dtype=float)
+    return np.sqrt(n * (n + params.alpha + params.beta + 1.0))
+
+
+def _vanish(coef: np.ndarray, params: JacobiParams, n: np.ndarray) -> tuple:
+    # live factors are nonzero: a vanished image gets factor +0 and index 0
+    dead = coef == 0.0
+    return np.where(dead, 0.0, coef), params, np.where(dead, 0, n)
+
+
+def _ladder(op: str, params: JacobiParams, kind: str, n: np.ndarray) -> tuple:
+    """ladder_step on the indices n of one family: (factors, image params,
+    image indices)."""
+    if kind in (SYM_POLY, SYM_FN):
+        odd = n % 2 == 1
+        if op in ("DD", "DD_bar"):
+            if (op == "DD") != (kind == SYM_POLY):
+                raise ValueError(f"{op} acts on the other symmetrized family")
+        elif op == "delta" and (kind != SYM_POLY or odd.any()):
+            raise ValueError("delta is ladder-closed on even-index sym_poly only")
+        elif op == "delta_star" and (kind != SYM_POLY or not odd.all()):
+            raise ValueError("delta* is ladder-closed on odd-index sym_poly only")
+        elif op not in ("delta", "delta_star"):
+            raise ValueError(f"operator {op!r} is not ladder-closed on {kind}")
+        # Phi_2k -> -r_k Phi_2k-1 (delta and DD); Phi_2k+1 -> r_k+1 Phi_2k+2
+        # (DD; delta* negates it)
+        r = _ladder_root(params, half_index(n))
+        c = np.where(odd, -r if op == "delta_star" else r, -r)
+        return _vanish(c, params, np.where(odd, n + 1, n - 1))
+    if kind == JACOBI_FN and op == "D":
+        # D phi_n^{a,b} = -r_n phi_{n-1}^{a+1,b+1}
+        return _vanish(-_ladder_root(params, n), params.shifted(1), n - 1)
+    if kind == JACOBI_FN and op == "D_star":
+        # inverse of the shift: D*_{a,b} phi_n^{a+1,b+1} = -r_{n+1} phi_{n+1}^{a,b}
+        if params.alpha <= 0 or params.beta <= 0:
+            raise ValueError("D_star ladder needs parameters that are already shifted")
+        base = JacobiParams(params.alpha - 1.0, params.beta - 1.0)
+        return _vanish(-_ladder_root(base, n + 1), base, n + 1)
+    if kind == JACOBI_FN:
+        raise ValueError(f"operator {op!r} is not ladder-closed on jacobi_fn")
+    raise ValueError(f"no ladder action on kind {kind!r}")
+
+
+def _one(images: tuple, kind: str, vanished=None) -> tuple:
+    # an array form on one index: (factor, image), (0.0, vanished) if it vanishes
+    (c,), params, (n,) = images
+    return (0.0, vanished) if c == 0.0 else (float(c), BasisElement(params, int(n), kind))
 
 
 def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None]:
@@ -515,50 +561,53 @@ def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None
     Returns (coefficient, element); (0.0, None) when the image vanishes.
     Raises ValueError when the action is not ladder-closed.
     """
-    p, n = elem.params, elem.index
-    if elem.kind == SYM_POLY or elem.kind == SYM_FN:
-        kind = elem.kind
-        even = n % 2 == 0
-        if op in ("DD", "DD_bar"):
-            if (op == "DD") != (kind == SYM_POLY):
-                raise ValueError(f"{op} acts on the other symmetrized family")
-        elif op == "delta" and (kind != SYM_POLY or not even):
-            raise ValueError("delta is ladder-closed on even-index sym_poly only")
-        elif op == "delta_star" and (kind != SYM_POLY or even):
-            raise ValueError("delta* is ladder-closed on odd-index sym_poly only")
-        elif op not in ("delta", "delta_star"):
-            raise ValueError(f"operator {op!r} is not ladder-closed on {kind}")
-        if even:  # Phi_2k -> Phi_2k-1, the same step for delta and DD
-            k = n // 2
-            if k == 0:
-                return 0.0, None
-            return -_ladder_root(p, k), BasisElement(p, n - 1, kind)
-        # Phi_2k+1 -> Phi_2k+2: DD adds r_k+1, delta* subtracts it
-        root = _ladder_root(p, (n + 1) // 2)
-        return (-root if op == "delta_star" else root), BasisElement(p, n + 1, kind)
-    if elem.kind == JACOBI_FN:
-        if op == "D":
-            if n == 0:
-                return 0.0, None
-            return -_ladder_root(p, n), BasisElement(p.shifted(1), n - 1, JACOBI_FN)
-        if op == "D_star":
-            # inverse of the shift: D*_{a,b} phi_{n}^{a+1,b+1} = -r_{n+1} phi_{n+1}^{a,b}
-            if p.alpha <= 0 or p.beta <= 0:
-                raise ValueError("D_star ladder needs parameters that are already shifted")
-            base = JacobiParams(p.alpha - 1.0, p.beta - 1.0)
-            return -_ladder_root(base, n + 1), BasisElement(base, n + 1, JACOBI_FN)
-        raise ValueError(f"operator {op!r} is not ladder-closed on jacobi_fn")
-    raise ValueError(f"no ladder action on kind {elem.kind!r}")
+    return _one(_ladder(op, elem.params, elem.kind, np.array([elem.index])), elem.kind)
+
+
+def ladder_images(N: int, params: JacobiParams, kind: str, n,
+                  interlaced: bool = False) -> tuple:
+    """The order-N chain on the indices n of one family, in closed form:
+    (factors, image params, image indices), with factor 0 and image index 0
+    where the image vanishes.
+
+    Plain chains iterate the ladder: DD^N on sym_poly, DD_bar^N on sym_fn,
+    the parameter-shifting D^N on jacobi_fn. Interlaced chains on sym_poly
+    are delta_N^even on the even indices and delta_N^odd on the odd ones;
+    they alternate between 2k <-> 2k-1 or 2k+1 <-> 2k+2, each step with the
+    same factor: delta_N^even Phi_{2k} = (-r_k)^N Phi_{2k - (N mod 2)},
+    delta_N^odd Phi_{2k+1} = (-r_{k+1})^N Phi_{2k+1 + (N mod 2)}. On jacobi_fn
+    the interlaced chain D_N^even = ...D D* D alternates D (shifting the
+    parameters up) and D* (shifting back): D_N^even phi_n =
+    (-r_n)^N phi_{n - (N mod 2)}^{(shifted iff N odd)}. The plain and the
+    interlaced chains differ by a parity-dependent sign:
+    DD^N = (-1)^floor(N/2) delta_N^even on even elements and
+    DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones. The signs fall out of the
+    ladder automatically; this helper never absorbs them.
+    """
+    n = np.asarray(n)
+    if interlaced and kind != JACOBI_FN:
+        if kind != SYM_POLY:
+            raise ValueError("interlaced chains act on sym_poly elements")
+        # Python float powers: a vectorized power may round differently
+        coef = np.array([(-r) ** N for r in _ladder_root(params, half_index(n)).tolist()])
+        return _vanish(coef, params, np.where(n % 2 == 1, n + N % 2, n - N % 2))
+    ops = ([("D", "D_star")[i % 2] for i in range(N)] if interlaced
+           else [{SYM_POLY: "DD", JACOBI_FN: "D"}.get(kind, "DD_bar")] * N)
+    coef = np.ones(n.shape)
+    for op in ops:  # the factors multiply in step order
+        c, params, n = _ladder(op, params, kind, n)
+        coef *= c
+    return _vanish(coef, params, n)
+
+
+def d_power_on_element(N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
+    """The plain ladder_images chain on one element; (0.0, None) if it vanishes."""
+    return _one(ladder_images(N, elem.params, elem.kind, [elem.index]), elem.kind)
 
 
 def interlaced_on_element(variant: str, N: int, elem: BasisElement) -> tuple[float, BasisElement]:
-    """delta_N^even or delta_N^odd applied exactly to a symmetrized element.
-
-    Closed form: the chain alternates between indices 2k <-> 2k-1 (even
-    variant) or 2k+1 <-> 2k+2 (odd variant), each step contributing the same
-    factor, so delta_N^even Phi_{2k} = (-r_k)^N Phi_{2k - (N mod 2)} and
-    delta_N^odd Phi_{2k+1} = (-r_{k+1})^N Phi_{2k+1 + (N mod 2)}.
-    """
+    """delta_N^even or delta_N^odd applied exactly to a symmetrized element
+    (see ladder_images); a vanishing image returns (0.0, elem)."""
     if variant not in ("even", "odd"):
         raise ValueError("variant must be 'even' or 'odd'")
     if N < 0:
@@ -567,61 +616,17 @@ def interlaced_on_element(variant: str, N: int, elem: BasisElement) -> tuple[flo
         raise ValueError("interlaced chains act on sym_poly elements")
     if N == 0:
         return 1.0, elem
-    n = elem.index
-    if variant == "even":
-        if n % 2 != 0:
-            raise ValueError("even chain starts on an even-index element")
-        k = n // 2
-        if k == 0:
-            return 0.0, elem
-        return (-_ladder_root(elem.params, k)) ** N, BasisElement(
-            elem.params, n - (N % 2), SYM_POLY)
-    if n % 2 != 1:
-        raise ValueError("odd chain starts on an odd-index element")
-    k = (n - 1) // 2
-    return (-_ladder_root(elem.params, k + 1)) ** N, BasisElement(
-        elem.params, n + (N % 2), SYM_POLY)
-
-
-def d_power_on_element(N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
-    """DD^N (DD_bar^N on sym_fn, the parameter-shifting D^N on jacobi_fn) by
-    iterating the ladder.
-
-    The relation to the interlaced chains carries a parity-dependent sign:
-    DD^N = (-1)^floor(N/2) delta_N^even on even elements and
-    DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones. The signs fall out of the
-    ladder automatically; this helper never absorbs them.
-    """
-    op = {SYM_POLY: "DD", JACOBI_FN: "D"}.get(elem.kind, "DD_bar")
-    coef, cur = 1.0, elem
-    for _ in range(N):
-        c, cur = ladder_step(op, cur)
-        coef *= c
-        if cur is None:
-            return 0.0, None
-    return coef, cur
+    if elem.index % 2 != (variant == "odd"):
+        raise ValueError(f"{variant} chain starts on an {variant}-index element")
+    return _one(ladder_images(N, elem.params, SYM_POLY, [elem.index], True), SYM_POLY, elem)
 
 
 def interlaced_fn_chain(N: int, elem: BasisElement) -> tuple[float, BasisElement]:
-    """D_N^even = ...D D* D applied to a Jacobi function phi_n.
-
-    Steps alternate D (shifting parameters up) and D* (shifting back), so the
-    result is phi with the same parameters for N even and shifted ones for N
-    odd: D_N^even phi_n = (-r_n)^N phi_{n - (N mod 2)}^{(shifted iff N odd)}.
-    """
+    """D_N^even = ...D D* D (see ladder_images) on one Jacobi function phi_n;
+    a vanishing image returns (0.0, elem)."""
     if elem.kind != JACOBI_FN:
         raise ValueError("interlaced function chains act on jacobi_fn elements")
-    if N == 0:
-        return 1.0, elem
-    if elem.index == 0:
-        return 0.0, elem
-    coef, cur = 1.0, elem
-    for i in range(N):
-        c, cur = ladder_step("D" if i % 2 == 0 else "D_star", cur)
-        coef *= c
-        if cur is None:
-            return 0.0, elem
-    return coef, cur
+    return _one(ladder_images(N, elem.params, JACOBI_FN, [elem.index], True), JACOBI_FN, elem)
 
 
 def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:

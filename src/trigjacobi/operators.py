@@ -7,10 +7,12 @@ elements, without renormalizing their mu+ norm of 1/2). The non-symmetrized
 setting acts on the Lebesgue-orthonormal family over (0,pi), where the chain
 operators shift the type parameters.
 
-One core serves every setting: coefficient n goes to a factor times the
-ladder image of source element n, scaled by a function of the speed
-sqrt(lambda_n), with rows from one basis_matrix per family. Maximal and
-square operators share one time trajectory on a TGrid and its t-norm.
+One core serves every setting, on a family (params, kind, index array):
+coefficient n goes to a factor times the ladder image of source index n,
+scaled by a function of the speed sqrt(lambda_n). Rows are read by index
+array from one basis_matrix per family; speeds and ladder images are array
+arithmetic. Maximal and square operators share one time trajectory on a
+TGrid and its t-norm.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .basis import (
     BasisElement,
     JacobiParams,
     basis_matrix,
-    d_power_on_element,
-    interlaced_fn_chain,
-    interlaced_on_element,
+    eigenvalue,
+    half_index,
+    ladder_images,
     psi,
 )
 from .kernels import DEFAULT_TGRID, DiscreteMeasure
@@ -101,21 +103,29 @@ class OperatorSpec:
         return self.tgrid if self.tgrid is not None else DEFAULT_TGRID
 
 
-def _rows(elements: list[BasisElement], theta: np.ndarray) -> np.ndarray:
-    """Values of the elements at theta, one basis_matrix per family."""
+def _rows(families: list[tuple], theta: np.ndarray) -> list[np.ndarray]:
+    """The rows of each family (params, kind, indices) at theta, read from
+    one basis_matrix per distinct (params, kind)."""
     top = {}
-    for e in elements:
-        top[e.params, e.kind] = max(top.get((e.params, e.kind), 0), e.index)
+    for params, kind, n in families:
+        top[params, kind] = max(top.get((params, kind), 0), int(n.max()))
     tables = {key: basis_matrix(*key, nmax, theta) for key, nmax in top.items()}
-    return np.array([tables[e.params, e.kind][e.index] for e in elements])
+    return [tables[params, kind][n] for params, kind, n in families]
 
 
-def _expand(f: GridFunction, elements: list[BasisElement]) -> np.ndarray:
-    return (f.values * _rows(elements, f.grid.nodes)) @ f.grid.weights
+def _families(elements: list[BasisElement]) -> tuple[list[tuple], np.ndarray]:
+    """The elements as families (params, kind, indices), and the order that
+    puts the families' concatenated rows back in list order."""
+    groups = {}
+    for i, e in enumerate(elements):
+        groups.setdefault((e.params, e.kind), []).append(i)
+    families = [(*key, np.array([elements[i].index for i in pos]))
+                for key, pos in groups.items()]
+    return families, np.argsort(np.concatenate(list(groups.values())))
 
 
-def _family(params: JacobiParams, kind: str, nmax: int) -> list[BasisElement]:
-    return [BasisElement(params, n, kind) for n in range(nmax + 1)]
+def _expand(f: GridFunction, family: tuple) -> np.ndarray:
+    return (f.values * _rows([family], f.grid.nodes)[0]) @ f.grid.weights
 
 
 def expand(f: GridFunction, nmax: int) -> np.ndarray:
@@ -126,16 +136,15 @@ def expand(f: GridFunction, nmax: int) -> np.ndarray:
     operator displays (call with the symmetrized elements via
     expand_restricted for those).
     """
-    return _expand(f, _family(f.grid.params, _GRID_KIND[f.grid.tag], nmax))
+    return _expand(f, (f.grid.params, _GRID_KIND[f.grid.tag], np.arange(nmax + 1)))
 
 
-def restricted_elements(params: JacobiParams, nmax: int,
-                        component: str) -> list[BasisElement]:
-    """Phi_{2n} (component even) or Phi_{2n+1} (odd) for n = 0..nmax."""
+def restricted_family(params: JacobiParams, nmax: int, component: str) -> tuple:
+    """Phi_{2n} (component even) or Phi_{2n+1} (odd) for n = 0..nmax, as
+    the family (params, sym_poly, indices)."""
     if component not in ("even", "odd"):
         raise ValueError("component must be 'even' or 'odd'")
-    return [BasisElement(params, 2 * n + (component == "odd"), SYM_POLY)
-            for n in range(nmax + 1)]
+    return params, SYM_POLY, 2 * np.arange(nmax + 1) + (component == "odd")
 
 
 def expand_restricted(f: GridFunction, nmax: int, component: str) -> np.ndarray:
@@ -143,7 +152,7 @@ def expand_restricted(f: GridFunction, nmax: int, component: str) -> np.ndarray:
     exactly as the restricted displays use them."""
     if f.grid.tag != "mu_plus":
         raise ValueError("restricted expansion needs a mu_plus grid")
-    return _expand(f, restricted_elements(f.grid.params, nmax, component))
+    return _expand(f, restricted_family(f.grid.params, nmax, component))
 
 
 def synthesize(coefs: np.ndarray, elements: list[BasisElement | None],
@@ -151,7 +160,8 @@ def synthesize(coefs: np.ndarray, elements: list[BasisElement | None],
     live = [(c, e) for c, e in zip(coefs, elements) if e is not None and c != 0.0]
     if not live:
         return np.zeros(np.shape(theta))
-    return np.array([c for c, _ in live]) @ _rows([e for _, e in live], theta)
+    families, order = _families([e for _, e in live])
+    return np.array([c for c, _ in live]) @ np.concatenate(_rows(families, theta))[order]
 
 
 def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
@@ -173,32 +183,35 @@ def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
                      "or ('laplace', profile)")
 
 
-def _chain(kind: str, N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
-    """(factor, image) of the order-N chain of an operator kind on one
-    element, from the ladder closed forms; the identity for the other kinds."""
+def _chain(kind: str, N: int, params: JacobiParams, family: str, n: np.ndarray) -> tuple:
+    """(factors, image params, image indices) of the order-N chain of an
+    operator kind on the indices n of one family; the identity for the kinds
+    without a chain."""
     if N == 0 or kind not in ("riesz", "square", "riesz_interlaced", "square_interlaced"):
-        return 1.0, elem
-    if not kind.endswith("_interlaced"):
-        return d_power_on_element(N, elem)
-    if elem.kind == JACOBI_FN:
-        return interlaced_fn_chain(N, elem)
-    return interlaced_on_element("odd" if elem.index % 2 else "even", N, elem)
+        return np.ones(n.shape), params, n
+    return ladder_images(N, params, family, n, kind.endswith("_interlaced"))
 
 
 def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
-                   source: list[BasisElement]) -> tuple[np.ndarray, ...]:
+                   source: tuple | list[BasisElement]) -> tuple[np.ndarray, ...]:
     """(E, F, z, V): the action of spec on the source elements at the nodes.
 
-    E[n] and V[n] are the rows of source element n and of its chain image,
-    z[n] = sqrt(lambda_n) its speed, F[n] its factor: e^{-t z}, m(z) or
-    lambda^{-N/2} times the chain factor, and for the time kinds the chain
-    factor times (-z)^M. A vanishing image has F[n] = 0.
+    source is one family (params, kind, indices) or a list of elements,
+    which may mix families. E[n] and V[n] are the rows of source element n
+    and of its chain image, z[n] = sqrt(lambda_n) its speed, F[n] its
+    factor: e^{-t z}, m(z) or lambda^{-N/2} times the chain factor, and for
+    the time kinds the chain factor times (-z)^M. A vanishing image has
+    F[n] = 0 (and V[n] some row of the image family).
     """
-    chain, images = zip(*(_chain(spec.kind, spec.N, e) for e in source))
-    # a vanishing image (None) comes with a zero factor: any row will do
-    rows = _rows(source + [img or e for img, e in zip(images, source)], grid.nodes)
-    lam = [e.lam for e in source]
-    z = np.sqrt(np.array(lam))
+    if isinstance(source, list):
+        families, order = _families(source)
+        parts = zip(*(spectral_table(spec, grid, family) for family in families))
+        return tuple(np.concatenate(part)[order] for part in parts)
+    params, kind, n = source[0], source[1], np.asarray(source[2])
+    chain, image_params, m = _chain(spec.kind, spec.N, params, kind, n)
+    E, V = _rows([(params, kind, n), (image_params, kind, m)], grid.nodes)
+    lam = eigenvalue(params, n if kind in (TRIG_POLY, JACOBI_FN) else half_index(n))
+    z = np.sqrt(lam)
     if spec.kind == "semigroup":
         F = np.exp(-spec.t * z)
     elif spec.kind == "multiplier":
@@ -206,15 +219,15 @@ def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
     elif spec.kind.startswith("riesz"):
         # Python float powers: a vectorized power may round differently
         F = np.array([lk ** (-spec.N / 2.0) * c if c else 0.0
-                      for c, lk in zip(chain, lam)])
+                      for c, lk in zip(chain.tolist(), lam.tolist())])
     else:
-        F = np.array(chain) * (-z) ** (0 if spec.kind == "maximal" else spec.M)
-    return rows[:len(source)], F, z, rows[len(source):]
+        F = chain * (-z) ** (0 if spec.kind == "maximal" else spec.M)
+    return E, F, z, V
 
 
 def _act(spec: OperatorSpec, f: GridFunction, setting: str,
-         source: list[BasisElement]) -> GridFunction:
-    """Expand f against the source elements and apply spec spectrally."""
+         source: tuple) -> GridFunction:
+    """Expand f against the source family and apply spec spectrally."""
     if spec.kind not in SETTINGS[setting]:
         raise ValueError(f"{spec.kind} is not a {setting}-setting kind")
     E, F, z, V = spectral_table(spec, f.grid, source)
@@ -237,7 +250,7 @@ def apply_operator(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFuncti
     if f.grid.tag not in ("mu_full", "theta_full"):
         raise ValueError("symmetrized operators act on full-interval grids")
     kind = _GRID_KIND[f.grid.tag]
-    return _act(spec, f, kind, _family(f.grid.params, kind, nmax))
+    return _act(spec, f, kind, (f.grid.params, kind, np.arange(nmax + 1)))
 
 
 def apply_restricted(spec: OperatorSpec, f: GridFunction, nmax: int,
@@ -246,7 +259,7 @@ def apply_restricted(spec: OperatorSpec, f: GridFunction, nmax: int,
     displays verbatim, chains act through their closed ladder form."""
     if f.grid.tag != "mu_plus":
         raise ValueError("restricted operators act on mu_plus grids")
-    return _act(spec, f, "restricted", restricted_elements(f.grid.params, nmax, component))
+    return _act(spec, f, "restricted", restricted_family(f.grid.params, nmax, component))
 
 
 def split_parity(f: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,7 +286,7 @@ def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction
     """
     if f.grid.tag != "theta_plus":
         raise ValueError("non-symmetrized operators act on theta_plus grids")
-    return _act(spec, f, "nonsym", _family(f.grid.params, JACOBI_FN, nmax))
+    return _act(spec, f, "nonsym", (f.grid.params, JACOBI_FN, np.arange(nmax + 1)))
 
 
 def transfer_function_setting(spec: OperatorSpec, f: GridFunction, nmax: int,

@@ -66,7 +66,7 @@ from .operators import (
     OperatorSpec,
     apply_operator,
     grid_function,
-    restricted_elements,
+    restricted_family,
     spectral_table,
 )
 from .quadrature import TGrid, gauss_jacobi_grid, t_norm
@@ -698,7 +698,7 @@ def _restricted_matrix(params: JacobiParams, grid, N: int, nmax: int,
                        component: str) -> np.ndarray:
     """Dense discretization of the interlaced Riesz transform on a mu+ grid."""
     E, F, _, V = spectral_table(OperatorSpec("riesz_interlaced", N=N), grid,
-                                restricted_elements(params, nmax, component))
+                                restricted_family(params, nmax, component))
     live = F != 0.0
     return V[live].T @ (F[live, None] * (E[live] * grid.weights[None, :]))
 
@@ -755,12 +755,12 @@ def check_weight_classes(params: JacobiParams, n_samples: int = 10000,
     """Membership toolkit consistency: the two power-weight classes agree
     through the parameter shift (a+1/2)(p-2), (b+1/2)(p-2), and the
     unweighted window matches its closed form."""
-    rng = np.random.default_rng(seed)
+    # rows (r, s, p), equal to three scalar draws each, in the same order;
+    # converted row by row, not held as n_samples Python lists at once
+    draws = np.random.default_rng(seed).uniform((-6.0, -6.0, 1.0), (6.0, 6.0, 6.0),
+                                                size=(n_samples, 3))
     mismatches = 0
-    for _ in range(n_samples):
-        r = float(rng.uniform(-6.0, 6.0))
-        s = float(rng.uniform(-6.0, 6.0))
-        p = float(rng.uniform(1.0, 6.0))
+    for r, s, p in (row.tolist() for row in draws):
         w = PowerWeight(r, s)
         shifted = w.shifted((params.alpha + 0.5) * (p - 2.0),
                             (params.beta + 0.5) * (p - 2.0))

@@ -1,6 +1,7 @@
 """Operator tests: expansion roundtrips, spectral closed forms, kernel
 cross-checks, parity assembly, and the psi-conjugation transference."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,10 +12,13 @@ from trigjacobi.basis import (
     JACOBI_FN,
     SYM_FN,
     SYM_POLY,
+    TRIG_POLY,
     BasisElement,
     JacobiParams,
+    coeff_A,
     eigenvalue,
     eval_basis,
+    eval_basis_dtheta,
     half_index,
     interlaced_fn_chain,
     ladder_step,
@@ -22,6 +26,7 @@ from trigjacobi.basis import (
 )
 from trigjacobi.kernels import DiscreteMeasure, poisson_kernel, symmetrized_kernel_pairs
 from trigjacobi.operators import (
+    SETTINGS,
     GridFunction,
     OperatorSpec,
     apply_operator,
@@ -30,6 +35,8 @@ from trigjacobi.operators import (
     expand_restricted,
     grid_function,
     nonsym_apply,
+    restricted_family,
+    spectral_table,
     split_parity,
     synthesize,
     transfer_function_setting,
@@ -497,3 +504,182 @@ class TestValidation:
         with pytest.raises(ValueError):
             apply_operator(OperatorSpec("multiplier", multiplier=("mystery", 1)),
                            f, 4)
+
+
+# --- the index-array core against a per-element reference --------------------
+
+# every kind the entry points accept, the multiplier in all three forms
+CORE_SPECS = [
+    OperatorSpec("semigroup", t=0.3),
+    OperatorSpec("riesz", N=1), OperatorSpec("riesz", N=2), OperatorSpec("riesz", N=3),
+    OperatorSpec("riesz_interlaced", N=1), OperatorSpec("riesz_interlaced", N=2),
+    OperatorSpec("riesz_interlaced", N=3),
+    OperatorSpec("multiplier", multiplier=DiscreteMeasure((0.1, 0.4), (0.7, 0.6))),
+    OperatorSpec("multiplier", multiplier=lambda z: z / (z + 0.7)),
+    OperatorSpec("multiplier", tgrid=TGrid(1e-4, 40.0),
+                 multiplier=("laplace", lambda t: np.exp(-0.7 * t))),
+    OperatorSpec("maximal"),
+    OperatorSpec("square", M=1), OperatorSpec("square", N=1), OperatorSpec("square", M=1, N=2),
+    OperatorSpec("square_interlaced", M=1, N=1), OperatorSpec("square_interlaced", N=2),
+]
+# setting -> (grid tag, family kind, source indices at band limit B), as the
+# entry points pass them
+CORE_SETTINGS = {
+    "sym_poly": ("mu_full", SYM_POLY, lambda B: np.arange(B + 1)),
+    "sym_fn": ("theta_full", SYM_FN, lambda B: np.arange(B + 1)),
+    "restricted-even": ("mu_plus", SYM_POLY, lambda B: 2 * np.arange(B + 1)),
+    "restricted-odd": ("mu_plus", SYM_POLY, lambda B: 2 * np.arange(B + 1) + 1),
+    "nonsym": ("theta_plus", JACOBI_FN, lambda B: np.arange(B + 1)),
+}
+CORE_CASES = [(setting, spec) for setting in CORE_SETTINGS for spec in CORE_SPECS
+              if spec.kind in SETTINGS[setting.split("-")[0]]]
+
+
+T_CHECK = np.linspace(0.2, 2.8, 9)
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+
+@functools.lru_cache(maxsize=None)
+def checked_step(op, elem):
+    """ladder_step, checked against the first-order operator it stands for
+    through pointwise derivatives, so the reference does not rest on the
+    closed forms it is compared with."""
+    c, img = ladder_step(op, elem)
+    p, t = elem.params, T_CHECK
+    if elem.kind == SYM_FN:
+        # DD_bar is DD conjugated by psi: the same factor and image index
+        c_poly, img_poly = checked_step("DD", BasisElement(p, elem.index, SYM_POLY))
+        assert c == c_poly and (img and img.index) == (img_poly and img_poly.index)
+        return c, img
+    if op == "D_star":
+        # D D* phi_m = (lambda_{m+1} - lambda_0) phi_m at the lower parameters
+        c_back, back = checked_step("D", img)
+        assert back == elem
+        assert c * c_back == pytest.approx(eigenvalue(img.params, img.index)
+                                           - img.params.lam0, rel=1e-12)
+        return c, img
+    f = eval_basis(elem, t)
+    if op == "D":  # D phi_n = psi (d/dtheta) P_n
+        lhs = psi(p, t) * eval_basis_dtheta(BasisElement(p, elem.index, TRIG_POLY), t, 1)
+    elif op == "delta_star":
+        lhs = -eval_basis_dtheta(elem, t, 1) - coeff_A(p, t) * f
+    else:  # DD f = f' + A f_odd; delta is DD on the even elements
+        lhs = eval_basis_dtheta(elem, t, 1) + (coeff_A(p, t) * f if elem.index % 2 else 0.0)
+    if img is None:
+        assert c == 0.0 and np.allclose(lhs, 0.0, atol=1e-9)
+    else:
+        _close(c * eval_basis(img, t), lhs)
+    return c, img
+
+
+def reference_chain(spec, elem):
+    """(factor, image) of the chain of spec on one element, by checked ladder
+    steps; (0.0, None) when the image vanishes."""
+    N = spec.N
+    if N == 0 or spec.kind not in ("riesz", "square", "riesz_interlaced",
+                                   "square_interlaced"):
+        return 1.0, elem
+    if spec.kind.endswith("_interlaced") and elem.kind == SYM_POLY:
+        # delta_N^even = ...delta* delta, delta_N^odd = ...delta delta*; every
+        # step has the same factor, and the chain is its N-th power
+        ops = ("delta", "delta_star") if elem.index % 2 == 0 else ("delta_star", "delta")
+    elif spec.kind.endswith("_interlaced"):
+        ops = ("D", "D_star")
+    else:
+        ops = ({SYM_POLY: "DD", SYM_FN: "DD_bar", JACOBI_FN: "D"}[elem.kind],) * 2
+    coef, first, img = 1.0, None, elem
+    for i in range(N):
+        c, img = checked_step(ops[i % 2], img)
+        if img is None:
+            return 0.0, None
+        coef *= c
+        first = c if first is None else first
+    if spec.kind.endswith("_interlaced") and elem.kind == SYM_POLY:
+        return first ** N, img
+    return coef, img
+
+
+def reference_table(spec, grid, elems):
+    """(E, F, z, V, live) of spectral_table, element by element from
+    eval_basis, eigenvalue and ladder_step; V rows of vanishing images are 0."""
+    chain, images = zip(*(reference_chain(spec, e) for e in elems))
+    lam = [eigenvalue(e.params, e.eigen_index) for e in elems]
+    z = np.sqrt(np.array(lam))
+    m = spec.multiplier
+    if spec.kind == "semigroup":
+        F = np.exp(-spec.t * z)
+    elif isinstance(m, DiscreteMeasure):
+        F = sum(w * np.exp(-t * z) for t, w in zip(m.times, m.weights))
+    elif callable(m):
+        F = m(z)
+    elif spec.kind == "multiplier":
+        tg = spec.time_grid()
+        F = np.array([tg.integrate(zk * np.exp(-tg.nodes * zk) * m[1](tg.nodes), 1.0)
+                      for zk in z])
+    elif spec.kind.startswith("riesz"):
+        F = np.array([lk ** (-spec.N / 2.0) * c if c else 0.0 for c, lk in zip(chain, lam)])
+    else:
+        F = np.array(chain) * (-z) ** (0 if spec.kind == "maximal" else spec.M)
+    E = np.array([eval_basis(e, grid.nodes) for e in elems])
+    V = np.array([eval_basis(img, grid.nodes) if img else 0.0 * grid.nodes
+                  for img in images])
+    return E, F, z, V, np.array([img is not None for img in images])
+
+
+def assert_table_is_reference(got, want):
+    E, F, z, V = got
+    E0, F0, z0, V0, live = want
+    assert np.array_equal(E, E0)
+    assert np.array_equal(z, z0)
+    assert np.array_equal(F, F0)
+    assert np.array_equal(V[live], V0[live])
+    assert np.all(F[~live] == 0.0)
+
+
+class TestIndexArrayCore:
+    @pytest.mark.parametrize("params", [LEGENDRE, PARAMS], ids=["0,0", "1.5,-0.7"])
+    @pytest.mark.parametrize("setting,spec", CORE_CASES,
+                             ids=[f"{s}-{sp.kind}-M{sp.M}N{sp.N}-{i}"
+                                  for i, (s, sp) in enumerate(CORE_CASES)])
+    def test_spectral_table_equals_reference(self, setting, spec, params):
+        tag, kind, indices = CORE_SETTINGS[setting]
+        grid = gauss_jacobi_grid(params, 20, tag)
+        for B in (0, 1, 16):
+            n = indices(B)
+            elems = [BasisElement(params, int(k), kind) for k in n]
+            want = reference_table(spec, grid, elems)
+            if setting.startswith("restricted"):
+                family = restricted_family(params, B, setting.split("-")[1])
+                assert np.array_equal(family[2], n)
+            else:
+                family = (params, kind, n)
+            assert_table_is_reference(spectral_table(spec, grid, family), want)
+            assert_table_is_reference(spectral_table(spec, grid, elems), want)
+
+    @pytest.mark.parametrize("spec", [OperatorSpec("riesz", N=2),
+                                      OperatorSpec("square_interlaced", M=1, N=1),
+                                      OperatorSpec("semigroup", t=0.3)],
+                             ids=["riesz", "square_interlaced", "semigroup"])
+    def test_mixed_list_keeps_its_order(self, spec):
+        # two families of one kind at two parameter pairs, interleaved
+        grid = gauss_jacobi_grid(PARAMS, 20, "theta_plus")
+        elems = [BasisElement(PARAMS, 3, JACOBI_FN), BasisElement(LEGENDRE, 0, JACOBI_FN),
+                 BasisElement(PARAMS, 0, JACOBI_FN), BasisElement(LEGENDRE, 5, JACOBI_FN),
+                 BasisElement(PARAMS, 3, JACOBI_FN), BasisElement(LEGENDRE, 1, JACOBI_FN)]
+        assert_table_is_reference(spectral_table(spec, grid, elems),
+                                  reference_table(spec, grid, elems))
+
+    def test_synthesize_mixed_families(self):
+        theta = np.linspace(0.1, 3.0, 11)
+        elems = [BasisElement(PARAMS, 3, SYM_POLY), BasisElement(LEGENDRE, 2, JACOBI_FN),
+                 None, BasisElement(PARAMS, 0, SYM_POLY), BasisElement(LEGENDRE, 5, JACOBI_FN),
+                 BasisElement(PARAMS, 7, SYM_POLY), BasisElement(LEGENDRE, 0, JACOBI_FN)]
+        coefs = np.array([0.5, -1.25, 3.0, 0.75, 0.0, 2.0, -0.5])
+        live = [(c, e) for c, e in zip(coefs, elems) if e is not None and c != 0.0]
+        want = (np.array([c for c, _ in live])
+                @ np.array([eval_basis(e, theta) for _, e in live]))
+        assert np.array_equal(synthesize(coefs, elems, theta), want)
+        assert np.array_equal(synthesize(np.zeros(3), elems[:3], theta), np.zeros(11))
