@@ -51,7 +51,8 @@ class JacobiParams:
 def eigenvalue(params: JacobiParams, n) -> float | np.ndarray:
     """n-th eigenvalue (n + (alpha+beta+1)/2)^2."""
     half = (params.alpha + params.beta + 1.0) / 2.0
-    return (np.asarray(n, dtype=float) + half) ** 2 if np.ndim(n) else (float(n) + half) ** 2
+    h = (np.asarray(n, dtype=float) if np.ndim(n) else float(n)) + half
+    return h * h  # a product, not pow, so scalars and arrays round alike
 
 
 def half_index(n: int) -> int:
@@ -137,11 +138,13 @@ class JacobiRecurrence:
             i += 1
             n += 1
         if i < len(rows):
-            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}
+            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, the window's A_n x + B_n first
+            A, B, C = _coefficients(a, b, n, len(rows) - i)
+            col = (-1,) + (1,) * x.ndim
+            np.multiply(A.reshape(col), x, out=out[i:])
+            out[i:] += B.reshape(col)
             tmp = self._tmp
-            for row, an, bn, cn in zip(rows[i:], *_coefficients(a, b, n, len(rows) - i)):
-                np.multiply(x, an, out=row)
-                row += bn
+            for row, cn in zip(rows[i:], C):
                 row *= p1
                 np.multiply(p2, cn, out=tmp)
                 row -= tmp
@@ -156,7 +159,7 @@ class JacobiRecurrence:
 
 
 def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
-    """A_k, B_k, C_k of the recurrence for k = n..n+m-1, as three lists.
+    """A_k and B_k (arrays) and C_k (a list) of the recurrence, k = n..n+m-1.
 
     Vectorized for long blocks; short ones, as in a single basis element,
     use Python floats, because there numpy's per-call cost dominates.
@@ -170,12 +173,12 @@ def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
             A.append(c1 * s * (s - 2.0))
             B.append(c1 * (a * a - b * b))
             C.append(2.0 * (k + a - 1.0) * (k + b - 1.0) * s / c0)
-        return A, B, C
+        return np.array(A), np.array(B), C
     ns = np.arange(n, n + m, dtype=float)
     s = 2.0 * ns + a + b
     c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
     c1 = (s - 1.0) / c0
-    return ((c1 * s * (s - 2.0)).tolist(), (c1 * (a * a - b * b)).tolist(),
+    return (c1 * s * (s - 2.0), c1 * (a * a - b * b),
             (2.0 * (ns + a - 1.0) * (ns + b - 1.0) * s / c0).tolist())
 
 

@@ -256,7 +256,8 @@ class _Stream:
     sorted longest series first, so those still summing form a prefix. A
     single-term factor is handed out as the plan's raw rows, its scale folded
     into `weight` and its pi into `theta_scale` / `phi_scale`; a factor of
-    several terms is summed into its own buffer per chunk.
+    several terms is summed into its own buffer per chunk; `rows_key` names the
+    raw rows of a stream whose factors are both single terms.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
@@ -286,6 +287,8 @@ class _Stream:
                 scales[s] = terms[0].pi
             else:
                 self._mixed[s] = np.empty((2, _CHUNK, plan.points[s].size))
+        self.rows_key = None if any(len(terms) > 1 for terms, _ in self._sides) else tuple(
+            (id(runs[0]), where) for runs, where in self._factors)
         self.theta_scale, self.phi_scale = scales
         self.speed, coef = _series(handle, n)
         self.weight = coef * weight
@@ -309,21 +312,41 @@ class _Stream:
             out.append(mixed)
         return out[0], out[1]
 
-    def add(self, k0: int, k1: int, prod: np.ndarray) -> None:
-        """Add terms k0..k1-1 to the samples on the pairs; prod is scratch."""
-        live = int(np.count_nonzero(self.lengths > k0))
-        E = np.outer(self.t[:live], -self.speed[k0:k1])
-        np.exp(E, out=E)
-        E *= self.weight[k0:k1]
+    def add(self, k0: int, k1: int, A: np.ndarray) -> None:
+        """Add terms k0..k1-1 to the samples on the pairs; A is the product
+        of their factors, self.decay (see _Decay) holds their exp(-t speed)."""
+        live, m = int(np.count_nonzero(self.lengths > k0)), k1 - k0
+        E = self.decay.scratch[:live * m].reshape(live, m)
+        np.multiply(self.decay.block(k0)[:live, :m], self.weight[k0:k1], out=E)
         for i in np.nonzero(self.lengths[:live] < k1)[0]:
             E[i, self.lengths[i] - k0:] = 0.0
-        th, ph = self.factors(k0, k1)
-        A = np.multiply(th, ph, out=prod[: k1 - k0])
         self.out[:live] += E @ A
 
     def result(self) -> np.ndarray:
         self.out *= self.theta_scale * self.phi_scale
         return self.out[np.argsort(self.order)].T
+
+
+class _Decay:
+    """exp(-t speed) of a stream, a block per chunk, which the streams with the
+    same sorted times and speeds and no longer series at any time read too."""
+
+    def __init__(self, s: _Stream):
+        self.t, self.speed, self.lengths, self.k0 = s.t, s.speed, s.lengths, -1
+        self.buf, self.scratch = np.empty((2, s.t.size * _CHUNK))
+
+    def takes(self, s: _Stream) -> bool:
+        return (np.array_equal(self.t, s.t) and bool(np.all(self.lengths >= s.lengths))
+                and np.array_equal(self.speed[:s.n], s.speed))
+
+    def block(self, k0: int) -> np.ndarray:
+        if self.k0 != k0:
+            live = int(np.count_nonzero(self.lengths > k0))
+            m = min(k0 + _CHUNK, self.speed.size) - k0
+            self.k0, self.X = k0, self.buf[:live * m].reshape(live, m)
+            np.exp(np.multiply(self.t[:live, None], -self.speed[k0:k0 + m], out=self.X),
+                   out=self.X)
+        return self.X
 
 
 def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
@@ -333,7 +356,9 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
 
     The jobs read one basis.RowPlan, so each recurrence runs once; jobs that
     share recurrences take one pass of chunks together, the others a pass
-    each, which keeps a pass's rows in cache. Each job keeps its own series,
+    each, which keeps a pass's rows in cache. In a chunk, jobs with the same
+    sorted times and speeds share one exp(-t speed) block, and jobs on the
+    same raw rows one product of their factors. Each job keeps its own series,
     times and chunk windows: its samples equal a call with it alone, bit for bit.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -347,14 +372,25 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
         link = [p for p in passes if p[0] & s.runs]
         passes = [p for p in passes if not p[0] & s.runs]
         passes.append((s.runs.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
+    decays = []
+    for s in sorted(streams, key=lambda s: -s.n):
+        s.decay = next((g for g in decays if g.takes(s)), None)
+        if s.decay is None:
+            s.decay = _Decay(s)
+            decays.append(s.decay)
     prod = np.empty((_CHUNK, theta.size))
     for _, group in passes:
+        # jobs on the same rows next to each other, the longest first
+        group.sort(key=lambda s: (s.rows_key is None, s.rows_key or (), -s.n))
         n_max = max(s.n for s in group)
         for k0 in range(0, n_max, _CHUNK):
             plan.advance(k0, min(k0 + _CHUNK, n_max))
-            for s in group:
-                if s.n > k0:
-                    s.add(k0, min(k0 + _CHUNK, s.n), prod)
+            last = None
+            for s in (s for s in group if s.n > k0):
+                k1 = min(k0 + _CHUNK, s.n)
+                if s.rows_key is None or s.rows_key != last:
+                    A, last = np.multiply(*s.factors(k0, k1), out=prod[:k1 - k0]), s.rows_key
+                s.add(k0, k1, A[:k1 - k0])
     return [s.result() for s in streams]
 
 

@@ -61,38 +61,30 @@ def mu_density(params: JacobiParams, theta) -> np.ndarray:
     return s ** (2.0 * params.alpha + 1.0) * c ** (2.0 * params.beta + 1.0)
 
 
-def interval_measure(params: JacobiParams, lo: float, hi: float) -> float:
-    """mu+ of (lo, hi) within [0, pi]."""
-    if not (0.0 <= lo <= hi <= math.pi + 1e-15):
+def interval_measure(params: JacobiParams, lo, hi) -> float | np.ndarray:
+    """mu+ of (lo, hi) within [0, pi], elementwise over arrays of endpoints."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not np.all((0.0 <= lo) & (lo <= hi) & (hi <= math.pi + 1e-15)):
         raise ValueError("interval must satisfy 0 <= lo <= hi <= pi")
-    hi = min(hi, math.pi)
-    if lo == hi:
-        return 0.0
+    hi = np.minimum(hi, math.pi)
     a, b = params.alpha, params.beta
     # u = sin^2(t/2) turns the density into u^a (1-u)^b du; evaluate the
     # right half through the complementary v = cos^2(t/2) form so the
-    # regularized-Beta difference never cancels near a full endpoint
+    # regularized-Beta difference never cancels near a full endpoint. An
+    # interval on one side of pi/2 gets an empty, exactly zero, other half.
     scale = math.exp(betaln(a + 1.0, b + 1.0))
     half = math.pi / 2.0
-    total = 0.0
-    if lo < half:
-        t0, t1 = lo, min(hi, half)
-        total += float(betainc(a + 1.0, b + 1.0, math.sin(t1 / 2.0) ** 2)
-                       - betainc(a + 1.0, b + 1.0, math.sin(t0 / 2.0) ** 2))
-    if hi > half:
-        t0, t1 = max(lo, half), hi
-        # cos(t/2) = sin((pi-t)/2), and the subtraction pi - t is exact
-        # where it matters, so v vanishes exactly at t = pi
-        v0 = math.sin((math.pi - t0) / 2.0) ** 2
-        v1 = math.sin((math.pi - t1) / 2.0) ** 2
-        total += float(betainc(b + 1.0, a + 1.0, v0)
-                       - betainc(b + 1.0, a + 1.0, v1))
-    return scale * total
+    left = betainc(a + 1.0, b + 1.0, np.sin(np.minimum([hi, lo], half) / 2.0) ** 2)
+    # cos(t/2) = sin((pi-t)/2), and the subtraction pi - t is exact
+    # where it matters, so v vanishes exactly at t = pi
+    right = betainc(b + 1.0, a + 1.0,
+                    np.sin((math.pi - np.maximum([lo, hi], half)) / 2.0) ** 2)
+    out = scale * ((left[0] - left[1]) + (right[0] - right[1]))
+    return float(out) if out.ndim == 0 else out
 
 
 def ball_measure(params: JacobiParams, ball: Ball) -> float:
-    lo, hi = ball.endpoints
-    return interval_measure(params, lo, hi)
+    return interval_measure(params, *ball.endpoints)
 
 
 def mu_total(params: JacobiParams) -> float:

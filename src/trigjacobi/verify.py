@@ -11,10 +11,10 @@ artifact of the sampling.
 Size and smoothness estimates are swept over dyadic bands of the distance
 |theta - phi|, with log-spaced centers accumulating at both endpoints where
 the measure degenerates. A check computes its ratios as arrays on
-SweepSpec.pairs(), the pairs of both sweeps at once, evaluating each kernel
-family it needs once. Time integrals run over a validated log grid; the
-truncation to [t_min, t_max] only underestimates left-hand sides, so upper
-bound claims are never helped by it.
+SweepSpec.pairs(), the pairs of both sweeps at once; the kernel sweeps of a
+run evaluate every kernel family they need in one call. Time integrals run
+over a validated log grid; the truncation to [t_min, t_max] only
+underestimates left-hand sides, so upper bound claims are never helped by it.
 
 Reports serialize to a versioned JSON document. Wall-clock data stays out of
 the payload unless explicitly requested, keeping reruns byte-identical.
@@ -53,11 +53,10 @@ from .kernels import (
     poisson_kernel,
 )
 from .measure import (
-    Ball,
     PowerWeight,
     ap_membership,
-    ball_measure,
     bp_membership,
+    interval_measure,
     unweighted_bp_admissible,
     unweighted_bp_window,
 )
@@ -179,8 +178,9 @@ def report_json(doc: dict) -> str:
 # --- ratio sweeps -------------------------------------------------------------
 
 def _ball_measures(params: JacobiParams, theta: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.array([ball_measure(params, Ball(float(th), float(r)))
-                     for th, r in zip(theta, d)])
+    """mu+ of the balls Ball(theta_i, d_i), as one array call."""
+    return interval_measure(params, np.maximum(theta - d, 0.0),
+                            np.minimum(theta + d, math.pi))
 
 
 def ratio_sweep_report(claim: str, r: np.ndarray, spec: SweepSpec,
@@ -210,6 +210,26 @@ def ratio_sweep_report(claim: str, r: np.ndarray, spec: SweepSpec,
                           levels=levels, details=details or {})
 
 
+def _sweep_step(params: JacobiParams, spec: SweepSpec, suites: list,
+                timed=lambda name, fn: fn()) -> list[EstimateReport]:
+    """The reports of sweep suites, (name, generator) each, in order.
+
+    A suite's generator yields its kernel jobs on spec.pairs(), is sent
+    their samples and the pairs' ball measures, and yields its reports.
+    One eval_kernels call runs the jobs of all suites, in the order given.
+    """
+    d, theta, phi = spec.pairs()
+    jobs = [next(suite) for _, suite in suites]
+    samples = timed("sweep-kernels", lambda: eval_kernels(
+        sum(jobs, []), theta, phi, spec.truncation()))
+    mb = _ball_measures(params, theta, d)
+    out, lo = [], 0
+    for (name, suite), part in zip(suites, jobs):
+        out += timed(name, lambda: suite.send((samples[lo:lo + len(part)], mb)))
+        lo += len(part)
+    return out
+
+
 # --- sharp constants ----------------------------------------------------------
 
 def _sharp_a(theta, phi):
@@ -235,7 +255,6 @@ def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
     relative. The middle constant is attained identically on the diagonal.
     """
     x = np.linspace(0.0, math.pi, ngrid + 2)[1:-1]
-    T, P = np.meshgrid(x, x, indexing="ij")
     eps, rel_tol = 1e-11, 1e-9
     out = []
 
@@ -248,7 +267,9 @@ def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
          _sharp_c(np.array([eps]), np.array([math.pi - eps]))[0]),
     ]
     for claim, fn, C, approach in targets:
-        grid_max = float(np.max(fn(T, P)))
+        # the grid in blocks of 64 rows, so no ngrid x ngrid array is held
+        grid_max = float(max(np.max(fn(x[i:i + 64, None], x[None, :]))
+                             for i in range(0, x.size, 64)))
         attained = abs(approach - C) <= rel_tol * C
         bounded = grid_max <= C * (1.0 + 1e-12)
         out.append(EstimateReport(
@@ -521,11 +542,12 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
     above 1 for some parameters (0.1% at (1.5,-0.7) near the diagonal, 0.7%
     at (-0.7,-0.6)), so whether it stays within 1 is only recorded.
     """
+    return _sweep_step(params, spec, [("domination", _domination(params, spec))])
+
+
+def _domination(params: JacobiParams, spec: SweepSpec):
     ts = np.array([0.01 * 2.0 ** k for k in range(11)])
-    cfg = spec.truncation()
-    _, theta, phi = spec.pairs()
-    e, o = eval_kernels([(poisson_kernel(params, c), ts) for c in ("even", "odd")],
-                        theta, phi, cfg)
+    (e, o), _ = yield [(poisson_kernel(params, c), ts) for c in ("even", "odd")]
     neg = min(0.0, float(np.min(e)))
     rep = ratio_sweep_report("odd-dominated-by-even",
                              np.max(np.abs(o) / e, axis=-1), spec)
@@ -535,7 +557,7 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
     pos = EstimateReport(claim="even-kernel-positive", passed=neg >= -1e-15,
                          constant=-neg, tolerance=1e-15,
                          details={"times": len(ts)})
-    return [rep, pos]
+    yield [rep, pos]
 
 
 # --- standard Calderon-Zygmund style estimates -----------------------------------
@@ -551,9 +573,13 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
     order N reads chain N+1, the smoothness ratios reuse it at the unmoved
     points); each moved point set takes one more.
     """
+    suite = _standard_estimates(params, spec, profile)
+    return _sweep_step(params, spec, [("standard-estimates", suite)])
+
+
+def _standard_estimates(params: JacobiParams, spec: SweepSpec, profile: str):
     tg, cfg = spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
-    mb = _ball_measures(params, theta, d)
     odd = poisson_kernel(params, "odd")
     vectors = [(N, M, route) for M, N in ((1, 0), (0, 1), (1, 1))
                for route in ("ladder", "direct")]
@@ -561,9 +587,9 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
                               + [(N + j, M, route) for N, M, route in vectors
                                  for j in (0, 1)]))
     atom = np.array([1.0])
-    *samples, size, slope = eval_kernels(
+    (*samples, size, slope), mb = yield (
         [(kernel_derivative(odd, *key), tg.nodes) for key in keys]
-        + [(odd, atom), (kernel_derivative(odd, 1, 0), atom)], theta, phi, cfg)
+        + [(odd, atom), (kernel_derivative(odd, 1, 0), atom)])
     chains = dict(zip(keys, samples))
 
     def riesz(s, N):
@@ -601,7 +627,7 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
         out.append(ratio_sweep_report(
             f"{name}/gradient", t_norm(tg, chains[N + 1, M, route], 2, W=W) * mb * d,
             spec))
-    return out
+    yield out
 
 
 # --- size-lemma instances --------------------------------------------------------
@@ -664,6 +690,12 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
     """Weighted norms of shifted-kernel partial derivatives against the
     inverse ball measure, optionally with a distance gain. One pass evaluates
     the distinct partial derivatives on the sweep."""
+    suite = _lemma_instances(params, spec, profile, instances)
+    return _sweep_step(params, spec, [("lemma-ratios", suite)])
+
+
+def _lemma_instances(params: JacobiParams, spec: SweepSpec, profile: str,
+                     instances: tuple | None):
     if instances is None:
         if profile == "full":
             instances = LEMMA_INSTANCES
@@ -672,13 +704,12 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
             for inst in LEMMA_INSTANCES:
                 first.setdefault(inst[0], inst)
             instances = tuple(first.values())
-    tg, cfg = spec.tgrid(), spec.truncation()
+    tg = spec.tgrid()
     d, theta, phi = spec.pairs()
-    mb = _ball_measures(params, theta, d)
     keys = list(dict.fromkeys(inst[2:5] for inst in instances))
-    samples = dict(zip(keys, eval_kernels(
-        [(partial_derivative_kernel(params, 1, *key), tg.nodes) for key in keys],
-        theta, phi, cfg)))
+    samples, mb = yield [(partial_derivative_kernel(params, 1, *key), tg.nodes)
+                         for key in keys]
+    samples = dict(zip(keys, samples))
     out = []
     for inst in instances:
         group, family, L, N, M, W, g1, g2, p = inst
@@ -689,7 +720,7 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
                                       r * d if family == "gain" else r, spec,
                                       details={"group": group, "p_norm": str(p),
                                                "time_weight": W}))
-    return out
+    yield out
 
 
 # --- empirical operator norms ----------------------------------------------------
@@ -817,14 +848,14 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
                          lambda: check_ball_comparability(
                              params, spec,
                              xis=(1.0,) if profile == "quick" else (0.5, 1.0, 2.0)))
-    if suite in ("standard-estimates", "all"):
-        reports += timed("standard-estimates",
-                         lambda: check_standard_estimates(params, spec, profile))
-    if suite in ("domination", "all"):
-        reports += timed("domination", lambda: check_domination(params, spec))
-    if suite in ("lemma-ratios", "all"):
-        reports += timed("lemma-ratios",
-                         lambda: check_lemma_instances(params, spec, profile))
+    # the sweep suites share one kernel call; their entries time their reductions
+    sweeps = [(name, gen) for name, gen in (
+        ("standard-estimates", _standard_estimates(params, spec, profile)),
+        ("domination", _domination(params, spec)),
+        ("lemma-ratios", _lemma_instances(params, spec, profile, None)),
+    ) if suite in (name, "all")]
+    if sweeps:
+        reports += _sweep_step(params, spec, sweeps, timed)
     if suite in ("lp-sweep", "all"):
         reports += timed("lp-sweep", lambda: empirical_lp_sweep(
             params, p, weights=weights, seed=seed))

@@ -193,6 +193,13 @@ class TestEigen:
     def test_half_index(self):
         assert [half_index(n) for n in range(7)] == [0, 1, 1, 2, 2, 3, 3]
 
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_scalar_and_array_paths_agree_bitwise(self, ab):
+        # BasisElement.lam takes the scalar path, the kernels' speeds the array one
+        p = params_of(*ab)
+        ns = np.arange(5000)
+        assert np.array_equal([eigenvalue(p, int(n)) for n in ns], eigenvalue(p, ns))
+
 
 class TestNormConstant:
     @pytest.mark.parametrize("key", sorted(NORM_CONSTANTS))
@@ -248,6 +255,41 @@ class TestRecurrence:
                         rtol=1e-13, atol=1e-13)
         want = eval_jacobi(np.arange(rows.shape[0] - 2)[:, None], a, b, x[None, :])
         assert_allclose(rows[2:], want, rtol=1e-11, atol=1e-11)
+
+    @staticmethod
+    def five_call_rows(p, x, degree, m):
+        """Rows degree..degree+m-1 one at a time: x * A_n, + B_n, * P_{n-1},
+        C_n * P_{n-2}, subtract; the elementwise steps fill must keep."""
+        a, b = p.alpha, p.beta
+        rows, p2, p1 = [], np.zeros_like(x), np.zeros_like(x)
+        for n in range(min(degree, 0), degree + m):
+            if n < 2:
+                row = (np.zeros_like(x) if n < 0 else np.ones_like(x) if n == 0
+                       else (x - 1.0) * ((a + b + 2.0) / 2.0) + (a + 1.0))
+            else:
+                s = 2.0 * n + a + b
+                c0 = 2.0 * n * (n + a + b) * (s - 2.0)
+                c1 = (s - 1.0) / c0
+                cn = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s / c0
+                row = (x * (c1 * s * (s - 2.0)) + c1 * (a * a - b * b)) * p1 - p2 * cn
+            p2, p1 = p1, row
+            rows.append(row)
+        return np.array(rows[len(rows) - m:])
+
+    # (-0.5, -0.5) has alpha + beta = -1
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    @pytest.mark.parametrize("npts", [1, 7, 360])
+    def test_windows_equal_the_five_call_rows_bitwise(self, ab, npts):
+        p = params_of(*ab)
+        x = np.cos(np.linspace(0.01, 3.13, npts))
+        for degree in range(-2, 9):
+            want = self.five_call_rows(p, x, degree, 512)
+            for m in list(range(1, 41)) + [256]:
+                # two windows: the second resumes from the carried rows
+                rec = JacobiRecurrence(p, x, degree=degree)
+                got = np.concatenate([rec.fill(np.empty((m, npts))),
+                                      rec.fill(np.empty((m, npts)))])
+                assert np.array_equal(got, want[:2 * m]), (degree, m)
 
     def test_starts_at_a_positive_degree(self):
         p = params_of(1.5, -0.7)

@@ -78,6 +78,19 @@ class TestIntervalMeasure:
         right = ball_measure(p, Ball(3.0, 1.0))
         assert_allclose(right, interval_measure(p, 2.0, math.pi), rtol=1e-14)
 
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_arrays_are_the_scalar_calls(self, ab):
+        # intervals left of, across and right of pi/2, empty ones and ones
+        # ending at pi: one array call equals the calls one at a time
+        p = JacobiParams(*ab)
+        lo = np.array([0.0, 0.1, 0.3, 1.6, math.pi / 2, 2.0, 1.0, math.pi])
+        hi = np.array([0.2, 1.5, 2.9, 2.5, 3.0, math.pi, 1.0, math.pi])
+        got = interval_measure(p, lo, hi)
+        assert np.array_equal(got, [interval_measure(p, a, b) for a, b in zip(lo, hi)])
+        assert got[-2] == got[-1] == 0.0
+        with pytest.raises(ValueError):
+            interval_measure(p, lo, hi[::-1])
+
     def test_density_is_psi_squared(self):
         p = JacobiParams(1.5, -0.7)
         t = np.linspace(-3.0, 3.0, 11)

@@ -52,6 +52,14 @@ class TestSharpConstants:
         assert rep.claim == "sharp-constant-b-diagonal-identity"
         assert rep.constant <= 1e-9
 
+    @pytest.mark.parametrize("ngrid", [1000, 1024])
+    def test_blocked_maxima_equal_the_full_grid(self, ngrid):
+        x = np.linspace(0.0, math.pi, ngrid + 2)[1:-1]
+        T, Q = np.meshgrid(x, x, indexing="ij")
+        reports = check_sharp_constants(ngrid)
+        for rep, fn in zip(reports, (verify._sharp_a, verify._sharp_b, verify._sharp_c)):
+            assert rep.details["grid_max"] == float(np.max(fn(T, Q)))
+
 
 class TestSweepContract:
     """ratio_sweep_report reads ratios on every band of both sweeps at once."""
@@ -218,6 +226,38 @@ class TestStandardEstimates:
         calls.clear()
         check_lemma_instances(P, TEST_SWEEP, "quick")
         assert len(calls) == len(set(calls)) == 4
+
+
+SWEEP_SUITES = ("standard-estimates", "domination", "lemma-ratios")
+
+
+class TestSharedSweepStep:
+    @pytest.mark.parametrize("profile", ["quick", "full"])
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, -0.7)])
+    def test_all_equals_each_suite_alone(self, ab, profile, monkeypatch):
+        params = JacobiParams(*ab)
+        _, theta, phi = TEST_SWEEP.pairs()
+        on_pairs = []
+        original = verify.eval_kernels
+
+        def counted(jobs, th, ph, *args, **kwargs):
+            if np.array_equal(th, theta) and np.array_equal(ph, phi):
+                on_pairs.append(len(jobs))
+            return original(jobs, th, ph, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "eval_kernels", counted)
+        whole = run_suite("all", params, profile, spec=TEST_SWEEP)["checks"]
+        # one kernel call on the sweep pairs serves all three suites
+        assert len(on_pairs) == 1
+        alone = [c for suite in SWEEP_SUITES
+                 for c in run_suite(suite, params, profile, spec=TEST_SWEEP)["checks"]]
+        claims = {c["claim"] for c in alone}
+        assert ([report_json(c) for c in whole if c["claim"] in claims]
+                == [report_json(c) for c in alone])
+
+    def test_timings_split_kernels_from_reductions(self):
+        doc = run_suite("domination", P, "quick", spec=TEST_SWEEP, timings=True)
+        assert set(doc["timings"]) == {"sweep-kernels", "domination"}
 
 
 class TestLemmaInstances:
