@@ -294,7 +294,7 @@ class _Run:
 
 
 class RowPlan:
-    """The recurrences behind sums of RowTerm rows, each run once.
+    """The recurrences behind sums of RowTerm rows, each run once, and the sums.
 
     A factor (see add) reads RowTerms on one of the plan's point sets: its
     row k is row k + offset of each term. One JacobiRecurrence runs per
@@ -302,15 +302,22 @@ class RowPlan:
     union of the point sets reading it (equal sets count once) and as far as
     the longest factor reading it. rows() reads the window, rows 0..chunk-1
     until advance(k0, k1) moves it, which a recurrence fills when first read.
+    RowTerm.scale runs once per (source, lag), over every degree a factor
+    reads; each factor reads a slice, bitwise the values of a call on its
+    own degrees, as the scale is elementwise. All factors are added before
+    any scale is read.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
-        self._runs = {}
+        self._runs, self._degrees, self._scales = {}, {}, {}
         self._window = 0, chunk
+        self._tmp = None
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
         """The factor of `terms` on point set `where`, read below row `length`."""
+        if self._scales:
+            raise ValueError("a factor added after the plan's scales were read")
         if where:  # a point set equal to an earlier one reads that one's columns
             p = self.points[where]
             where = next(j for j, q in enumerate(self.points)
@@ -324,7 +331,9 @@ class RowPlan:
             run.sets.add(where)
             run.length = max(run.length, length)
             runs.append(run)
-        return runs, where
+            lo, hi = self._degrees.get((term.source, term.lag), (offset, offset + length))
+            self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
+        return runs, where, terms, offset
 
     def advance(self, k0: int, k1: int) -> None:
         for run in self._runs.values():
@@ -334,7 +343,7 @@ class RowPlan:
 
     def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
         """The first m rows of the current window, one array per term."""
-        (k0, k1), (runs, where), out = self._window, factor, []
+        (k0, k1), (runs, where, *_), out = self._window, factor, []
         for run in runs:
             if run.rec is None:
                 run.begin(self.points, self.chunk)
@@ -343,22 +352,44 @@ class RowPlan:
             out.append(run.buf[:m, run.cols[where]])
         return out
 
+    def scales(self, factor: tuple, k0: int, k1: int) -> list[np.ndarray]:
+        """RowTerm.scale of each term of a factor at its rows k0..k1-1."""
+        _, _, terms, offset = factor
+        out = []
+        for term in terms:
+            key = term.source, term.lag
+            lo, hi = self._degrees[key]
+            if key not in self._scales:
+                self._scales[key] = term.scale(np.arange(lo, hi))
+            out.append(self._scales[key][k0 + offset - lo:k1 + offset - lo])
+        return out
+
+    def sum(self, factor: tuple, m: int, out: np.ndarray) -> np.ndarray:
+        """The first m rows of a factor in the current window, written to
+        out[:m]: pi * scale * raw row, added over the terms in lag order."""
+        out = out[:m]
+        out.fill(0.0)
+        if self._tmp is None:  # one scratch for every sum, sized for the largest
+            self._tmp = np.empty(self.chunk * max(p.size for p in self.points))
+        tmp = self._tmp[:out.size].reshape(out.shape)
+        k0 = self._window[0]
+        for term, raw, scale in zip(factor[2], self.rows(factor, m),
+                                    self.scales(factor, k0, k0 + m)):
+            np.multiply(raw, scale[:, None], out=tmp)
+            tmp *= term.pi
+            out += tmp
+        return out
+
 
 def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int,
                  odd: bool) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ns = np.arange(nmax + 1.0)
-    orders = [theta_row_terms(params, theta, {d: 1.0}, odd) for d in range(dmax + 1)]
-    # the rows every order reads: order d's last term is its top lag, d
-    lags = [terms[-1] for terms in orders]
     plan = RowPlan((theta,), nmax + 1)
-    rows = plan.rows(plan.add(lags, nmax + 1), nmax + 1)
-    for term, raw in zip(lags, rows):
-        raw *= term.scale(ns)[:, None]  # in place: this plan is read only here
-    out = np.zeros((dmax + 1, nmax + 1, theta.size))
-    for d, terms in enumerate(orders):
-        for term in terms:
-            out[d] += term.pi * rows[term.lag]
+    orders = [plan.add(theta_row_terms(params, theta, {d: 1.0}, odd), nmax + 1)
+              for d in range(dmax + 1)]
+    out = np.empty((dmax + 1, nmax + 1, theta.size))
+    for d, factor in enumerate(orders):
+        plan.sum(factor, nmax + 1, out[d])
     return out
 
 
@@ -416,66 +447,50 @@ class BasisElement:
         return eigenvalue(self.params, self.eigen_index)
 
 
-def _check_domain(kind: str, theta: np.ndarray):
+def eval_basis(elem: BasisElement, theta) -> np.ndarray:
+    return basis_matrix(elem.params, elem.kind, [elem.index], theta)[0]
+
+
+def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> np.ndarray:
+    """Rows n of one family at theta, or their theta-derivatives of the given
+    order; shape (len(n), npts).
+
+    n is a 1-D index array, in any order and with repeats. The symmetrized
+    kinds read Phi_2k and Phi_2k+1 from the polynomials and the odd factors,
+    one table for each parity some index has. Polynomial kinds support
+    order <= 2; the psi-weighted kinds support order = 0 only (their
+    derivatives are reached through the conjugation identities rather than
+    pointwise formulas).
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    n = np.asarray(n)
+    if n.ndim != 1:
+        raise ValueError("indices must be a 1-D array")
+    if (n < 0).any():
+        raise ValueError("index must be nonnegative")
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if kind in (TRIG_POLY, JACOBI_FN):
         if (theta <= 0.0).any() or (theta >= np.pi).any():
             raise ValueError("element is defined on (0,pi)")
     elif (np.abs(theta) >= np.pi).any():
         raise ValueError("element is defined on (-pi,pi)")
-
-
-def eval_basis_dtheta(elem: BasisElement, theta, order: int = 0) -> np.ndarray:
-    """Pointwise values (order=0) or theta-derivatives of a basis element.
-
-    Polynomial kinds support order <= 2; the psi-weighted kinds support
-    order = 0 only (their derivatives are reached through the conjugation
-    identities rather than pointwise formulas).
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    _check_domain(elem.kind, theta)
-    p, n = elem.params, elem.index
-    weighted = elem.kind in (JACOBI_FN, SYM_FN)
+    weighted = kind in (JACOBI_FN, SYM_FN)
     if weighted and order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
-    if elem.kind in (TRIG_POLY, JACOBI_FN):
-        out = trig_poly_table(p, n, theta, order)[order, n]
-    else:  # Phi_2k and Phi_2k+1 from the polynomials and the odd factors
-        table = trig_poly_table if n % 2 == 0 else odd_factor_table
-        out = (1.0 / math.sqrt(2.0)) * table(p, n // 2, theta, order)[order, n // 2]
+    if kind in (TRIG_POLY, JACOBI_FN):
+        out = trig_poly_table(params, int(n.max()), theta, order)[order, n]
+    else:
+        out = np.empty((n.size, theta.size))
+        for parity, table in enumerate((trig_poly_table, odd_factor_table)):
+            rows = n % 2 == parity
+            if rows.any():
+                k = n[rows] // 2
+                out[rows] = table(params, int(k.max()), theta, order)[order, k]
+        out *= 1.0 / math.sqrt(2.0)
     # phi_n = psi P_n; Theta_n = psi Phi_n exactly, both parities (the odd index's
     # sign(theta) is absorbed by sin(theta/2) > 0 <=> theta > 0)
-    return psi(p, theta) * out if weighted else out
-
-
-def eval_basis(elem: BasisElement, theta) -> np.ndarray:
-    return eval_basis_dtheta(elem, theta, 0)
-
-
-def basis_matrix(params: JacobiParams, kind: str, nmax: int, theta) -> np.ndarray:
-    """Rows 0..nmax of one family at theta; shape (nmax+1, npts).
-
-    One table per parity (the symmetrized kinds interleave the polynomials
-    and the odd factors), times psi for the function kinds: row n equals
-    eval_basis(BasisElement(params, n, kind), theta) bit for bit, at the
-    cost of one recurrence instead of one per element.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    _check_domain(kind, theta)
-    if kind in (TRIG_POLY, JACOBI_FN):
-        out = trig_poly_table(params, nmax, theta)[0]
-    else:
-        out = np.empty((nmax + 1, theta.size))
-        out[0::2] = trig_poly_table(params, nmax // 2, theta)[0]
-        if nmax > 0:
-            out[1::2] = odd_factor_table(params, (nmax - 1) // 2, theta)[0]
-        out *= 1.0 / math.sqrt(2.0)
-    if kind in (JACOBI_FN, SYM_FN):
-        out = psi(params, theta) * out
-    return out
+    return psi(params, theta) * out if weighted else out
 
 
 def coeff_A(params: JacobiParams, theta) -> np.ndarray:
@@ -545,12 +560,6 @@ def _ladder(op: str, params: JacobiParams, kind: str, n: np.ndarray) -> tuple:
     raise ValueError(f"no ladder action on kind {kind!r}")
 
 
-def _one(images: tuple, kind: str, vanished=None) -> tuple:
-    # an array form on one index: (factor, image), (0.0, vanished) if it vanishes
-    (c,), params, (n,) = images
-    return (0.0, vanished) if c == 0.0 else (float(c), BasisElement(params, int(n), kind))
-
-
 def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None]:
     """Apply one first-order operator to an element when the result is again
     a scalar multiple of an element of the same family.
@@ -564,7 +573,8 @@ def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None
     Returns (coefficient, element); (0.0, None) when the image vanishes.
     Raises ValueError when the action is not ladder-closed.
     """
-    return _one(_ladder(op, elem.params, elem.kind, np.array([elem.index])), elem.kind)
+    (c,), params, (n,) = _ladder(op, elem.params, elem.kind, np.array([elem.index]))
+    return (0.0, None) if c == 0.0 else (float(c), BasisElement(params, int(n), elem.kind))
 
 
 def ladder_images(N: int, params: JacobiParams, kind: str, n,
@@ -587,6 +597,8 @@ def ladder_images(N: int, params: JacobiParams, kind: str, n,
     DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones. The signs fall out of the
     ladder automatically; this helper never absorbs them.
     """
+    if N < 0:
+        raise ValueError("chain length must be nonnegative")
     n = np.asarray(n)
     if interlaced and kind != JACOBI_FN:
         if kind != SYM_POLY:
@@ -603,35 +615,6 @@ def ladder_images(N: int, params: JacobiParams, kind: str, n,
     return _vanish(coef, params, n)
 
 
-def d_power_on_element(N: int, elem: BasisElement) -> tuple[float, BasisElement | None]:
-    """The plain ladder_images chain on one element; (0.0, None) if it vanishes."""
-    return _one(ladder_images(N, elem.params, elem.kind, [elem.index]), elem.kind)
-
-
-def interlaced_on_element(variant: str, N: int, elem: BasisElement) -> tuple[float, BasisElement]:
-    """delta_N^even or delta_N^odd applied exactly to a symmetrized element
-    (see ladder_images); a vanishing image returns (0.0, elem)."""
-    if variant not in ("even", "odd"):
-        raise ValueError("variant must be 'even' or 'odd'")
-    if N < 0:
-        raise ValueError("chain length must be nonnegative")
-    if elem.kind != SYM_POLY:
-        raise ValueError("interlaced chains act on sym_poly elements")
-    if N == 0:
-        return 1.0, elem
-    if elem.index % 2 != (variant == "odd"):
-        raise ValueError(f"{variant} chain starts on an {variant}-index element")
-    return _one(ladder_images(N, elem.params, SYM_POLY, [elem.index], True), SYM_POLY, elem)
-
-
-def interlaced_fn_chain(N: int, elem: BasisElement) -> tuple[float, BasisElement]:
-    """D_N^even = ...D D* D (see ladder_images) on one Jacobi function phi_n;
-    a vanishing image returns (0.0, elem)."""
-    if elem.kind != JACOBI_FN:
-        raise ValueError("interlaced function chains act on jacobi_fn elements")
-    return _one(ladder_images(N, elem.params, JACOBI_FN, [elem.index], True), JACOBI_FN, elem)
-
-
 def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:
     """The symmetrized second-order operator, applied as a differential operator.
 
@@ -642,10 +625,9 @@ def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:
     if elem.kind != SYM_POLY:
         raise ValueError("differential application implemented for sym_poly")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    f0 = eval_basis_dtheta(elem, theta, 0)
-    f1 = eval_basis_dtheta(elem, theta, 1)
-    f2 = eval_basis_dtheta(elem, theta, 2)
     p = elem.params
+    f0, f1, f2 = (basis_matrix(p, SYM_POLY, [elem.index], theta, order)[0]
+                  for order in range(3))
     out = -f2 - coeff_A(p, theta) * f1 + p.lam0 * f0
     if elem.parity == "odd":
         out -= coeff_A_prime(p, theta) * f0

@@ -27,16 +27,12 @@ from .kernels import (DiscreteMeasure, TruncationConfig, TruncationError,
                       poisson_kernel, symmetrized_kernel_pairs)
 from .operators import (OPERATOR_KINDS, OperatorSpec, apply_operator,
                         apply_restricted, grid_function, nonsym_apply)
-from .quadrature import TGrid, gauss_jacobi_grid
+from .quadrature import TAG_KINDS, TGrid, gauss_jacobi_grid
 from .verify import FULL_SWEEP, QUICK_SWEEP, SUITES, report_json, run_suite
 
-# setting name -> (quadrature tag, kind of the bundled basis element)
-SETTING_MAP = {
-    "poly-sym": ("mu_full", SYM_POLY),
-    "fn-sym": ("theta_full", SYM_FN),
-    "poly+": ("mu_plus", TRIG_POLY),
-    "fn+": ("theta_plus", JACOBI_FN),
-}
+# setting name -> quadrature tag; the tag's kind is the bundled element's
+SETTING_MAP = {"poly-sym": "mu_full", "fn-sym": "theta_full",
+               "poly+": "mu_plus", "fn+": "theta_plus"}
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,7 @@ def _eval_kernel(cfg: RunConfig) -> str:
     trunc = TruncationConfig(eps_tail=cfg.eps_tail)
     if (cfg.theta is None) != (cfg.phi is None):
         raise ValueError("--theta and --phi must be given together")
+    lo = -math.pi if cfg.kind == "sym" else 0.0
     if cfg.theta is not None:
         theta = np.asarray(cfg.theta, dtype=float)
         phi = np.asarray(cfg.phi, dtype=float)
@@ -230,9 +227,12 @@ def _eval_kernel(cfg: RunConfig) -> str:
             phi = np.full(theta.shape, phi[0])
         if theta.shape != phi.shape:
             raise ValueError("--theta and --phi lists differ in length")
+        # NaN fails both comparisons
+        if not np.all((lo <= theta) & (theta <= math.pi) & (lo <= phi) & (phi <= math.pi)):
+            raise ValueError(f"the {cfg.kind} kernel takes angles in "
+                             f"[{'-pi' if lo else '0'}, pi]")
     else:
         count = cfg.grid if cfg.grid else 32
-        lo = -math.pi if cfg.kind == "sym" else 0.0
         axis = _sample_nodes(lo, math.pi, count)
         th, ph = np.meshgrid(axis, axis, indexing="ij")
         theta, phi = th.ravel(), ph.ravel()
@@ -249,13 +249,13 @@ def _eval_kernel(cfg: RunConfig) -> str:
 
 def _eval_operator(cfg: RunConfig) -> str:
     params = JacobiParams(cfg.alpha, cfg.beta)
-    tag, elem_kind = SETTING_MAP[cfg.setting]
+    tag = SETTING_MAP[cfg.setting]
     order = cfg.grid if cfg.grid else 64
     nmax = order // 2 - 1
     if cfg.n > nmax:
         raise ValueError(f"--n {cfg.n} needs --grid above {2 * (cfg.n + 1)}")
     grid = gauss_jacobi_grid(params, order, tag)
-    elem = BasisElement(params, cfg.n, elem_kind)
+    elem = BasisElement(params, cfg.n, TAG_KINDS[tag])
     f = grid_function(grid, lambda th: eval_basis(elem, th))
 
     tgrid = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,7 +138,7 @@ class KernelHandle:
         for k0 in range(0, stream.n, _CHUNK):
             k1 = min(k0 + _CHUNK, stream.n)
             plan.advance(k0, k1)
-            th, ph = stream.factors(k0, k1)
+            th, ph = stream.factors(k1 - k0)
             out += (th * d[k0:k1, None]).T @ ph
         out *= np.reshape(stream.theta_scale, (-1, 1))
         out *= stream.phi_scale
@@ -255,9 +256,9 @@ class _Stream:
     Each t pays only for the series length its own bound demands: times are
     sorted longest series first, so those still summing form a prefix. A
     single-term factor is handed out as the plan's raw rows, its scale folded
-    into `weight` and its pi into `theta_scale` / `phi_scale`; a factor of
-    several terms is summed into its own buffer per chunk; `rows_key` names the
-    raw rows of a stream whose factors are both single terms.
+    into `weight` and its pi into `theta_scale` / `phi_scale`; the plan sums a
+    factor of several terms into the stream's buffer per chunk; `rows_key`
+    names the raw rows of a stream whose factors are both single terms.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
@@ -271,46 +272,35 @@ class _Stream:
         self.order = np.argsort(-lengths, kind="stable")
         self.t, self.lengths = t[self.order], lengths[self.order]
         self.n = n = int(self.lengths[0])
-        self._plan, self._sides = plan, _sides(handle, *plan.points)
+        self._plan, sides = plan, _sides(handle, *plan.points)
         self._factors = [plan.add(terms, n, s, offset)
-                         for s, (terms, offset) in enumerate(self._sides)]
-        self.runs = {run for runs, _ in self._factors for run in runs}
-        ks = np.arange(n)
-        self._kappa = [[term.scale(ks + offset) for term in terms]
-                       for terms, offset in self._sides]
-        weight = np.ones(n)
-        scales = [1.0, 1.0]
-        self._mixed = [None, None]
-        for s, (terms, _) in enumerate(self._sides):
-            if len(terms) == 1:
-                weight *= self._kappa[s][0]
-                scales[s] = terms[0].pi
-            else:
-                self._mixed[s] = np.empty((2, _CHUNK, plan.points[s].size))
-        self.rows_key = None if any(len(terms) > 1 for terms, _ in self._sides) else tuple(
-            (id(runs[0]), where) for runs, where in self._factors)
-        self.theta_scale, self.phi_scale = scales
-        self.speed, coef = _series(handle, n)
-        self.weight = coef * weight
+                         for s, (terms, offset) in enumerate(sides)]
+        self.runs = {run for runs, *_ in self._factors for run in runs}
+        self._sums = [None if len(terms) == 1 else np.empty((_CHUNK, plan.points[s].size))
+                      for s, (terms, _) in enumerate(sides)]
+        self.rows_key = None if any(b is not None for b in self._sums) else tuple(
+            (id(runs[0]), where) for runs, where, *_ in self._factors)
+        self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
+                                            for terms, _ in sides)
+        self.speed, self._coef = _series(handle, n)
         self.out = np.zeros((t.size, plan.points[0].size))
 
-    def factors(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows k0..k1-1 of the theta and the phi factor, in the plan's window."""
-        m = k1 - k0
-        out = []
-        for s, (terms, _) in enumerate(self._sides):
-            raw = self._plan.rows(self._factors[s], m)
-            if self._mixed[s] is None:
-                out.extend(raw)
-                continue
-            mixed, tmp = self._mixed[s][0][:m], self._mixed[s][1][:m]
-            mixed.fill(0.0)
-            for rows, kappa, term in zip(raw, self._kappa[s], terms):
-                np.multiply(rows, kappa[k0:k1, None], out=tmp)
-                tmp *= term.pi
-                mixed += tmp
-            out.append(mixed)
-        return out[0], out[1]
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """The series coefficients times the single-term factors' scales; read
+        once the plan holds every stream's factors."""
+        weight = np.ones(self.n)
+        for factor, buf in zip(self._factors, self._sums):
+            if buf is None:
+                weight *= self._plan.scales(factor, 0, self.n)[0]
+        return self._coef * weight
+
+    def factors(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first m rows of the theta and the phi factor in the plan's window."""
+        th, ph = (self._plan.rows(factor, m)[0] if buf is None
+                  else self._plan.sum(factor, m, buf)
+                  for factor, buf in zip(self._factors, self._sums))
+        return th, ph
 
     def add(self, k0: int, k1: int, A: np.ndarray) -> None:
         """Add terms k0..k1-1 to the samples on the pairs; A is the product
@@ -389,7 +379,7 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
             for s in (s for s in group if s.n > k0):
                 k1 = min(k0 + _CHUNK, s.n)
                 if s.rows_key is None or s.rows_key != last:
-                    A, last = np.multiply(*s.factors(k0, k1), out=prod[:k1 - k0]), s.rows_key
+                    A, last = np.multiply(*s.factors(k1 - k0), out=prod[:k1 - k0]), s.rows_key
                 s.add(k0, k1, A[:k1 - k0])
     return [s.result() for s in streams]
 

@@ -20,7 +20,8 @@ from .basis import JacobiParams
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """w(t) = |sin(t/2)|^r * cos(t/2)^s."""
+    """w(t) = |sin(t/2)|^r * cos(t/2)^s; r and s may be arrays of powers
+    for the membership tests."""
 
     r: float
     s: float
@@ -91,40 +92,42 @@ def mu_total(params: JacobiParams) -> float:
     return interval_measure(params, 0.0, math.pi)
 
 
-def _within(lower: float, value: float, upper: float, closed_upper: bool) -> bool:
-    if not value > lower:
-        return False
-    return value <= upper if closed_upper else value < upper
+def _in_class(params: JacobiParams, weight: PowerWeight, p,
+              lower, upper) -> bool | np.ndarray:
+    """lower(c) < x < upper(c) for (c, x) = (alpha, r) and (beta, s), the upper
+    bound closed at p = 1; elementwise over arrays of r, s and p, and a
+    Python bool on scalars, which the JSON reports take."""
+    q = np.asarray(p)
+    if not np.all((1.0 <= q) & (q < math.inf)):
+        raise ValueError("p must satisfy 1 <= p < infinity")
+    inside = True
+    for c, x in ((params.alpha, weight.r), (params.beta, weight.s)):
+        inside = inside & (x > lower(c)) & np.where(q == 1.0, x <= upper(c), x < upper(c))
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
-def ap_membership(params: JacobiParams, weight: PowerWeight, p: float) -> bool:
+def ap_membership(params: JacobiParams, weight: PowerWeight, p) -> bool | np.ndarray:
     """Power-weight criterion for the Muckenhoupt-type class over ((0,pi), mu+).
 
     For 1 < p < infinity: -(2a+2) < r < (2a+2)(p-1) and the same in (b, s).
-    At p = 1 the upper bounds close up (r <= 0, s <= 0).
+    At p = 1 the upper bounds close up (r <= 0, s <= 0). Elementwise over
+    arrays of r, s and p.
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError("p must satisfy 1 <= p < infinity")
-    a, b = params.alpha, params.beta
-    closed = p == 1.0
-    return (_within(-(2 * a + 2), weight.r, (2 * a + 2) * (p - 1), closed)
-            and _within(-(2 * b + 2), weight.s, (2 * b + 2) * (p - 1), closed))
+    return _in_class(params, weight, p, lambda c: -(2 * c + 2),
+                     lambda c: (2 * c + 2) * (p - 1))
 
 
-def bp_membership(params: JacobiParams, weight: PowerWeight, p: float) -> bool:
+def bp_membership(params: JacobiParams, weight: PowerWeight, p) -> bool | np.ndarray:
     """Criterion for the transferred class over ((0,pi), dt).
 
     For 1 < p < infinity: -1-(a+1/2)p < r < p-1+(a+1/2)p, same in (b, s);
     at p = 1 the upper bounds close up. Equivalent formulation:
     w_{r,s} belongs here iff w shifted by (a+1/2)(p-2), (b+1/2)(p-2) is in
-    the mu+ class, which the tests exercise directly.
+    the mu+ class, which the tests exercise directly. Elementwise over
+    arrays of r, s and p.
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError("p must satisfy 1 <= p < infinity")
-    a, b = params.alpha, params.beta
-    closed = p == 1.0
-    return (_within(-1 - (a + 0.5) * p, weight.r, p - 1 + (a + 0.5) * p, closed)
-            and _within(-1 - (b + 0.5) * p, weight.s, p - 1 + (b + 0.5) * p, closed))
+    return _in_class(params, weight, p, lambda c: -1 - (c + 0.5) * p,
+                     lambda c: p - 1 + (c + 0.5) * p)
 
 
 def unweighted_bp_window(params: JacobiParams) -> tuple[float, float]:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .basis import (
     JACOBI_FN,
-    SYM_FN,
     SYM_POLY,
     TRIG_POLY,
     BasisElement,
@@ -35,7 +34,7 @@ from .basis import (
     psi,
 )
 from .kernels import DEFAULT_TGRID, DiscreteMeasure
-from .quadrature import TGrid, ThetaGrid, inner_product, t_norm
+from .quadrature import TAG_KINDS, TGrid, ThetaGrid, inner_product, t_norm
 
 OPERATOR_KINDS = ("semigroup", "riesz", "riesz_interlaced", "multiplier",
                   "maximal", "square", "square_interlaced")
@@ -45,9 +44,6 @@ _SYM_KINDS = ("semigroup", "riesz", "multiplier", "maximal", "square")
 SETTINGS = {"sym_poly": _SYM_KINDS, "sym_fn": _SYM_KINDS, "nonsym": OPERATOR_KINDS,
             "restricted": ("semigroup", "riesz_interlaced", "multiplier",
                            "maximal", "square_interlaced")}
-
-_GRID_KIND = {"mu_full": SYM_POLY, "theta_full": SYM_FN,
-              "mu_plus": TRIG_POLY, "theta_plus": JACOBI_FN}
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,8 @@ class OperatorSpec:
             raise ValueError("Riesz kinds need N >= 1")
         if self.kind == "multiplier" and self.multiplier is None:
             raise ValueError("multiplier kind needs a multiplier")
+        if self.N < 0 or self.M < 0:
+            raise ValueError("need N >= 0 and M >= 0")
         if self.kind in ("square", "square_interlaced") and self.N + self.M < 1:
             raise ValueError("square kinds need M + N >= 1")
 
@@ -105,12 +103,13 @@ class OperatorSpec:
 
 def _rows(families: list[tuple], theta: np.ndarray) -> list[np.ndarray]:
     """The rows of each family (params, kind, indices) at theta, read from
-    one basis_matrix per distinct (params, kind)."""
-    top = {}
+    one basis_matrix per distinct (params, kind) on the indices they need."""
+    need = {}
     for params, kind, n in families:
-        top[params, kind] = max(top.get((params, kind), 0), int(n.max()))
-    tables = {key: basis_matrix(*key, nmax, theta) for key, nmax in top.items()}
-    return [tables[params, kind][n] for params, kind, n in families]
+        need[params, kind] = np.union1d(need.get((params, kind), n), n)
+    tables = {key: basis_matrix(*key, n, theta) for key, n in need.items()}
+    return [tables[params, kind][np.searchsorted(need[params, kind], n)]
+            for params, kind, n in families]
 
 
 def _families(elements: list[BasisElement]) -> tuple[list[tuple], np.ndarray]:
@@ -136,7 +135,7 @@ def expand(f: GridFunction, nmax: int) -> np.ndarray:
     operator displays (call with the symmetrized elements via
     expand_restricted for those).
     """
-    return _expand(f, (f.grid.params, _GRID_KIND[f.grid.tag], np.arange(nmax + 1)))
+    return _expand(f, (f.grid.params, TAG_KINDS[f.grid.tag], np.arange(nmax + 1)))
 
 
 def restricted_family(params: JacobiParams, nmax: int, component: str) -> tuple:
@@ -193,20 +192,16 @@ def _chain(kind: str, N: int, params: JacobiParams, family: str, n: np.ndarray) 
 
 
 def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
-                   source: tuple | list[BasisElement]) -> tuple[np.ndarray, ...]:
-    """(E, F, z, V): the action of spec on the source elements at the nodes.
+                   source: tuple) -> tuple[np.ndarray, ...]:
+    """(E, F, z, V): the action of spec on the source family (params, kind,
+    indices) at the nodes.
 
-    source is one family (params, kind, indices) or a list of elements,
-    which may mix families. E[n] and V[n] are the rows of source element n
-    and of its chain image, z[n] = sqrt(lambda_n) its speed, F[n] its
-    factor: e^{-t z}, m(z) or lambda^{-N/2} times the chain factor, and for
-    the time kinds the chain factor times (-z)^M. A vanishing image has
-    F[n] = 0 (and V[n] some row of the image family).
+    E[n] and V[n] are the rows of source element n and of its chain image,
+    z[n] = sqrt(lambda_n) its speed, F[n] its factor: e^{-t z}, m(z) or
+    lambda^{-N/2} times the chain factor, and for the time kinds the chain
+    factor times (-z)^M. A vanishing image has F[n] = 0 (and V[n] some row
+    of the image family).
     """
-    if isinstance(source, list):
-        families, order = _families(source)
-        parts = zip(*(spectral_table(spec, grid, family) for family in families))
-        return tuple(np.concatenate(part)[order] for part in parts)
     params, kind, n = source[0], source[1], np.asarray(source[2])
     chain, image_params, m = _chain(spec.kind, spec.N, params, kind, n)
     E, V = _rows([(params, kind, n), (image_params, kind, m)], grid.nodes)
@@ -249,7 +244,7 @@ def apply_operator(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFuncti
     family matching its grid (sym_poly on mu_full, sym_fn on theta_full)."""
     if f.grid.tag not in ("mu_full", "theta_full"):
         raise ValueError("symmetrized operators act on full-interval grids")
-    kind = _GRID_KIND[f.grid.tag]
+    kind = TAG_KINDS[f.grid.tag]
     return _act(spec, f, kind, (f.grid.params, kind, np.arange(nmax + 1)))
 
 

@@ -21,10 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, roots_jacobi
 
-from .basis import JacobiParams
+from .basis import JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, JacobiParams
 from .measure import mu_density
 
-TAGS = ("mu_plus", "mu_full", "theta_plus", "theta_full")
+# grid tag -> the family paired with that grid's measure: orthonormal, except
+# on mu_plus, where the restricted operators read plain inner products
+TAG_KINDS = {"mu_plus": TRIG_POLY, "theta_plus": JACOBI_FN,
+             "mu_full": SYM_POLY, "theta_full": SYM_FN}
 
 # time grids: the default density in points per decade, and how many times a
 # grid at that density or above may double it to pass its quadrature check
@@ -64,8 +67,8 @@ class ThetaGrid:
 def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") -> ThetaGrid:
     """Gauss rule with `order` nodes on (0,pi), optionally symmetrized or
     reweighted for plain-dtheta integration."""
-    if tag not in TAGS:
-        raise ValueError(f"tag must be one of {TAGS}")
+    if tag not in TAG_KINDS:
+        raise ValueError(f"tag must be one of {tuple(TAG_KINDS)}")
     if order < 1:
         raise ValueError("order must be positive")
     x, w = roots_jacobi(order, params.alpha, params.beta)

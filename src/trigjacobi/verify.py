@@ -30,10 +30,8 @@ import numpy as np
 from scipy.special import eval_jacobi, gamma, gammaln
 
 from .basis import (
-    JACOBI_FN,
     SYM_FN,
     SYM_POLY,
-    TRIG_POLY,
     BasisElement,
     JacobiParams,
     apply_jacobi_operator,
@@ -68,7 +66,7 @@ from .operators import (
     restricted_family,
     spectral_table,
 )
-from .quadrature import TGrid, gauss_jacobi_grid, t_norm
+from .quadrature import TAG_KINDS, TGrid, gauss_jacobi_grid, t_norm
 
 SCHEMA_VERSION = 1
 
@@ -310,16 +308,12 @@ def check_ball_comparability(params: JacobiParams, spec: SweepSpec,
 
 # --- identity suite -----------------------------------------------------------
 
-_GRID_FOR_KIND = {TRIG_POLY: "mu_plus", JACOBI_FN: "theta_plus",
-                  SYM_POLY: "mu_full", SYM_FN: "theta_full"}
-
-
 def check_orthonormality(params: JacobiParams, nmax: int = 20) -> list[EstimateReport]:
     tol = 1e-8
     out = []
-    for kind in (TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN):
-        grid = gauss_jacobi_grid(params, 2 * nmax + 8, _GRID_FOR_KIND[kind])
-        V = basis_matrix(params, kind, nmax, grid.nodes)
+    for tag, kind in TAG_KINDS.items():
+        grid = gauss_jacobi_grid(params, 2 * nmax + 8, tag)
+        V = basis_matrix(params, kind, np.arange(nmax + 1), grid.nodes)
         G = (V * grid.weights) @ V.T
         err = float(np.max(np.abs(G - np.eye(nmax + 1))))
         out.append(EstimateReport(
@@ -786,17 +780,13 @@ def check_weight_classes(params: JacobiParams, n_samples: int = 10000,
     """Membership toolkit consistency: the two power-weight classes agree
     through the parameter shift (a+1/2)(p-2), (b+1/2)(p-2), and the
     unweighted window matches its closed form."""
-    # rows (r, s, p), equal to three scalar draws each, in the same order;
-    # converted row by row, not held as n_samples Python lists at once
-    draws = np.random.default_rng(seed).uniform((-6.0, -6.0, 1.0), (6.0, 6.0, 6.0),
-                                                size=(n_samples, 3))
-    mismatches = 0
-    for r, s, p in (row.tolist() for row in draws):
-        w = PowerWeight(r, s)
-        shifted = w.shifted((params.alpha + 0.5) * (p - 2.0),
-                            (params.beta + 0.5) * (p - 2.0))
-        if bp_membership(params, w, p) != ap_membership(params, shifted, p):
-            mismatches += 1
+    # rows (r, s, p), equal to three scalar draws each, in the same order
+    r, s, p = np.random.default_rng(seed).uniform((-6.0, -6.0, 1.0), (6.0, 6.0, 6.0),
+                                                  size=(n_samples, 3)).T
+    w = PowerWeight(r, s)
+    shifted = w.shifted((params.alpha + 0.5) * (p - 2.0), (params.beta + 0.5) * (p - 2.0))
+    mismatches = int(np.count_nonzero(bp_membership(params, w, p)
+                                      != ap_membership(params, shifted, p)))
     rep1 = EstimateReport(claim="weight-class-shift-equivalence",
                           passed=mismatches == 0, constant=float(mismatches),
                           tolerance=0.0, details={"samples": n_samples})

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from trigjacobi import basis
 from trigjacobi.basis import (
     SYM_FN,
     SYM_POLY,
@@ -27,19 +28,17 @@ from trigjacobi.basis import (
     coeff_A,
     coeff_A_prime,
     coeff_b,
-    d_power_on_element,
     eigenvalue,
     eval_basis,
-    eval_basis_dtheta,
     half_index,
-    interlaced_fn_chain,
-    interlaced_on_element,
     jacobi_poly,
     jacobi_table,
+    ladder_images,
     ladder_step,
     norm_constant,
     odd_factor_table,
     psi,
+    theta_row_terms,
     trig_poly_table,
 )
 
@@ -299,27 +298,98 @@ class TestRecurrence:
                             jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
 
 
+def element_row(p, kind, n, theta, order=0):
+    """Row n of a family, element by element from the tables: the polynomial
+    or odd-factor row, over sqrt 2 on the symmetrized kinds, times psi on the
+    weighted ones."""
+    if kind in (TRIG_POLY, JACOBI_FN):
+        row = trig_poly_table(p, n, theta, order)[order, n]
+    else:
+        table = trig_poly_table if n % 2 == 0 else odd_factor_table
+        row = (1.0 / math.sqrt(2.0)) * table(p, n // 2, theta, order)[order, n // 2]
+    return psi(p, theta) * row if kind in (JACOBI_FN, SYM_FN) else row
+
+
+def nodes_for(kind):
+    if kind in (TRIG_POLY, JACOBI_FN):
+        return np.linspace(0.02, 3.1, 29)
+    return np.linspace(-3.1, 3.1, 30)
+
+
 class TestBasisMatrix:
     @pytest.mark.parametrize("nmax", [0, 1, 2, 64])
     @pytest.mark.parametrize("kind", [TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN])
     @pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.5, -0.5), (-0.7, -0.6)])
     def test_rows_are_the_elements_bitwise(self, ab, kind, nmax):
         p = params_of(*ab)
-        half = kind in (TRIG_POLY, JACOBI_FN)
-        theta = np.linspace(0.02, 3.1, 29) if half else np.linspace(-3.1, 3.1, 30)
-        table = basis_matrix(p, kind, nmax, theta)
+        theta = nodes_for(kind)
+        table = basis_matrix(p, kind, np.arange(nmax + 1), theta)
         assert table.shape == (nmax + 1, theta.size)
         for n in range(nmax + 1):
+            assert np.array_equal(table[n], element_row(p, kind, n, theta))
             assert np.array_equal(table[n], eval_basis(BasisElement(p, n, kind), theta))
+
+    # unsorted with repeats, even indices only, odd indices only
+    INDEX_SETS = [[5, 0, 3, 3, 8, 1, 0], [6, 2, 2, 0], [7, 1, 1, 3]]
+
+    @pytest.mark.parametrize("n", INDEX_SETS, ids=["mixed", "even", "odd"])
+    @pytest.mark.parametrize("kind,order", [(k, 0) for k in (TRIG_POLY, JACOBI_FN,
+                                                              SYM_POLY, SYM_FN)]
+                             + [(k, d) for k in (TRIG_POLY, SYM_POLY) for d in (1, 2)])
+    @pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.7, -0.6)])
+    def test_index_arrays_and_orders_bitwise(self, ab, kind, order, n):
+        p = params_of(*ab)
+        theta = nodes_for(kind)
+        table = basis_matrix(p, kind, np.array(n), theta, order)
+        assert table.shape == (len(n), theta.size)
+        for row, k in zip(table, n):
+            assert np.array_equal(row, element_row(p, kind, k, theta, order))
+
+    @pytest.mark.parametrize("n,built", [([6, 2, 2, 0], ["even"]), ([7, 1], ["odd"]),
+                                         ([3, 0, 1], ["even", "odd"])])
+    def test_one_table_per_parity_present(self, monkeypatch, n, built):
+        calls = []
+        for name, parity in (("trig_poly_table", "even"), ("odd_factor_table", "odd")):
+            def counted(*args, _table=getattr(basis, name), _parity=parity, **kwargs):
+                calls.append(_parity)
+                return _table(*args, **kwargs)
+            monkeypatch.setattr(basis, name, counted)
+        basis_matrix(params_of(1.5, -0.7), SYM_POLY, np.array(n), nodes_for(SYM_POLY))
+        assert calls == built
 
     def test_rejects_bad_input(self):
         p = params_of(0.0, 0.0)
         with pytest.raises(ValueError):
-            basis_matrix(p, "chebyshev", 3, [0.5])
+            basis_matrix(p, "chebyshev", [3], [0.5])
         with pytest.raises(ValueError):
-            basis_matrix(p, SYM_POLY, -1, [0.5])
+            basis_matrix(p, SYM_POLY, [-1], [0.5])
         with pytest.raises(ValueError):
-            basis_matrix(p, JACOBI_FN, 3, [-0.5])
+            basis_matrix(p, JACOBI_FN, [3], [-0.5])
+        with pytest.raises(ValueError):
+            basis_matrix(p, SYM_FN, [3], [0.5], order=1)
+        # a scalar is not an index array: an nmax-style call fails loudly
+        with pytest.raises(ValueError):
+            basis_matrix(p, SYM_POLY, 3, [0.5])
+
+
+class TestThetaTable:
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("dmax", [0, 1, 2])
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_sum_of_scaled_recurrence_rows_bitwise(self, ab, dmax, odd):
+        # order d is the sum, in lag order, of pi * scale * the recurrence
+        # rows of each of its terms
+        p, nmax = params_of(*ab), 40
+        theta = np.linspace(0.05, 3.1, 23)
+        got = (odd_factor_table if odd else trig_poly_table)(p, nmax, theta, dmax)
+        assert got.shape == (dmax + 1, nmax + 1, theta.size)
+        for d in range(dmax + 1):
+            want = np.zeros((nmax + 1, theta.size))
+            for term in theta_row_terms(p, theta, {d: 1.0}, odd):
+                rows = JacobiRecurrence(term.params, np.cos(theta), degree=-term.lag).fill(
+                    np.empty((nmax + 1, theta.size)))
+                want += rows * term.scale(np.arange(nmax + 1))[:, None] * term.pi
+            assert np.array_equal(got[d], want), d
 
 
 class TestDerivativeTables:
@@ -438,7 +508,7 @@ class TestLadderSteps:
         elem = BasisElement(p, 6, SYM_POLY)
         coef, img = ladder_step("delta", elem)
         t = np.linspace(0.2, 2.8, 9)
-        d = eval_basis_dtheta(elem, t, 1)
+        d = basis_matrix(p, SYM_POLY, [6], t, 1)[0]
         assert img.index == 5
         assert_allclose(coef * eval_basis(img, t), d, rtol=1e-11)
 
@@ -448,7 +518,7 @@ class TestLadderSteps:
         elem = BasisElement(p, 5, SYM_POLY)
         coef, img = ladder_step("delta_star", elem)
         t = np.linspace(0.2, 2.8, 9)
-        d = eval_basis_dtheta(elem, t, 1)
+        d = basis_matrix(p, SYM_POLY, [5], t, 1)[0]
         lhs = -d - coeff_A(p, t) * eval_basis(elem, t)
         assert img.index == 6
         assert_allclose(coef * eval_basis(img, t), lhs, rtol=2e-11)
@@ -465,7 +535,7 @@ class TestLadderSteps:
         elem = BasisElement(p, n, SYM_POLY)
         coef, img = ladder_step("DD", elem)
         t = np.linspace(0.15, 2.9, 13)
-        lhs = eval_basis_dtheta(elem, t, 1)
+        lhs = basis_matrix(p, SYM_POLY, [n], t, 1)[0]
         if elem.parity == "odd":
             lhs = lhs + coeff_A(p, t) * eval_basis(elem, t)
         assert_allclose(coef * eval_basis(img, t), lhs, rtol=5e-11)
@@ -510,66 +580,73 @@ class TestLadderSteps:
 
 
 class TestInterlacedChains:
+    """The chain closed forms, through ladder_images on index arrays."""
+
     @pytest.mark.parametrize("N", range(5))
     def test_even_chain_closed_form(self, N):
         p = params_of(1.5, -0.7)
-        elem = BasisElement(p, 6, SYM_POLY)
-        coef, img = interlaced_on_element("even", N, elem)
-        root = math.sqrt(eigenvalue(p, 3) - p.lam0)
-        assert coef == pytest.approx((-root) ** N)
-        assert img.index == 6 - (N % 2)
+        n = np.array([6, 2, 4])
+        coef, params, img = ladder_images(N, p, SYM_POLY, n, True)
+        root = np.sqrt(eigenvalue(p, n // 2) - p.lam0)
+        assert_allclose(coef, (-root) ** N, rtol=1e-13)
+        assert params == p
+        assert np.array_equal(img, n - (N % 2))
 
     @pytest.mark.parametrize("N", range(5))
     def test_odd_chain_closed_form(self, N):
         p = params_of(1.5, -0.7)
-        elem = BasisElement(p, 5, SYM_POLY)
-        coef, img = interlaced_on_element("odd", N, elem)
-        root = math.sqrt(eigenvalue(p, 3) - p.lam0)
-        assert coef == pytest.approx((-root) ** N)
-        assert img.index == 5 + (N % 2)
+        n = np.array([5, 1, 3])
+        coef, params, img = ladder_images(N, p, SYM_POLY, n, True)
+        root = np.sqrt(eigenvalue(p, (n + 1) // 2) - p.lam0)
+        assert_allclose(coef, (-root) ** N, rtol=1e-13)
+        assert np.array_equal(img, n + (N % 2))
 
     @pytest.mark.parametrize("N", range(1, 6))
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_dd_power_sign_relation(self, N, n):
+    def test_dd_power_sign_relation(self, N):
         # DD^N = (-1)^floor(N/2) delta_N^even on even elements,
         # DD^N = (-1)^ceil(N/2)  delta_N^odd  on odd ones
         p = params_of(0.0, 0.0)
-        elem = BasisElement(p, n, SYM_POLY)
-        c_pow, img_pow = d_power_on_element(N, elem)
-        variant = "even" if n % 2 == 0 else "odd"
-        c_chain, img_chain = interlaced_on_element(variant, N, elem)
-        sign = (-1) ** (N // 2) if n % 2 == 0 else (-1) ** ((N + 1) // 2)
-        assert img_pow == img_chain
-        assert c_pow == pytest.approx(sign * c_chain)
+        n = np.array([4, 5, 2, 7])
+        c_pow, _, img_pow = ladder_images(N, p, SYM_POLY, n)
+        c_chain, _, img_chain = ladder_images(N, p, SYM_POLY, n, True)
+        sign = np.where(n % 2 == 0, (-1) ** (N // 2), (-1) ** ((N + 1) // 2))
+        assert np.array_equal(img_pow, img_chain)
+        assert_allclose(c_pow, sign * c_chain, rtol=1e-12)
 
     @pytest.mark.parametrize("N", range(1, 4))
     def test_d_power_on_jacobi_fn_shifts_parameters(self, N):
         # D phi_n^{a,b} = -r_n phi_{n-1}^{a+1,b+1}, r_n = sqrt(n (n + a + b + 1))
         p = params_of(1.5, -0.7)
-        coef, img = d_power_on_element(N, BasisElement(p, 5, JACOBI_FN))
-        want = 1.0
-        for k in range(N):
-            n, q = 5 - k, p.shifted(k)
-            want *= -math.sqrt(n * (n + q.alpha + q.beta + 1.0))
-        assert img == BasisElement(p.shifted(N), 5 - N, JACOBI_FN)
-        assert coef == pytest.approx(want)
-        assert d_power_on_element(6, BasisElement(p, 5, JACOBI_FN)) == (0.0, None)
+        coef, params, img = ladder_images(N, p, JACOBI_FN, np.array([5, 7]))
+        for c, n0 in zip(coef, (5, 7)):
+            want = 1.0
+            for k in range(N):
+                n, q = n0 - k, p.shifted(k)
+                want *= -math.sqrt(n * (n + q.alpha + q.beta + 1.0))
+            assert c == pytest.approx(want)
+        assert params == p.shifted(N)
+        assert np.array_equal(img, np.array([5, 7]) - N)
+        coef, _, img = ladder_images(6, p, JACOBI_FN, np.array([5, 7]))
+        assert coef[0] == 0.0 and img[0] == 0 and coef[1] != 0.0
 
     def test_even_chain_kills_the_constant(self):
         p = params_of(0.0, 0.0)
-        coef, _ = interlaced_on_element("even", 3, BasisElement(p, 0, SYM_POLY))
-        assert coef == 0.0
+        coef, _, _ = ladder_images(3, p, SYM_POLY, np.array([0, 2]), True)
+        assert coef[0] == 0.0 and coef[1] != 0.0
 
     @pytest.mark.parametrize("N", range(1, 5))
     def test_fn_chain_matches_poly_chain(self, N):
         # D_N^even phi coefficients equal the delta_N^even coefficients
         p = params_of(1.5, 0.5)
-        c_fn, img = interlaced_fn_chain(N, BasisElement(p, 4, JACOBI_FN))
-        c_poly, _ = interlaced_on_element("even", N, BasisElement(p, 8, SYM_POLY))
-        assert c_fn == pytest.approx(c_poly)
-        assert img.index == 4 - (N % 2)
-        expect_alpha = p.alpha + (1 if N % 2 else 0)
-        assert img.params.alpha == pytest.approx(expect_alpha)
+        c_fn, params, img = ladder_images(N, p, JACOBI_FN, np.array([4, 2]), True)
+        c_poly, _, _ = ladder_images(N, p, SYM_POLY, np.array([8, 4]), True)
+        assert_allclose(c_fn, c_poly, rtol=1e-12)
+        assert np.array_equal(img, np.array([4, 2]) - (N % 2))
+        assert params.alpha == pytest.approx(p.alpha + (1 if N % 2 else 0))
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError):
+            ladder_images(-1, params_of(0.0, 0.0), SYM_POLY, np.array([2]), True)
 
 
 class TestSecondOrderOperator:
@@ -618,7 +695,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             ladder_step("delta", BasisElement(p, 3, SYM_POLY))
         with pytest.raises(ValueError):
-            interlaced_on_element("even", 2, BasisElement(p, 3, SYM_POLY))
+            ladder_images(2, p, SYM_FN, np.array([3]), True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,8 +8,9 @@ import pytest
 
 import trigjacobi.cli as cli
 from trigjacobi import verify
-from trigjacobi.basis import JacobiParams
+from trigjacobi.basis import BasisElement, JacobiParams, eval_basis
 from trigjacobi.kernels import TruncationConfig, symmetrized_kernel_pairs
+from trigjacobi.quadrature import gauss_jacobi_grid
 
 
 def run_cli(args, capsys):
@@ -89,6 +90,23 @@ class TestEvalKernel:
                          "--theta", "1.0", "--phi", "2.0"], capsys)
         assert rc == 3
 
+    @pytest.mark.parametrize("kind,theta,phi", [
+        ("sym", "4", "1"), ("sym", "1", "-3.2"), ("even", "-1", "1"), ("even", "7", "1"),
+        ("odd", "1", "3.2"), ("even", "nan", "1"), ("sym", "1", "inf")])
+    def test_angle_outside_the_domain_exit_2(self, kind, theta, phi, capsys):
+        rc, _ = run_cli(["eval", "kernel", "--kind", kind, "--t", "0.5",
+                         f"--theta={theta}", f"--phi={phi}"], capsys)
+        assert rc == 2
+
+    @pytest.mark.parametrize("kind,lo", [("even", "0"), ("odd", "0"),
+                                         ("sym", repr(-math.pi))])
+    def test_domain_endpoints_evaluate(self, kind, lo, capsys):
+        pi = repr(math.pi)
+        rc, out = run_cli(["eval", "kernel", "--kind", kind, "--t", "0.5",
+                           f"--theta={lo},{pi}", f"--phi={pi},{lo}"], capsys)
+        assert rc == 0
+        assert len(data_rows(out)) == 2
+
 
 class TestEvalOperator:
     def test_square_closed_form(self, capsys):
@@ -111,6 +129,20 @@ class TestEvalOperator:
         # full-interval grids mirror the quadrature nodes across zero
         assert len(data_rows(out)) == (64 if setting.endswith("-sym") else 32)
 
+    @pytest.mark.parametrize("setting,tag,kind", [
+        ("poly-sym", "mu_full", "sym_poly"), ("fn-sym", "theta_full", "sym_fn"),
+        ("poly+", "mu_plus", "trig_poly"), ("fn+", "theta_plus", "jacobi_fn")])
+    def test_setting_samples_its_grid_and_element(self, setting, tag, kind, capsys):
+        rc, out = run_cli(["eval", "operator", "--kind", "maximal", "--setting", setting,
+                           "--alpha", "1.5", "--beta", "-0.7", "--n", "3",
+                           "--grid", "16"], capsys)
+        assert rc == 0
+        rows = np.array([[float(v) for v in r.split(",")] for r in data_rows(out)])
+        params = JacobiParams(1.5, -0.7)
+        nodes = gauss_jacobi_grid(params, 16, tag).nodes
+        assert np.array_equal(rows[:, 0], nodes)
+        assert np.array_equal(rows[:, 1], eval_basis(BasisElement(params, 3, kind), nodes))
+
     def test_discrete_multiplier_atoms(self, capsys):
         rc, out = run_cli(["eval", "operator", "--kind", "multiplier",
                            "--atom-t", "0.5,1.0", "--atom-w", "1.0,-0.5",
@@ -124,6 +156,14 @@ class TestEvalOperator:
     def test_index_beyond_grid_exit_2(self, capsys):
         rc, _ = run_cli(["eval", "operator", "--kind", "maximal",
                          "--n", "40", "--grid", "32"], capsys)
+        assert rc == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "square", "--N", "-1", "--M", "2"],
+        ["--kind", "square", "--N", "2", "--M", "-1", "--setting", "fn+"],
+        ["--kind", "square_interlaced", "--N", "-1", "--M", "2", "--setting", "poly+"]])
+    def test_negative_order_exit_2(self, args, capsys):
+        rc, _ = run_cli(["eval", "operator", *args, "--n", "2", "--grid", "16"], capsys)
         assert rc == 2
 
     @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])

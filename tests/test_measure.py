@@ -141,6 +141,42 @@ class TestWeightClasses:
             ap_membership(p0, PowerWeight(0, 0), 0.5)
         with pytest.raises(ValueError):
             bp_membership(p0, PowerWeight(0, 0), math.inf)
+        with pytest.raises(ValueError):
+            ap_membership(p0, PowerWeight(np.zeros(2), np.zeros(2)), np.array([2.0, 0.5]))
+
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_arrays_are_the_scalar_criteria(self, ab):
+        # both classes elementwise on arrays of (r, s, p), against the
+        # inequalities written out one draw at a time; the draws include
+        # p = 1 and powers on the bounds of both classes
+        a, b = ab
+        rng = np.random.default_rng(5)
+        r, s, p = rng.uniform((-6.0, -6.0, 1.0), (6.0, 6.0, 6.0), size=(2000, 3)).T
+        p[:200] = 1.0
+        r[200:300] = -(2 * a + 2)
+        s[300:400] = (2 * b + 2) * (p[300:400] - 1)
+        r[400:500] = p[400:500] - 1 + (a + 0.5) * p[400:500]
+        s[:100] = 0.0
+
+        def inside(lo, x, hi, closed):
+            return lo < x and (x <= hi if closed else x < hi)
+
+        want_ap, want_bp = [], []
+        for ri, si, pi in zip(r.tolist(), s.tolist(), p.tolist()):
+            closed = pi == 1.0
+            want_ap.append(inside(-(2 * a + 2), ri, (2 * a + 2) * (pi - 1), closed)
+                           and inside(-(2 * b + 2), si, (2 * b + 2) * (pi - 1), closed))
+            want_bp.append(inside(-1 - (a + 0.5) * pi, ri, pi - 1 + (a + 0.5) * pi, closed)
+                           and inside(-1 - (b + 0.5) * pi, si, pi - 1 + (b + 0.5) * pi,
+                                      closed))
+        params = JacobiParams(a, b)
+        got_ap = ap_membership(params, PowerWeight(r, s), p)
+        got_bp = bp_membership(params, PowerWeight(r, s), p)
+        assert np.array_equal(got_ap, want_ap) and np.array_equal(got_bp, want_bp)
+        assert 0 < np.count_nonzero(got_ap) < p.size
+        for i in range(0, p.size, 97):
+            one = ap_membership(params, PowerWeight(float(r[i]), float(s[i])), float(p[i]))
+            assert type(one) is bool and one == want_ap[i]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -15,12 +15,12 @@ from trigjacobi.basis import (
     TRIG_POLY,
     BasisElement,
     JacobiParams,
+    basis_matrix,
     coeff_A,
     eigenvalue,
     eval_basis,
-    eval_basis_dtheta,
     half_index,
-    interlaced_fn_chain,
+    ladder_images,
     ladder_step,
     psi,
 )
@@ -390,10 +390,10 @@ class TestNonsym:
         f = grid_function(grid, eval_basis(elem, grid.nodes))
         N = 1
         out = nonsym_apply(OperatorSpec("square_interlaced", N=N), f, 8)
-        coef, img = interlaced_fn_chain(N, elem)
+        (coef,), params, (m,) = ladder_images(N, PARAMS, JACOBI_FN, [n], True)
         lam = eigenvalue(PARAMS, n)
         want = (abs(coef) * math.sqrt(gamma(2.0 * N)) / (2.0 * math.sqrt(lam)) ** N
-                * np.abs(eval_basis(img, grid.nodes)))
+                * np.abs(eval_basis(BasisElement(params, int(m), JACOBI_FN), grid.nodes)))
         assert np.allclose(out.values, want, rtol=1e-4, atol=1e-8)
 
     def test_maximal_element(self):
@@ -563,11 +563,12 @@ def checked_step(op, elem):
         return c, img
     f = eval_basis(elem, t)
     if op == "D":  # D phi_n = psi (d/dtheta) P_n
-        lhs = psi(p, t) * eval_basis_dtheta(BasisElement(p, elem.index, TRIG_POLY), t, 1)
+        lhs = psi(p, t) * basis_matrix(p, TRIG_POLY, [elem.index], t, 1)[0]
     elif op == "delta_star":
-        lhs = -eval_basis_dtheta(elem, t, 1) - coeff_A(p, t) * f
+        lhs = -basis_matrix(p, elem.kind, [elem.index], t, 1)[0] - coeff_A(p, t) * f
     else:  # DD f = f' + A f_odd; delta is DD on the even elements
-        lhs = eval_basis_dtheta(elem, t, 1) + (coeff_A(p, t) * f if elem.index % 2 else 0.0)
+        lhs = (basis_matrix(p, elem.kind, [elem.index], t, 1)[0]
+               + (coeff_A(p, t) * f if elem.index % 2 else 0.0))
     if img is None:
         assert c == 0.0 and np.allclose(lhs, 0.0, atol=1e-9)
     else:
@@ -657,19 +658,17 @@ class TestIndexArrayCore:
             else:
                 family = (params, kind, n)
             assert_table_is_reference(spectral_table(spec, grid, family), want)
-            assert_table_is_reference(spectral_table(spec, grid, elems), want)
 
     @pytest.mark.parametrize("spec", [OperatorSpec("riesz", N=2),
                                       OperatorSpec("square_interlaced", M=1, N=1),
                                       OperatorSpec("semigroup", t=0.3)],
                              ids=["riesz", "square_interlaced", "semigroup"])
-    def test_mixed_list_keeps_its_order(self, spec):
-        # two families of one kind at two parameter pairs, interleaved
-        grid = gauss_jacobi_grid(PARAMS, 20, "theta_plus")
-        elems = [BasisElement(PARAMS, 3, JACOBI_FN), BasisElement(LEGENDRE, 0, JACOBI_FN),
-                 BasisElement(PARAMS, 0, JACOBI_FN), BasisElement(LEGENDRE, 5, JACOBI_FN),
-                 BasisElement(PARAMS, 3, JACOBI_FN), BasisElement(LEGENDRE, 1, JACOBI_FN)]
-        assert_table_is_reference(spectral_table(spec, grid, elems),
+    @pytest.mark.parametrize("kind,tag", [(JACOBI_FN, "theta_plus"), (SYM_POLY, "mu_plus")])
+    def test_unsorted_repeated_indices_keep_their_order(self, spec, kind, tag):
+        grid = gauss_jacobi_grid(PARAMS, 20, tag)
+        n = np.array([3, 0, 5, 3, 1, 0])
+        elems = [BasisElement(PARAMS, int(k), kind) for k in n]
+        assert_table_is_reference(spectral_table(spec, grid, (PARAMS, kind, n)),
                                   reference_table(spec, grid, elems))
 
     def test_synthesize_mixed_families(self):

@@ -255,6 +255,32 @@ class TestSharedSweepStep:
         assert ([report_json(c) for c in whole if c["claim"] in claims]
                 == [report_json(c) for c in alone])
 
+    def test_one_scale_per_source_and_lag(self, monkeypatch):
+        # the merged call reads each RowTerm.scale from its plan, computed
+        # once, however many streams read it
+        scales, merged = [], []
+        original_scale = basis.RowTerm.scale
+
+        def scale(term, n):
+            scales.append((term.source, term.lag))
+            return original_scale(term, n)
+
+        monkeypatch.setattr(basis.RowTerm, "scale", scale)
+        _, theta, phi = TEST_SWEEP.pairs()
+        original = verify.eval_kernels
+
+        def counted(jobs, th, ph, *args, **kwargs):
+            start = len(scales)
+            out = original(jobs, th, ph, *args, **kwargs)
+            if np.array_equal(th, theta) and np.array_equal(ph, phi):
+                merged.append((len(jobs), scales[start:]))
+            return out
+
+        monkeypatch.setattr(verify, "eval_kernels", counted)
+        run_suite("all", P, "quick", spec=TEST_SWEEP)
+        (jobs, calls), = merged
+        assert len(calls) == len(set(calls)) < jobs
+
     def test_timings_split_kernels_from_reductions(self):
         doc = run_suite("domination", P, "quick", spec=TEST_SWEEP, timings=True)
         assert set(doc["timings"]) == {"sweep-kernels", "domination"}
