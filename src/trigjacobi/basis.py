@@ -92,11 +92,6 @@ def log_norm_constant(params: JacobiParams, n) -> np.ndarray:
     return np.where(n == 0, base, generic)
 
 
-def norm_constant(params: JacobiParams, n) -> float | np.ndarray:
-    out = np.exp(log_norm_constant(params, n))
-    return float(out) if out.ndim == 0 else out
-
-
 class JacobiRecurrence:
     """P_n(x) for n = d0, d0+1, ... by the three-term recurrence, resumable.
 
@@ -186,17 +181,6 @@ def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     """Values P_n(x) for 0 <= n <= nmax; shape (nmax+1,) + x.shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return JacobiRecurrence(params, x).fill(np.empty((nmax + 1,) + x.shape))
-
-
-def jacobi_poly(params: JacobiParams, n: int, x) -> float | np.ndarray:
-    """Classical Jacobi polynomial P_n(x) on [-1,1]."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0 + 1e-12):
-        raise ValueError("argument outside [-1,1]")
-    val = jacobi_table(params, n, xa)[n]
-    return float(val.reshape(-1)[0]) if np.ndim(x) == 0 else val
 
 
 def _deriv_gamma_ratio(params: JacobiParams, n: np.ndarray, k: int) -> np.ndarray:

@@ -66,6 +66,10 @@ class RunConfig:
     timings: bool = False
     version: str = __version__
 
+    def __post_init__(self):
+        if self.grid is not None and self.grid < 1:
+            raise ValueError("--grid must be positive")
+
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         for key in ("theta", "phi", "atom_t", "atom_w"):
@@ -192,8 +196,6 @@ def _csv_text(cfg: RunConfig, fields: tuple[str, ...], rows) -> str:
 def _sample_nodes(lo: float, hi: float, count: int) -> np.ndarray:
     # cell midpoints: stays inside the open interval where the weight
     # functions can blow up
-    if count < 1:
-        raise ValueError("--grid must be positive")
     return lo + (np.arange(count) + 0.5) * (hi - lo) / count
 
 
@@ -206,7 +208,7 @@ def _eval_basis(cfg: RunConfig) -> str:
     params = JacobiParams(cfg.alpha, cfg.beta)
     elem = BasisElement(params, cfg.n, cfg.kind)
     lo = -math.pi if cfg.kind in (SYM_POLY, SYM_FN) else 0.0
-    theta = _sample_nodes(lo, math.pi, cfg.grid if cfg.grid else 256)
+    theta = _sample_nodes(lo, math.pi, cfg.grid or 256)
     values = eval_basis(elem, theta)
     _require_finite(values, "basis evaluation")
     return _csv_text(cfg, ("theta", "value"), zip(theta, values))
@@ -232,7 +234,7 @@ def _eval_kernel(cfg: RunConfig) -> str:
             raise ValueError(f"the {cfg.kind} kernel takes angles in "
                              f"[{'-pi' if lo else '0'}, pi]")
     else:
-        count = cfg.grid if cfg.grid else 32
+        count = cfg.grid or 32
         axis = _sample_nodes(lo, math.pi, count)
         th, ph = np.meshgrid(axis, axis, indexing="ij")
         theta, phi = th.ravel(), ph.ravel()
@@ -250,7 +252,7 @@ def _eval_kernel(cfg: RunConfig) -> str:
 def _eval_operator(cfg: RunConfig) -> str:
     params = JacobiParams(cfg.alpha, cfg.beta)
     tag = SETTING_MAP[cfg.setting]
-    order = cfg.grid if cfg.grid else 64
+    order = cfg.grid or 64
     nmax = order // 2 - 1
     if cfg.n > nmax:
         raise ValueError(f"--n {cfg.n} needs --grid above {2 * (cfg.n + 1)}")
@@ -290,7 +292,7 @@ def _run_verify(cfg: RunConfig) -> tuple[str, int]:
         overrides["t_max"] = cfg.t_max
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    ngrid = cfg.grid if cfg.grid else 1024
+    ngrid = cfg.grid or 1024
     lp = {}
     if any(v is not None for v in (cfg.p, cfg.weight_r, cfg.weight_s)):
         lp = dict(p=2.0 if cfg.p is None else cfg.p,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.special import comb
@@ -84,14 +83,10 @@ class DiscreteMeasure:
     def __post_init__(self):
         if len(self.times) != len(self.weights) or not self.times:
             raise ValueError("need matching, nonempty times and weights")
-        if any(t <= 0.0 for t in self.times):
+        if not all(t > 0.0 for t in self.times):
             raise ValueError("atoms must sit at positive times")
         if not all(math.isfinite(w) for w in self.weights):
             raise ValueError("weights must be finite")
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.weights))
 
 
 # --- kernel families ---------------------------------------------------------
@@ -382,58 +377,6 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
                     A, last = np.multiply(*s.factors(k1 - k0), out=prod[:k1 - k0]), s.rows_key
                 s.add(k0, k1, A[:k1 - k0])
     return [s.result() for s in streams]
-
-
-# --- kernels defined by time integrals ---------------------------------------
-
-def riesz_kernel(handle: KernelHandle, N: int, tgrid: TGrid,
-                 cfg: TruncationConfig = DEFAULT_TRUNCATION,
-                 route: str = "ladder") -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Off-diagonal Riesz-type kernel: (1/Gamma(N)) int_0^inf (chain kernel)
-    t^{N-1} dt, realized on the given time grid.
-
-    Returns a pair evaluator; the time integral converges off the diagonal
-    where the chain kernel decays in t and stays bounded as t -> 0+.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    deriv = kernel_derivative(handle, N, 0, route=route)
-
-    def eval_pairs(theta, phi):
-        samples = deriv.eval_pairs(theta, phi, tgrid.nodes, cfg)
-        return tgrid.integrate(samples, float(N)) / math.gamma(N)
-
-    return eval_pairs
-
-
-def multiplier_kernel(handle: KernelHandle, spec,
-                      tgrid: TGrid | None = None,
-                      cfg: TruncationConfig = DEFAULT_TRUNCATION,
-                      ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Kernel of a spectral multiplier of Laplace transform type.
-
-    spec callable phi(t): kernel = -int d_t K_t phi(t) dt on the time grid.
-    spec DiscreteMeasure:  kernel = sum_j weight_j K_{t_j}, an exact finite
-    sum through the same kernel evaluations the semigroup itself uses.
-    """
-    if isinstance(spec, DiscreteMeasure):
-        def eval_pairs_atoms(theta, phi):
-            out = None
-            for tj, wj in zip(spec.times, spec.weights):
-                term = wj * handle.eval_pairs(theta, phi, np.array([tj]), cfg)[:, 0]
-                out = term if out is None else out + term
-            return out
-
-        return eval_pairs_atoms
-    if tgrid is None:
-        raise ValueError("a time grid is required for a Laplace-type profile")
-    deriv = kernel_derivative(handle, 0, 1)
-
-    def eval_pairs_fn(theta, phi):
-        samples = deriv.eval_pairs(theta, phi, tgrid.nodes, cfg)
-        return -tgrid.integrate(samples * spec(tgrid.nodes)[None, :], 1.0)
-
-    return eval_pairs_fn
 
 
 def symmetrized_kernel_pairs(params: JacobiParams, theta, phi, t,

@@ -88,10 +88,6 @@ def ball_measure(params: JacobiParams, ball: Ball) -> float:
     return interval_measure(params, *ball.endpoints)
 
 
-def mu_total(params: JacobiParams) -> float:
-    return interval_measure(params, 0.0, math.pi)
-
-
 def _in_class(params: JacobiParams, weight: PowerWeight, p,
               lower, upper) -> bool | np.ndarray:
     """lower(c) < x < upper(c) for (c, x) = (alpha, r) and (beta, s), the upper

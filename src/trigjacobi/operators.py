@@ -86,7 +86,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"kind must be one of {OPERATOR_KINDS}")
-        if self.kind == "semigroup" and (self.t is None or self.t < 0):
+        if self.kind == "semigroup" and (self.t is None or not self.t >= 0):
             raise ValueError("semigroup needs t >= 0")
         if self.kind in ("riesz", "riesz_interlaced") and self.N < 1:
             raise ValueError("Riesz kinds need N >= 1")

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# roots_jacobi imports scipy.linalg on its first call (65-85 ms); loading it
+# with the package keeps that cost out of the first check that builds a grid
+import scipy.linalg  # noqa: F401
 from scipy.special import gammainc, gammaincc, gammaln, roots_jacobi
 
 from .basis import JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, JacobiParams
@@ -42,26 +45,6 @@ class ThetaGrid:
     tag: str
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "order": self.order,
-            "tag": self.tag,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ThetaGrid":
-        return ThetaGrid(
-            params=JacobiParams(d["alpha"], d["beta"]),
-            order=int(d["order"]),
-            tag=d["tag"],
-            nodes=np.asarray(d["nodes"], dtype=float),
-            weights=np.asarray(d["weights"], dtype=float),
-        )
 
 
 def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") -> ThetaGrid:
@@ -92,11 +75,6 @@ def _values_on(grid: ThetaGrid, f) -> np.ndarray:
     return vals
 
 
-def integrate_theta(grid: ThetaGrid, f) -> float | np.ndarray:
-    vals = _values_on(grid, f)
-    return vals @ grid.weights
-
-
 def inner_product(grid: ThetaGrid, f, g) -> float | complex | np.ndarray:
     """<f, g> against the grid's underlying measure; conjugates g."""
     fv = _values_on(grid, f)
@@ -120,8 +98,8 @@ class TGrid:
         if self.points_per_decade < 4:
             raise ValueError("points_per_decade must be at least 4")
         # a short range can miss the check at the default density: double it
-        # (to_dict records the density used) a few times before giving up; a
-        # coarser density is checked as given
+        # (points_per_decade records the density used) a few times before
+        # giving up; a coarser density is checked as given
         failure = self._build()
         for _ in range(_DOUBLINGS if self.points_per_decade >= _DENSITY else 0):
             if failure is None:
@@ -177,18 +155,6 @@ class TGrid:
         if samples.shape[-1] != self.nodes.shape[0]:
             raise ValueError("sample array does not match the time grid")
         return samples @ (self.log_weights * self.nodes**W)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "points_per_decade": self.points_per_decade,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TGrid":
-        return TGrid(t_min=d["t_min"], t_max=d["t_max"],
-                     points_per_decade=int(d["points_per_decade"]))
 
 
 def t_norm(grid: TGrid, samples, p: float, W: float = 1.0) -> float | np.ndarray:

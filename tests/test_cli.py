@@ -153,6 +153,13 @@ class TestEvalOperator:
         rc, _ = run_cli(["eval", "operator", "--kind", "semigroup"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [["--kind", "semigroup", "--t", "nan"],
+                                      ["--kind", "multiplier", "--atom-t", "nan"]])
+    def test_nan_time_exit_2(self, args, capsys):
+        # NaN fails every comparison: a bad time, not a numeric failure
+        rc, _ = run_cli(["eval", "operator", *args, "--n", "2", "--grid", "16"], capsys)
+        assert rc == 2
+
     def test_index_beyond_grid_exit_2(self, capsys):
         rc, _ = run_cli(["eval", "operator", "--kind", "maximal",
                          "--n", "40", "--grid", "32"], capsys)
@@ -279,6 +286,17 @@ class TestParser:
             cli.main([*command, flag, value])
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ("eval", "basis"), ("eval", "kernel", "--t", "0.5"),
+        ("eval", "operator", "--kind", "semigroup", "--t", "0.5"),
+        ("verify", "sharp-constants")], ids=lambda v: " ".join(v[:2]))
+    def test_grid_below_one_exit_2(self, command, grid, capsys):
+        # not replaced by the command's default size
+        rc = cli.main([*command, "--grid", grid])
+        assert rc == 2
+        assert "--grid must be positive" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:

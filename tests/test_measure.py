@@ -22,7 +22,6 @@ from trigjacobi.measure import (
     bp_membership,
     interval_measure,
     mu_density,
-    mu_total,
     unweighted_bp_admissible,
     unweighted_bp_window,
 )
@@ -98,11 +97,12 @@ class TestIntervalMeasure:
 
     def test_total_mass_equals_norm_constant_relation(self):
         # mu+(0,pi) = 1/c_0^2
-        from trigjacobi.basis import norm_constant
+        from trigjacobi.basis import log_norm_constant
 
         for a, b in PARAM_PAIRS:
             p = JacobiParams(a, b)
-            assert_allclose(mu_total(p), 1.0 / norm_constant(p, 0) ** 2, rtol=1e-12)
+            assert_allclose(interval_measure(p, 0.0, math.pi),
+                            1.0 / np.exp(log_norm_constant(p, 0)) ** 2, rtol=1e-12)
 
     def test_validation(self):
         p = JacobiParams(0.0, 0.0)
