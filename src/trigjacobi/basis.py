@@ -106,21 +106,39 @@ class JacobiRecurrence:
     def __init__(self, params: JacobiParams, x, degree: int = 0):
         self.params = params
         self.x = np.asarray(x, dtype=float)
+        self.x1 = np.empty((2,) + self.x.shape)  # x and 1, for A_n x + B_n * 1
+        self.x1[0], self.x1[1] = self.x, 1.0
         self.degree = min(degree, 0)
         # rows degree-2 and degree-1 (zero below degree 0), and scratch
-        self._p2, self._p1, self._tmp = np.zeros((3,) + self.x.shape)
+        self.carry = np.zeros((3,) + self.x.shape)
         if degree > 0:
             self.fill(np.empty((degree,) + self.x.shape))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the next out.shape[0] degrees into out, row by row."""
-        rows = list(out)
-        a, b = self.params.alpha, self.params.beta
-        x, n = self.x, self.degree
-        p2, p1 = self._p2, self._p1
-        i = 0
-        while i < len(rows) and n < 2:
-            row = rows[i]
+        _fill((self,), (0, len(self.x)), out, self.carry)
+        return out
+
+
+def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray, coef=None) -> None:
+    """Write the next len(out) degrees of each recurrence of recs into out.
+
+    Recurrence j owns columns ends[j]..ends[j+1]-1 of out and of carry (rows
+    n-2 and n-1, then scratch; its own `carry` is a view of them). Once every
+    recurrence has reached degree 2, a row is one three-term step over all
+    the columns, C_n a float for one recurrence and a row spread over the
+    columns for several (coef is their scratch); the rows before that are
+    each recurrence's own fill.
+    """
+    m, (p2, p1, tmp) = len(out), carry
+    i = min(m, max(0, *(2 - r.degree for r in recs)))
+    if len(recs) > 1 and i:
+        for r, lo, hi in zip(recs, ends, ends[1:]):
+            _fill((r,), (0, hi - lo), out[:i, lo:hi], r.carry)
+    elif i:
+        rec = recs[0]
+        a, b, x = rec.params.alpha, rec.params.beta, rec.x
+        for n, row in enumerate(out[:i], rec.degree):
             if n < 0:
                 row.fill(0.0)
             elif n == 0:
@@ -130,31 +148,45 @@ class JacobiRecurrence:
                 row *= (a + b + 2.0) / 2.0
                 row += a + 1.0
             p2, p1 = p1, row
-            i += 1
-            n += 1
-        if i < len(rows):
-            # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, the window's A_n x + B_n first
-            A, B, C = _coefficients(a, b, n, len(rows) - i)
-            col = (-1,) + (1,) * x.ndim
-            np.multiply(A.reshape(col), x, out=out[i:])
-            out[i:] += B.reshape(col)
-            tmp = self._tmp
-            for row, cn in zip(rows[i:], C):
-                row *= p1
-                np.multiply(p2, cn, out=tmp)
-                row -= tmp
-                p2, p1 = p1, row
-            n += len(rows) - i
-        if rows:
-            # p2 may be the old carried row, so it is copied first
-            np.copyto(self._p2, p2)
-            np.copyto(self._p1, p1)
-        self.degree = n
-        return out
+        rec.degree += i
+    if i < m:
+        # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, the window's A_n x + B_n first:
+        # einsum adds B_n * 1 to the rounded A_n x, as two ufuncs would, in one pass
+        Cs = []
+        for r, lo, hi in zip(recs, ends, ends[1:]):
+            A, B, C = _coefficients(r.params.alpha, r.params.beta, r.degree, m - i)
+            np.einsum("ki,k...->i...", np.array([A, B]), r.x1, out=out[i:, lo:hi])
+            Cs.append(C)
+            r.degree += m - i
+        for row, cn in zip(out[i:], C if len(recs) == 1 else _spread(Cs, ends, coef)):
+            row *= p1
+            np.multiply(p2, cn, out=tmp)
+            row -= tmp
+            p2, p1 = p1, row
+    if m:
+        # p2 may be the old carried row, so it is copied first
+        np.copyto(carry[0], p2)
+        np.copyto(carry[1], p1)
+
+
+# rows of per-column C_n that a step of several recurrences writes at a time
+_SPREAD_ROWS = 32
+
+
+def _spread(Cs: list, ends: list, coef: np.ndarray):
+    """Rows of per-column C_n: recurrence j's C_n on columns ends[j]..ends[j+1]-1,
+    written into coef len(coef) rows at a time."""
+    Cs, n = [np.reshape(C, (-1, 1)) for C in Cs], len(Cs[0])
+    for k in range(0, n, len(coef)):
+        block = coef[:min(len(coef), n - k), :ends[-1]]
+        for C, lo, hi in zip(Cs, ends, ends[1:]):
+            block[:, lo:hi] = C[k:k + len(block)]
+        yield from block
 
 
 def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
-    """A_k and B_k (arrays) and C_k (a list) of the recurrence, k = n..n+m-1.
+    """A_k, B_k and C_k of the recurrence, k = n..n+m-1: C_k a list, A_k and
+    B_k lists for short blocks and arrays for long ones.
 
     Vectorized for long blocks; short ones, as in a single basis element,
     use Python floats, because there numpy's per-call cost dominates.
@@ -168,7 +200,7 @@ def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
             A.append(c1 * s * (s - 2.0))
             B.append(c1 * (a * a - b * b))
             C.append(2.0 * (k + a - 1.0) * (k + b - 1.0) * s / c0)
-        return np.array(A), np.array(B), C
+        return A, B, C
     ns = np.arange(n, n + m, dtype=float)
     s = 2.0 * ns + a + b
     c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
@@ -262,19 +294,20 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
 
 
 class _Run:
-    """One recurrence of a RowPlan: what reads it, then its rows."""
+    """One recurrence of a RowPlan: what reads it, then its window columns."""
 
     def __init__(self, params: JacobiParams, start: int):
-        self.params, self.start, self.sets, self.length, self.rec = params, start, set(), 0, None
+        self.params, self.start, self.sets, self.length = params, start, set(), 0
 
-    def begin(self, points: tuple, chunk: int) -> None:
-        sets, self.cols, end = sorted(self.sets), {}, 0
+    def begin(self, points: tuple, lo: int) -> JacobiRecurrence:
+        """Its recurrence over the union of its point sets, whose rows are
+        the window's columns lo.. on."""
+        sets, self.cols, end = sorted(self.sets), {}, lo
         for i in sets:
             self.cols[i], end = slice(end, end + points[i].size), end + points[i].size
         x = np.cos(points[sets[0]] if len(sets) == 1
                    else np.concatenate([points[i] for i in sets]))
-        self.rec = JacobiRecurrence(self.params, x, degree=self.start)
-        self.buf = np.empty((min(chunk, self.length), x.size))
+        return JacobiRecurrence(self.params, x, degree=self.start)
 
 
 class RowPlan:
@@ -284,19 +317,18 @@ class RowPlan:
     row k is row k + offset of each term. One JacobiRecurrence runs per
     distinct (parameters, start degree) of all factors' terms, over the
     union of the point sets reading it (equal sets count once) and as far as
-    the longest factor reading it. rows() reads the window, rows 0..chunk-1
-    until advance(k0, k1) moves it, which a recurrence fills when first read.
-    RowTerm.scale runs once per (source, lag), over every degree a factor
-    reads; each factor reads a slice, bitwise the values of a call on its
-    own degrees, as the scale is elementwise. All factors are added before
-    any scale is read.
+    the longest factor reading it. advance(k0, k1, runs) fills rows k0..k1-1
+    of the runs that one pass of windows reads, stepped together as one
+    array (see _fill), and rows() reads them. RowTerm.scale runs once per
+    (source, lag), over every degree a factor reads; each factor reads a
+    slice, bitwise the values of a call on its own degrees, as the scale is
+    elementwise. All factors are added before any scale is read.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
         self._runs, self._degrees, self._scales = {}, {}, {}
-        self._window = 0, chunk
-        self._tmp = None
+        self._k0, self._tmp = 0, None
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
         """The factor of `terms` on point set `where`, read below row `length`."""
@@ -319,22 +351,38 @@ class RowPlan:
             self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
         return runs, where, terms, offset
 
-    def advance(self, k0: int, k1: int) -> None:
-        for run in self._runs.values():
-            if run.rec is not None and run.rec.degree - run.start >= run.length:
-                run.rec = run.buf = None  # it has made all its rows
-        self._window = k0, k1
+    def advance(self, k0: int, k1: int, runs=None) -> None:
+        """Fill rows k0..k1-1 of `runs` (every run of the plan by default),
+        which one pass of windows reads; a pass begins at k0 = 0 and keeps
+        its buffers to its end."""
+        if k0 == 0:
+            self._pass = self._window = None  # the last pass's buffers go first
+            # longest first, so the runs still going are a prefix of the columns
+            order = [r for r in self._runs.values() if runs is None or r in runs]
+            order.sort(key=lambda r: -r.length)
+            recs, ends = [], [0]
+            for run in order:
+                recs.append(run.begin(self.points, ends[-1]))
+                ends.append(ends[-1] + recs[-1].x.size)
+            carry, coef = recs[0].carry, None
+            if len(recs) > 1:  # the carried rows side by side, as the window's
+                carry, coef = np.empty((3, ends[-1])), np.empty((_SPREAD_ROWS, ends[-1]))
+                for rec, lo, hi in zip(recs, ends, ends[1:]):
+                    carry[:, lo:hi] = rec.carry
+                    rec.carry = carry[:, lo:hi]
+            self._window = np.empty((min(self.chunk, order[0].length), ends[-1]))
+            self._pass = order, recs, ends, carry, coef
+        order, recs, ends, carry, coef = self._pass
+        live = sum(r.length > k0 for r in order) if k0 else len(order)  # all read at 0
+        if live < len(recs):
+            recs, ends, carry = recs[:live], ends[:live + 1], carry[:, :ends[live]]
+        _fill(recs, ends, self._window[:k1 - k0, :ends[-1]], carry, coef)
+        self._k0 = k0
 
     def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
         """The first m rows of the current window, one array per term."""
-        (k0, k1), (runs, where, *_), out = self._window, factor, []
-        for run in runs:
-            if run.rec is None:
-                run.begin(self.points, self.chunk)
-            if run.rec.degree - run.start == k0:
-                run.rec.fill(run.buf[:min(k1, run.length) - k0])
-            out.append(run.buf[:m, run.cols[where]])
-        return out
+        runs, where = factor[:2]
+        return [self._window[:m, run.cols[where]] for run in runs]
 
     def scales(self, factor: tuple, k0: int, k1: int) -> list[np.ndarray]:
         """RowTerm.scale of each term of a factor at its rows k0..k1-1."""
@@ -356,9 +404,8 @@ class RowPlan:
         if self._tmp is None:  # one scratch for every sum, sized for the largest
             self._tmp = np.empty(self.chunk * max(p.size for p in self.points))
         tmp = self._tmp[:out.size].reshape(out.shape)
-        k0 = self._window[0]
         for term, raw, scale in zip(factor[2], self.rows(factor, m),
-                                    self.scales(factor, k0, k0 + m)):
+                                    self.scales(factor, self._k0, self._k0 + m)):
             np.multiply(raw, scale[:, None], out=tmp)
             tmp *= term.pi
             out += tmp
@@ -371,6 +418,7 @@ def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int,
     plan = RowPlan((theta,), nmax + 1)
     orders = [plan.add(theta_row_terms(params, theta, {d: 1.0}, odd), nmax + 1)
               for d in range(dmax + 1)]
+    plan.advance(0, nmax + 1)
     out = np.empty((dmax + 1, nmax + 1, theta.size))
     for d, factor in enumerate(orders):
         plan.sum(factor, nmax + 1, out[d])

@@ -127,7 +127,7 @@ class KernelHandle:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         plan = RowPlan((theta, phi), _CHUNK)
-        stream = _Stream(plan, self, t, cfg)
+        stream = _Stream(plan, self, t, cfg, None, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
         for k0 in range(0, stream.n, _CHUNK):
@@ -257,13 +257,16 @@ class _Stream:
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
-                 n_override: int | None = None):
+                 n_override: int | None, known: dict):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if n_override is not None:
             lengths = np.full(t.shape, int(n_override))
-        else:
-            lengths = np.array([cfg.series_length(handle.table_params, ti, handle.orders)
-                                for ti in t])
+        else:  # `known` holds a call's series lengths by (parameters, t, orders)
+            keys = [(handle.table_params, ti, handle.orders) for ti in t]
+            for key in keys:
+                if key not in known:
+                    known[key] = cfg.series_length(*key)
+            lengths = np.array([known[key] for key in keys])
         self.order = np.argsort(-lengths, kind="stable")
         self.t, self.lengths = t[self.order], lengths[self.order]
         self.n = n = int(self.lengths[0])
@@ -308,8 +311,9 @@ class _Stream:
         self.out[:live] += E @ A
 
     def result(self) -> np.ndarray:
-        self.out *= self.theta_scale * self.phi_scale
-        return self.out[np.argsort(self.order)].T
+        out, self.out = self.out, None  # so a call holds one stream's buffer at a time
+        out *= self.theta_scale * self.phi_scale
+        return out[np.argsort(self.order)].T
 
 
 class _Decay:
@@ -351,7 +355,8 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must pair up")
     plan = RowPlan((theta, phi), _CHUNK)
-    streams = [_Stream(plan, handle, t, cfg, n_override) for handle, t in jobs]
+    known = {}
+    streams = [_Stream(plan, handle, t, cfg, n_override, known) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
         link = [p for p in passes if p[0] & s.runs]
@@ -364,12 +369,12 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
             s.decay = _Decay(s)
             decays.append(s.decay)
     prod = np.empty((_CHUNK, theta.size))
-    for _, group in passes:
+    for runs, group in passes:
         # jobs on the same rows next to each other, the longest first
         group.sort(key=lambda s: (s.rows_key is None, s.rows_key or (), -s.n))
         n_max = max(s.n for s in group)
         for k0 in range(0, n_max, _CHUNK):
-            plan.advance(k0, min(k0 + _CHUNK, n_max))
+            plan.advance(k0, min(k0 + _CHUNK, n_max), runs)
             last = None
             for s in (s for s in group if s.n > k0):
                 k1 = min(k0 + _CHUNK, s.n)

@@ -105,12 +105,13 @@ class SweepSpec:
     def refined(self) -> "SweepSpec":
         return replace(self, n_theta=self.n_theta * _REFINE)
 
+    def distances(self) -> list[float]:
+        """The distance of each usable dyadic band; a band has 2 * n_theta pairs."""
+        return [d for d in (_D_MAX * 2.0 ** (-j) for j in range(self.levels)) if d >= _GUARD]
+
     def bands(self):
         """Yields (distance, theta, phi) per usable dyadic band."""
-        for j in range(self.levels):
-            d = _D_MAX * 2.0 ** (-j)
-            if d < _GUARD:
-                continue
+        for d in self.distances():
             lo = min(_GUARD, 0.2 * (math.pi - d))
             mid = 0.5 * (math.pi - d)
             left = np.geomspace(lo, mid, self.n_theta)
@@ -191,11 +192,12 @@ def ratio_sweep_report(claim: str, r: np.ndarray, spec: SweepSpec,
     """
     levels, sups, lo = [], [0.0, 0.0], 0
     for sweep, s in enumerate((spec, spec.refined())):
-        for d, theta, _ in s.bands():
-            m = float(np.max(r[lo:lo + theta.size]))
-            lo += theta.size
+        size = 2 * s.n_theta
+        for d in s.distances():
+            m = float(np.max(r[lo:lo + size]))
+            lo += size
             if sweep == 0:
-                levels.append({"distance": d, "pairs": int(theta.size), "max_ratio": m})
+                levels.append({"distance": d, "pairs": size, "max_ratio": m})
             sups[sweep] = max(sups[sweep], m)
     if lo != len(r):
         raise ValueError(f"{len(r)} ratios for the sweep's {lo} pairs")

@@ -296,6 +296,62 @@ class TestRecurrence:
             assert_allclose(JacobiRecurrence(p, x, degree=degree).fill(np.empty((2, 5))),
                             jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
 
+    # one pass of five runs at the five parameter pairs and widths 1 to 360,
+    # read to lengths that end inside the first, second and third window of
+    # 256 rows and at a window's edge; windows of 3 rows split the rows below
+    # degree 2 of a run that starts at -2
+    @pytest.mark.parametrize("chunk", [3, 256])
+    @pytest.mark.parametrize("d0", range(-2, 9))
+    def test_stacked_pass_equals_the_five_call_rows_bitwise(self, d0, chunk):
+        widths, lengths = (1, 7, 180, 360, 7), (600, 130, 256, 300, 520)
+        points = tuple(np.linspace(0.01, 3.13, w) + 1e-3 * j for j, w in enumerate(widths))
+        plan, reads = basis.RowPlan(points, chunk), []
+        for j, (ab, n) in enumerate(zip(PARAM_PAIRS, lengths)):
+            degree = (d0 + 2 + 3 * j) % 11 - 2  # over d0, every start from -2 to 8
+            (term,) = theta_row_terms(params_of(*ab), points[j], {0: 1.0})
+            want = self.five_call_rows(params_of(*ab), np.cos(points[j]), degree, n)
+            reads.append((plan.add([term], n, j, degree), want))
+        for k0 in range(0, max(lengths), chunk):
+            plan.advance(k0, min(k0 + chunk, max(lengths)))
+            for factor, want in reads:
+                m = min(k0 + chunk, len(want)) - k0
+                if m > 0:
+                    (got,) = plan.rows(factor, m)
+                    assert np.array_equal(got, want[k0:k0 + m]), (k0, len(want))
+
+    def test_quick_sweep_steps_each_degree_of_its_pass_once(self, monkeypatch):
+        # each window of a pass is one step over every run of the pass still
+        # going, each from the degree where the last window left it
+        from trigjacobi import verify
+
+        fill, advance, depth, steps, widths = basis._fill, basis.RowPlan.advance, [0], [], []
+
+        def counted_fill(recs, ends, out, *args):
+            if not depth[0]:
+                steps.append((sorted((r.params.alpha, r.params.beta, r.degree) for r in recs),
+                              len(out)))
+            depth[0] += 1
+            try:
+                fill(recs, ends, out, *args)
+            finally:
+                depth[0] -= 1
+
+        def counted_advance(plan, k0, k1, runs=None):
+            steps.clear()
+            advance(plan, k0, k1, runs)
+            live = sorted((r.params.alpha, r.params.beta, r.start + k0)
+                          for r in plan._runs.values()
+                          if (runs is None or r in runs) and r.length > k0)
+            # a recurrence that starts above degree 0 steps there first
+            assert steps[-1] == (live, k1 - k0)
+            widths.append(len(live))
+
+        monkeypatch.setattr(basis, "_fill", counted_fill)
+        monkeypatch.setattr(basis.RowPlan, "advance", counted_advance)
+        verify.run_suite("all", params_of(0.0, 0.0), "quick")
+        # the sweep's pass of (0, 0) on theta, (1, 1) on theta and phi, (2, 2) on theta
+        assert max(widths) == 3
+
 
 def element_row(p, kind, n, theta, order=0):
     """Row n of a family, element by element from the tables: the polynomial

@@ -247,3 +247,23 @@ def test_memory_bounded_by_chunk_not_series_length():
     finally:
         tracemalloc.stop()
     assert peak < table_bytes / 8, (peak, table_bytes)
+
+
+def test_memory_of_a_pass_bounded_by_its_window():
+    # one pass of two runs, (alpha, beta) from degree 0 on theta and phi and
+    # (alpha+1, beta+1) from degree -1 on theta, in a window of chunk rows and
+    # 3 x pairs columns. A buffer per run beside it, or one per window, doubles
+    # the peak
+    p = JacobiParams(1.5, -0.7)
+    rng = np.random.default_rng(5)
+    theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 720))
+    even = poisson_kernel(p, "even")
+    jobs = [(even, [0.02]), (kernel_derivative(even, 1, 0), [0.02])]
+    window = _CHUNK * 3 * theta.size * 8
+    tracemalloc.start()
+    try:
+        eval_kernels(jobs, theta, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window < peak < 2 * window, (peak, window)
