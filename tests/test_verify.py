@@ -5,18 +5,25 @@ import math
 import numpy as np
 import pytest
 
+import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import poisson_kernel
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
+    QUICK_SWEEP,
     SweepSpec,
     _ball_measures,
     check_ball_comparability,
+    check_chain_routes,
+    check_conjugation,
     check_domination,
+    check_eigen_residuals,
     check_lemma_instances,
+    check_semigroup_law,
     check_sharp_constants,
     check_shift_identity,
+    check_spectral_identities,
     check_standard_estimates,
     check_weight_classes,
     empirical_lp_sweep,
@@ -51,6 +58,14 @@ class TestSharpConstants:
         rep = check_sharp_constants(ngrid=256)[3]
         assert rep.claim == "sharp-constant-b-diagonal-identity"
         assert rep.constant <= 1e-9
+
+    def test_a_nan_in_a_late_block_fails_the_constant(self, monkeypatch):
+        original = verify._sharp_a
+        monkeypatch.setattr(verify, "_sharp_a", lambda theta, phi: np.where(
+            theta > 3.0, np.nan, original(theta, phi)))
+        rep = check_sharp_constants(ngrid=256)[0]
+        assert rep.claim == "sharp-constant-a"
+        assert not rep.passed and math.isnan(rep.constant)
 
     @pytest.mark.parametrize("ngrid", [1000, 1024])
     def test_blocked_maxima_equal_the_full_grid(self, ngrid):
@@ -104,6 +119,23 @@ class TestSweepContract:
         with pytest.raises(ValueError, match="ratios"):
             ratio_sweep_report("probe", np.ones(d.size + 1), TEST_SWEEP)
 
+    @pytest.mark.parametrize("where", [8, -1], ids=["base-band", "refined"])
+    def test_a_nan_ratio_fails_the_claim(self, where):
+        r = np.ones(TEST_SWEEP.pairs()[0].size)
+        r[where] = np.nan
+        rep = ratio_sweep_report("probe", r, TEST_SWEEP)
+        assert not rep.passed
+        assert math.isnan(rep.constant) and math.isnan(rep.drift)
+
+    def test_drift_from_a_zero_base(self):
+        r = np.zeros(TEST_SWEEP.pairs()[0].size)
+        rep = ratio_sweep_report("probe", r, TEST_SWEEP)
+        assert rep.passed and rep.drift == 1.0 and rep.constant == 0.0
+        # only the refined sweep sees a nonzero ratio: no convergence shown
+        r[-1] = 1.0
+        rep = ratio_sweep_report("probe", r, TEST_SWEEP)
+        assert not rep.passed and rep.drift == math.inf
+
 
 class TestBallComparability:
     def test_two_sided_and_stable(self):
@@ -141,6 +173,59 @@ class TestIdentitySuite:
 
         monkeypatch.setattr(basis, "_coefficients", skewed)
         assert not check_shift_identity(P).passed
+
+    def test_each_family_is_read_once(self, monkeypatch):
+        # reads inside apply_operator go through operators.basis_matrix and
+        # are not counted
+        reads = []
+        for name in ("basis_matrix", "eval_basis"):
+            def counted(*args, _original=getattr(basis, name), **kwargs):
+                reads.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counted, raising=False)
+        check_conjugation(P)
+        assert len(reads) <= 3
+        reads.clear()
+        check_spectral_identities(P)
+        assert len(reads) == 1
+
+    def test_a_nan_basis_row_fails_the_claims_that_read_it(self, monkeypatch):
+        # degree 4 of the polynomial table is row 8 of both symmetrized
+        # families, which every check below reads
+        original = basis.trig_poly_table
+
+        def poisoned(params, nmax, theta, dmax=0):
+            table = original(params, nmax, theta, dmax)
+            if nmax >= 4:
+                table[:, 4, 0] = np.nan
+            return table
+
+        monkeypatch.setattr(basis, "trig_poly_table", poisoned)
+        reports = ([check_eigen_residuals(P), check_conjugation(P)]
+                   + check_spectral_identities(P)[:2])
+        assert [r.claim for r in reports] == [
+            "eigen-residual", "conjugation-ladder", "riesz-order-two-multiplier",
+            "square-function-time-norm"]
+        assert [(r.passed, math.isnan(r.constant)) for r in reports] == [(False, True)] * 4
+
+    def test_a_nan_kernel_sample_fails_the_kernel_identities(self, monkeypatch):
+        matrix, chains = kernels.KernelHandle.eval_matrix, verify.eval_kernels
+
+        def poisoned_matrix(*args, **kwargs):
+            out = matrix(*args, **kwargs)
+            out[0, 0] = np.nan
+            return out
+
+        def poisoned_chains(*args, **kwargs):
+            samples = chains(*args, **kwargs)
+            samples[-1][0, 0] = np.nan
+            return samples
+
+        monkeypatch.setattr(kernels.KernelHandle, "eval_matrix", poisoned_matrix)
+        monkeypatch.setattr(verify, "eval_kernels", poisoned_chains)
+        reports = [check_semigroup_law(P), check_chain_routes(P)]
+        assert [(r.passed, math.isnan(r.constant)) for r in reports] == [(False, True)] * 2
 
 
 class TestDomination:
@@ -229,6 +314,37 @@ class TestStandardEstimates:
 
 
 SWEEP_SUITES = ("standard-estimates", "domination", "lemma-ratios")
+
+
+def reads_a_kernel_sweep(claim):
+    return (claim.startswith(("riesz-kernel-", "multiplier-kernel-", "vector-kernel-",
+                              "lemma-"))
+            or claim in ("odd-dominated-by-even", "even-kernel-positive"))
+
+
+def test_a_nan_sweep_pair_fails_every_kernel_claim(monkeypatch, tmp_path):
+    # one pair of the shared sweep call reads NaN in every kernel job; every
+    # claim passes at (0, 0) without it
+    original = verify.eval_kernels
+    size = QUICK_SWEEP.pairs()[0].size
+
+    def poisoned(jobs, theta, phi, *args, **kwargs):
+        samples = original(jobs, theta, phi, *args, **kwargs)
+        if np.size(theta) == size:
+            for s in samples:
+                s[5] = np.nan
+        return samples
+
+    monkeypatch.setattr(verify, "eval_kernels", poisoned)
+    doc = run_suite("all", JacobiParams(0.0, 0.0), "quick")
+    verdicts = {c["claim"]: c["passed"] for c in doc["checks"]}
+    kernel = [claim for claim in verdicts if reads_a_kernel_sweep(claim)]
+    assert len(kernel) == 27 and "even-kernel-positive" in kernel
+    assert not any(verdicts[claim] for claim in kernel)
+    assert all(ok for claim, ok in verdicts.items() if claim not in kernel)
+    assert not doc["passed"]
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "all", "--profile", "quick", "--out", str(out)]) == 1
 
 
 class TestSharedSweepStep:
@@ -333,6 +449,20 @@ class TestLpSweep:
         rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),),
                                  orders=(16, 24), n_funcs=25)[0]
         assert rep.passed and math.isfinite(rep.constant)
+
+    def test_a_nan_probe_fails_the_estimate(self, monkeypatch):
+        original = verify._restricted_matrix
+
+        def poisoned(params, grid, *args):
+            T = original(params, grid, *args)
+            if grid.nodes.size == 24:
+                T[0, 0] = np.nan
+            return T
+
+        monkeypatch.setattr(verify, "_restricted_matrix", poisoned)
+        rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),),
+                                 orders=(16, 24), n_funcs=25)[0]
+        assert not rep.passed and math.isnan(rep.constant)
 
 
 class TestReports:
