@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import eval_jacobi, gamma, gammaln
+from scipy.special import binom, eval_jacobi, gamma, gammaln
 
 from .basis import (
     SYM_FN,
@@ -172,7 +172,24 @@ def suite_report(suite: str, params: JacobiParams | None, profile: str,
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The report as strict JSON: a NaN or an infinity, such as the constant
+    of a claim that failed on one, is written as the string "NaN",
+    "Infinity" or "-Infinity". A report without one is dumped once."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_json_safe(doc), sort_keys=True, indent=2)
+    return text + "\n"
+
+
+def _json_safe(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 # --- ratio sweeps -------------------------------------------------------------
@@ -381,12 +398,43 @@ def check_semigroup_law(params: JacobiParams) -> EstimateReport:
     return _tolerance_report("semigroup-law", errors, tol, t1=t1, t2=t2)
 
 
+def _scipy_jacobi_rows(n: int, a: float, b: float, x: np.ndarray):
+    """P_k^{(a,b)}(x) for degrees k < n (n >= 2), rows k, by scipy's own
+    algorithm for integer degrees: the recurrence for the differences
+    d_k = p_{k+1} - p_k in x - 1, each p_k scaled by binom(k + a, k). One
+    pass keeps every degree, where one eval_jacobi call per degree costs
+    O(degree) each; its steps group their factors as scipy's do, so the
+    rows equal eval_jacobi's. Also the relative error of the last row
+    against one eval_jacobi call, which a wrong step moves."""
+    xm1 = x - 1.0
+    rows = np.empty((n, x.size))
+    rows[0] = 1.0
+    rows[1] = 0.5 * (2.0 * (a + 1.0) + (a + b + 2.0) * xm1)
+    k = np.arange(1.0, n - 1.0)
+    t = 2.0 * k + a + b
+    step_p = (t * (t + 1.0) * (t + 2.0))[:, None] * xm1
+    step_d = (2.0 * k * (k + b) * (t + 2.0)).tolist()
+    denom = (2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t).tolist()
+    d = (a + b + 2.0) * xm1 / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for i in range(n - 2):
+        d = (step_p[i] * p + step_d[i] * d) / denom[i]
+        p = d + p
+        rows[i + 2] = p
+    deg = np.arange(2.0, n)
+    rows[2:] *= binom(deg + a, deg)[:, None]
+    top = eval_jacobi(n - 1, a, b, x)
+    return rows, np.abs(rows[-1] - top) / np.maximum(np.abs(top), 1e-30)
+
+
 def check_shift_identity(params: JacobiParams) -> EstimateReport:
     """Odd component against (1/4) sin(theta) sin(phi) times the shifted even
-    kernel. The shifted kernel is summed here from scipy's Jacobi polynomials
-    at (alpha+1, beta+1), their closed-form L2(dmu+) norms and the speeds
-    k + (alpha+beta+3)/2, to the series length the shifted handle asks for,
-    so the check does not share the recurrence it certifies."""
+    kernel. The shifted kernel is summed here from Jacobi polynomials at
+    (alpha+1, beta+1) by scipy's recurrence kept at every degree and
+    anchored to scipy.special.eval_jacobi at the top one, their closed-form
+    L2(dmu+) norms and the speeds k + (alpha+beta+3)/2, to the series length
+    the shifted handle asks for, so the check does not share the recurrence
+    it certifies."""
     theta = np.array([0.4, 0.9, 1.7, 2.6, 3.0])
     phi = np.array([0.3, 1.2, 2.1, 0.8, 2.9])
     ts = np.array([0.05, 0.3, 1.5])
@@ -399,14 +447,15 @@ def check_shift_identity(params: JacobiParams) -> EstimateReport:
     log_norm2 = (np.log(2.0 * k + a + b + 1.0) + gammaln(k + 1.0)
                  + gammaln(k + a + b + 1.0) - gammaln(k + a + 1.0)
                  - gammaln(k + b + 1.0))
-    terms = (np.exp(log_norm2)[:, None] * eval_jacobi(k[:, None], a, b, np.cos(theta))
-             * eval_jacobi(k[:, None], a, b, np.cos(phi)))
+    rows, anchor = _scipy_jacobi_rows(k.size, a, b, np.cos(np.concatenate([theta, phi])))
+    terms = np.exp(log_norm2)[:, None] * rows[:, :theta.size] * rows[:, theta.size:]
     speed = k + (a + b + 1.0) / 2.0
     even = np.stack([0.5 * np.exp(-t * speed[:n]) @ terms[:n]
                      for t, n in zip(ts, lengths)], axis=-1)
     want = 0.25 * (np.sin(theta) * np.sin(phi))[:, None] * even
+    errors = np.abs(odd - want) / np.maximum(np.abs(want), 1e-30)
     return _tolerance_report("odd-kernel-shift-identity",
-                             np.abs(odd - want) / np.maximum(np.abs(want), 1e-30), 1e-8)
+                             np.append(errors, anchor), 1e-8)
 
 
 def check_chain_routes(params: JacobiParams) -> EstimateReport:

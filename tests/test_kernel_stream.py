@@ -1,10 +1,10 @@
 """The streamed kernel series against a reference built outside the package.
 
-The reference sums each series term by term from scipy.special.eval_jacobi
-and the closed-form Gamma norms, with every factor spelled out from its
-definition; nothing here comes from trigjacobi.basis. Series lengths are
-forced with n_override just below, at and above one chunk of the engine,
-and across several chunks.
+The reference sums each series term by term from Jacobi polynomial values
+computed as scipy.special.eval_jacobi computes them, and the closed-form
+Gamma norms, with every factor spelled out from its definition; nothing
+here comes from trigjacobi.basis. Series lengths are forced with n_override
+just below, at and above one chunk of the engine, and across several chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import eval_jacobi, gammaln
+from scipy.special import binom, eval_jacobi, gammaln
 
 from trigjacobi import basis
 from trigjacobi.basis import JacobiParams
@@ -47,13 +47,35 @@ def norm(a, b, n):
     return np.exp(np.where(n == 0, zero, generic))
 
 
+def jacobi_rows(a, b, n, x):
+    """P_k^{(a,b)}(x) for k < n (n >= 2), rows k: scipy's algorithm for an
+    integer degree (the recurrence for p_{k+1} - p_k in x - 1, times
+    binom(k + a, k)), kept at every degree. Each row equals
+    eval_jacobi(k, a, b, x), at O(1) cost per degree where one eval_jacobi
+    call costs O(k)."""
+    xm1 = x - 1.0
+    rows = np.empty((n, x.size))
+    rows[0] = 1.0
+    rows[1] = 0.5 * (2.0 * (a + 1.0) + (a + b + 2.0) * xm1)
+    d = (a + b + 2.0) * xm1 / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for k in range(1, n - 1):
+        t = 2.0 * k + a + b
+        d = ((t * (t + 1.0) * (t + 2.0)) * xm1 * p + 2.0 * k * (k + b) * (t + 2.0) * d) / (
+            2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t)
+        p = d + p
+        rows[k + 1] = binom(k + 1.0 + a, k + 1.0) * p
+    return rows
+
+
 def poly(a, b, k, theta):
     """c_k P_k(cos theta), rows k, columns theta; zero rows for k < 0."""
     k = np.asarray(k)
     out = np.zeros((k.size, theta.size))
     live = k >= 0
-    kk = k[live].astype(np.int64)[:, None]
-    out[live] = norm(a, b, kk) * eval_jacobi(kk, a, b, np.cos(theta)[None, :])
+    kk = k[live]
+    rows = jacobi_rows(a, b, int(k.max()) + 1, np.cos(theta))
+    out[live] = norm(a, b, kk[:, None]) * rows[kk]
     return out
 
 
@@ -62,10 +84,19 @@ def poly_dtheta(a, b, k, theta):
     k = np.asarray(k)
     out = np.zeros((k.size, theta.size))
     live = k >= 1
-    kk = k[live].astype(np.int64)[:, None]
+    kk = k[live][:, None]
+    rows = jacobi_rows(a + 1, b + 1, int(k.max()), np.cos(theta))
     out[live] = (-np.sin(theta)[None, :] * norm(a, b, kk) * (kk + a + b + 1) / 2.0
-                 * eval_jacobi(kk - 1, a + 1, b + 1, np.cos(theta)[None, :]))
+                 * rows[kk[:, 0] - 1])
     return out
+
+
+def test_jacobi_rows_equal_eval_jacobi():
+    x = np.cos(np.concatenate([THETA, PHI]))
+    n = LENGTHS[-1]
+    for a, b in PARAMS + [(2.5, 3.5)]:
+        want = eval_jacobi(np.arange(n)[:, None], a, b, x)
+        np.testing.assert_allclose(jacobi_rows(a, b, n, x), want, rtol=1e-14, atol=0.0)
 
 
 def odd(a, b, k, theta):
@@ -190,9 +221,9 @@ def test_mixed_lengths_equal_single_time_calls(comp):
 def test_one_pass_equals_single_handle_calls(a, b):
     # every family in one pass, sharing its recurrences. At the mixed-length
     # times every other job sums its times in reverse order; the reference
-    # is summed at the forced lengths only, since eval_jacobi costs O(degree)
-    # per value and t = 0.01 needs up to 10^4 terms (the single-handle path
-    # meets it there in test_mixed_lengths_equal_single_time_calls)
+    # is summed at the forced lengths only, since it takes one length for all
+    # times (the single-handle path meets it at each mixed-length time in
+    # test_mixed_lengths_equal_single_time_calls)
     fams = families()
     handles = [handle_for(JacobiParams(a, b), f) for f in fams]
     cfg = TruncationConfig()

@@ -1,14 +1,16 @@
 """Harness tests: sharp constants, sweeps, reports, determinism."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
-from trigjacobi.kernels import poisson_kernel
+from trigjacobi.kernels import DEFAULT_TRUNCATION, partial_derivative_kernel, poisson_kernel
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     QUICK_SWEEP,
@@ -39,6 +41,10 @@ ALL_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
 # three dyadic bands, six pairs each: enough to exercise every code path
 # while keeping the series work small
 TEST_SWEEP = SweepSpec(n_theta=3, levels=3)
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
 
 
 class TestSharpConstants:
@@ -173,6 +179,50 @@ class TestIdentitySuite:
 
         monkeypatch.setattr(basis, "_coefficients", skewed)
         assert not check_shift_identity(P).passed
+
+    @pytest.mark.parametrize("ab", ALL_PAIRS)
+    def test_shift_reference_rows_equal_eval_jacobi(self, ab):
+        # at the check's points and shifted parameters, every degree of its
+        # longest series (t = 0.05)
+        params = JacobiParams(*ab)
+        shifted = partial_derivative_kernel(params, 1, 0, 0, 0)
+        n = DEFAULT_TRUNCATION.series_length(shifted.table_params, 0.05, shifted.orders)
+        a, b = params.alpha + 1.0, params.beta + 1.0
+        x = np.cos([0.4, 0.9, 1.7, 2.6, 3.0, 0.3, 1.2, 2.1, 0.8, 2.9])
+        rows, anchor = verify._scipy_jacobi_rows(n, a, b, x)
+        want = eval_jacobi(np.arange(n)[:, None], a, b, x)
+        assert rows.shape == (n, x.size) and n > 800
+        np.testing.assert_allclose(rows, want, rtol=1e-14, atol=0.0)
+        assert np.max(anchor) <= 1e-14
+
+    def test_a_wrong_top_degree_fails_the_shift_identity_through_the_anchor(
+            self, monkeypatch):
+        # the top degree's series term is far below rounding at every time of
+        # the check, so only the anchor against eval_jacobi sees it
+        original = verify.binom
+
+        def skewed(n, k):
+            out = original(n, k)
+            out[-1] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(verify, "binom", skewed)
+        rep = check_shift_identity(P)
+        assert not rep.passed
+        assert rep.constant == pytest.approx(1e-6, rel=1e-6)
+
+    def test_shift_identity_calls_eval_jacobi_once(self, monkeypatch):
+        # the anchor, at the top degree on all points together; one call per
+        # degree would be O(n^2)
+        degrees = []
+
+        def counted(n, *args):
+            degrees.append(np.shape(n))
+            return eval_jacobi(n, *args)
+
+        monkeypatch.setattr(verify, "eval_jacobi", counted)
+        assert check_shift_identity(P).passed
+        assert degrees == [()]
 
     def test_each_family_is_read_once(self, monkeypatch):
         # reads inside apply_operator go through operators.basis_matrix and
@@ -345,6 +395,8 @@ def test_a_nan_sweep_pair_fails_every_kernel_claim(monkeypatch, tmp_path):
     assert not doc["passed"]
     out = tmp_path / "report.json"
     assert cli.main(["verify", "all", "--profile", "quick", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text(), parse_constant=reject_constant)["checks"]
+    assert sum(c["constant"] == "NaN" for c in checks) == len(kernel)
 
 
 class TestSharedSweepStep:
@@ -472,6 +524,15 @@ class TestReports:
         assert a["schema_version"] == 1
         assert report_json(a) == report_json(b)
         assert "timings" not in a
+
+    def test_non_finite_values_are_written_as_strings(self):
+        doc = {"constant": math.nan, "drift": [math.inf, -math.inf, 0.5],
+               "details": {"p": 2.0}}
+        assert json.loads(report_json(doc), parse_constant=reject_constant) == {
+            "constant": "NaN", "drift": ["Infinity", "-Infinity", 0.5],
+            "details": {"p": 2.0}}
+        finite = run_suite("lp-sweep", P, "quick")
+        assert report_json(finite) == json.dumps(finite, sort_keys=True, indent=2) + "\n"
 
     def test_timings_opt_in(self):
         doc = run_suite("sharp-constants", P, "quick", ngrid=128,
