@@ -174,12 +174,8 @@ def suite_report(suite: str, params: JacobiParams | None, profile: str,
 def report_json(doc: dict) -> str:
     """The report as strict JSON: a NaN or an infinity, such as the constant
     of a claim that failed on one, is written as the string "NaN",
-    "Infinity" or "-Infinity". A report without one is dumped once."""
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_json_safe(doc), sort_keys=True, indent=2)
-    return text + "\n"
+    "Infinity" or "-Infinity"."""
+    return json.dumps(_json_safe(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _json_safe(value):

@@ -92,11 +92,29 @@ def poly_dtheta(a, b, k, theta):
 
 
 def test_jacobi_rows_equal_eval_jacobi():
+    # at every parameter pair the reference reads: the odd part and
+    # d/dtheta each shift (a, b) by one, so shifts 0-2 of each pair
     x = np.cos(np.concatenate([THETA, PHI]))
     n = LENGTHS[-1]
     for a, b in PARAMS + [(2.5, 3.5)]:
-        want = eval_jacobi(np.arange(n)[:, None], a, b, x)
-        np.testing.assert_allclose(jacobi_rows(a, b, n, x), want, rtol=1e-14, atol=0.0)
+        for s in range(3):
+            want = eval_jacobi(np.arange(n)[:, None], a + s, b + s, x)
+            np.testing.assert_allclose(jacobi_rows(a + s, b + s, n, x), want,
+                                       rtol=1e-14, atol=0.0)
+
+
+def test_jacobi_rows_equal_eval_jacobi_on_long_series():
+    # the longest series the reference sums, in
+    # test_mixed_lengths_equal_single_time_calls, read at every 97th degree
+    x = np.cos(np.concatenate([THETA, PHI]))
+    h = handle_for(JacobiParams(1.5, -0.7), ("ladder", "odd", 1, 1))
+    n = TruncationConfig().series_length(h.table_params, MIXED_TIMES.min(), h.orders)
+    assert n > 5000
+    ks = np.append(np.arange(0, n, 97), n - 1)
+    for s in range(3):
+        want = eval_jacobi(ks[:, None], 1.5 + s, -0.7 + s, x)
+        np.testing.assert_allclose(jacobi_rows(1.5 + s, -0.7 + s, n, x)[ks], want,
+                                   rtol=1e-14, atol=0.0)
 
 
 def odd(a, b, k, theta):
