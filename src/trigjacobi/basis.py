@@ -510,6 +510,8 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     weighted = kind in (JACOBI_FN, SYM_FN)
     if weighted and order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
+    if n.size == 0:
+        return np.empty((0, theta.size))
     if kind in (TRIG_POLY, JACOBI_FN):
         out = trig_poly_table(params, int(n.max()), theta, order)[order, n]
     else:

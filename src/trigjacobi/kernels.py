@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import comb
 
 from .basis import JacobiParams, RowPlan, coeff_A, eigenvalue, psi, theta_row_terms
-from .quadrature import TGrid
 
 COMPONENTS = ("even", "odd")
 
@@ -68,9 +67,6 @@ class TruncationConfig:
 
 
 DEFAULT_TRUNCATION = TruncationConfig()
-# time grid of the operators given none; built and validated once, and safe
-# to share because its arrays are read-only
-DEFAULT_TGRID = TGrid()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ operators shift the type parameters.
 One core serves every setting, on a family (params, kind, index array):
 coefficient n goes to a factor times the ladder image of source index n,
 scaled by a function of the speed sqrt(lambda_n). Rows are read by index
-array from one basis_matrix per family; speeds and ladder images are array
+array from basis_matrix, one call for the sources and their images unless
+the chain shifts the parameters; speeds and ladder images are array
 arithmetic. Maximal and square operators share one time trajectory on a
 TGrid and its t-norm.
 """
@@ -25,7 +26,6 @@ from .basis import (
     JACOBI_FN,
     SYM_POLY,
     TRIG_POLY,
-    BasisElement,
     JacobiParams,
     basis_matrix,
     eigenvalue,
@@ -33,7 +33,7 @@ from .basis import (
     ladder_images,
     psi,
 )
-from .kernels import DEFAULT_TGRID, DiscreteMeasure
+from .kernels import DiscreteMeasure
 from .quadrature import TAG_KINDS, TGrid, ThetaGrid, inner_product, t_norm
 
 OPERATOR_KINDS = ("semigroup", "riesz", "riesz_interlaced", "multiplier",
@@ -44,6 +44,8 @@ _SYM_KINDS = ("semigroup", "riesz", "multiplier", "maximal", "square")
 SETTINGS = {"sym_poly": _SYM_KINDS, "sym_fn": _SYM_KINDS, "nonsym": OPERATOR_KINDS,
             "restricted": ("semigroup", "riesz_interlaced", "multiplier",
                            "maximal", "square_interlaced")}
+# the time grid of a spec that names none; its arrays are read-only, so shared
+DEFAULT_TGRID = TGrid()
 
 
 @dataclass(frozen=True)
@@ -101,30 +103,8 @@ class OperatorSpec:
         return self.tgrid if self.tgrid is not None else DEFAULT_TGRID
 
 
-def _rows(families: list[tuple], theta: np.ndarray) -> list[np.ndarray]:
-    """The rows of each family (params, kind, indices) at theta, read from
-    one basis_matrix per distinct (params, kind) on the indices they need."""
-    need = {}
-    for params, kind, n in families:
-        need[params, kind] = np.union1d(need.get((params, kind), n), n)
-    tables = {key: basis_matrix(*key, n, theta) for key, n in need.items()}
-    return [tables[params, kind][np.searchsorted(need[params, kind], n)]
-            for params, kind, n in families]
-
-
-def _families(elements: list[BasisElement]) -> tuple[list[tuple], np.ndarray]:
-    """The elements as families (params, kind, indices), and the order that
-    puts the families' concatenated rows back in list order."""
-    groups = {}
-    for i, e in enumerate(elements):
-        groups.setdefault((e.params, e.kind), []).append(i)
-    families = [(*key, np.array([elements[i].index for i in pos]))
-                for key, pos in groups.items()]
-    return families, np.argsort(np.concatenate(list(groups.values())))
-
-
 def _expand(f: GridFunction, family: tuple) -> np.ndarray:
-    return (f.values * _rows([family], f.grid.nodes)[0]) @ f.grid.weights
+    return (f.values * basis_matrix(*family, f.grid.nodes)) @ f.grid.weights
 
 
 def expand(f: GridFunction, nmax: int) -> np.ndarray:
@@ -154,13 +134,9 @@ def expand_restricted(f: GridFunction, nmax: int, component: str) -> np.ndarray:
     return _expand(f, restricted_family(f.grid.params, nmax, component))
 
 
-def synthesize(coefs: np.ndarray, elements: list[BasisElement | None],
-               theta: np.ndarray) -> np.ndarray:
-    live = [(c, e) for c, e in zip(coefs, elements) if e is not None and c != 0.0]
-    if not live:
-        return np.zeros(np.shape(theta))
-    families, order = _families([e for _, e in live])
-    return np.array([c for c, _ in live]) @ np.concatenate(_rows(families, theta))[order]
+def synthesize(coefs: np.ndarray, family: tuple, theta: np.ndarray) -> np.ndarray:
+    """sum_i coefs[i] * element indices[i] of the family (params, kind, indices) at theta."""
+    return coefs @ basis_matrix(*family, theta)
 
 
 def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
@@ -204,7 +180,11 @@ def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
     """
     params, kind, n = source[0], source[1], np.asarray(source[2])
     chain, image_params, m = _chain(spec.kind, spec.N, params, kind, n)
-    E, V = _rows([(params, kind, n), (image_params, kind, m)], grid.nodes)
+    if image_params == params:
+        E, V = np.split(basis_matrix(params, kind, np.concatenate([n, m]), grid.nodes), 2)
+    else:
+        E = basis_matrix(params, kind, n, grid.nodes)
+        V = basis_matrix(image_params, kind, m, grid.nodes)
     lam = eigenvalue(params, n if kind in (TRIG_POLY, JACOBI_FN) else half_index(n))
     z = np.sqrt(lam)
     if spec.kind == "semigroup":

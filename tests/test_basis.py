@@ -412,6 +412,13 @@ class TestBasisMatrix:
         basis_matrix(params_of(1.5, -0.7), SYM_POLY, np.array(n), nodes_for(SYM_POLY))
         assert calls == built
 
+    @pytest.mark.parametrize("n", [[], np.zeros(0, dtype=int)], ids=["list", "int-array"])
+    @pytest.mark.parametrize("kind", [TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN])
+    def test_empty_index_array_has_no_rows(self, kind, n):
+        theta = nodes_for(kind)
+        table = basis_matrix(params_of(1.5, -0.7), kind, n, theta)
+        assert table.shape == (0, theta.size)
+
     def test_rejects_bad_input(self):
         p = params_of(0.0, 0.0)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from trigjacobi import operators
 from trigjacobi.basis import (
     JACOBI_FN,
     SYM_FN,
@@ -53,9 +54,8 @@ ORDER = 48
 
 def band_limited(params, kind, coefs, grid):
     """GridFunction with prescribed expansion coefficients."""
-    elems = [BasisElement(params, n, kind) for n in range(len(coefs))]
     return GridFunction(grid, synthesize(np.asarray(coefs, dtype=float),
-                                         elems, grid.nodes))
+                                         (params, kind, np.arange(len(coefs))), grid.nodes))
 
 
 def random_coefs(rng, nmax):
@@ -74,8 +74,7 @@ class TestExpansion:
         f = band_limited(PARAMS, kind, coefs, grid)
         got = expand(f, 8)
         assert np.allclose(got, coefs, atol=1e-10)
-        back = synthesize(got, [BasisElement(PARAMS, n, kind) for n in range(9)],
-                          grid.nodes)
+        back = synthesize(got, (PARAMS, kind, np.arange(9)), grid.nodes)
         assert np.allclose(back, f.values, atol=1e-10)
 
     def test_restricted_coefficients_carry_half(self):
@@ -671,14 +670,32 @@ class TestIndexArrayCore:
         assert_table_is_reference(spectral_table(spec, grid, (PARAMS, kind, n)),
                                   reference_table(spec, grid, elems))
 
-    def test_synthesize_mixed_families(self):
+    @pytest.mark.parametrize("kind", [TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN])
+    def test_synthesize_family(self, kind):
         theta = np.linspace(0.1, 3.0, 11)
-        elems = [BasisElement(PARAMS, 3, SYM_POLY), BasisElement(LEGENDRE, 2, JACOBI_FN),
-                 None, BasisElement(PARAMS, 0, SYM_POLY), BasisElement(LEGENDRE, 5, JACOBI_FN),
-                 BasisElement(PARAMS, 7, SYM_POLY), BasisElement(LEGENDRE, 0, JACOBI_FN)]
-        coefs = np.array([0.5, -1.25, 3.0, 0.75, 0.0, 2.0, -0.5])
-        live = [(c, e) for c, e in zip(coefs, elems) if e is not None and c != 0.0]
-        want = (np.array([c for c, _ in live])
-                @ np.array([eval_basis(e, theta) for _, e in live]))
-        assert np.array_equal(synthesize(coefs, elems, theta), want)
-        assert np.array_equal(synthesize(np.zeros(3), elems[:3], theta), np.zeros(11))
+        n = np.array([3, 0, 7, 3, 5, 0])
+        coefs = np.array([0.5, -1.25, 0.0, 0.75, 2.0, -0.5])
+        want = coefs @ np.array([eval_basis(BasisElement(PARAMS, int(k), kind), theta)
+                                 for k in n])
+        assert np.array_equal(synthesize(coefs, (PARAMS, kind, n), theta), want)
+        assert np.array_equal(synthesize(np.zeros(0), (PARAMS, kind, []), theta), np.zeros(11))
+
+    @pytest.mark.parametrize("setting,spec", CORE_CASES,
+                             ids=[f"{s}-{sp.kind}-M{sp.M}N{sp.N}-{i}"
+                                  for i, (s, sp) in enumerate(CORE_CASES)])
+    def test_one_basis_matrix_call_unless_the_chain_shifts(self, monkeypatch, setting, spec):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return basis_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "basis_matrix", counted)
+        tag, kind, indices = CORE_SETTINGS[setting]
+        spectral_table(spec, gauss_jacobi_grid(PARAMS, 20, tag), (PARAMS, kind, indices(4)))
+        # on (0,pi) a plain chain of order N lands at parameters shifted by N,
+        # an interlaced one (D*D)^k or D(D*D)^k at a shift of N mod 2
+        shift = 0
+        if setting == "nonsym":
+            shift = spec.N % 2 if spec.kind.endswith("_interlaced") else spec.N
+        assert calls == ([PARAMS, PARAMS.shifted(shift)] if shift else [PARAMS])
