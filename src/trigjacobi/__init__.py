@@ -5,8 +5,7 @@ a verification harness that certifies the package's numerical claims."""
 __version__ = "0.1.0"
 
 from .basis import (JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, BasisElement,
-                    JacobiParams, eigenvalue, eval_basis, half_index,
-                    ladder_step, psi)
+                    JacobiParams, eigenvalue, eval_basis, half_index, psi)
 from .kernels import (DiscreteMeasure, TruncationConfig, TruncationError,
                       kernel_derivative, partial_derivative_kernel,
                       poisson_kernel, symmetrized_kernel_pairs)
@@ -25,7 +24,7 @@ __all__ = [
     "__version__",
     "TRIG_POLY", "JACOBI_FN", "SYM_POLY", "SYM_FN",
     "JacobiParams", "BasisElement", "eval_basis", "eigenvalue", "half_index",
-    "ladder_step", "psi",
+    "psi",
     "TruncationConfig", "TruncationError", "DiscreteMeasure",
     "poisson_kernel", "symmetrized_kernel_pairs", "kernel_derivative",
     "partial_derivative_kernel",

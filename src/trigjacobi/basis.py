@@ -65,9 +65,13 @@ def psi(params: JacobiParams, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if (np.abs(theta) >= np.pi).any():
         raise ValueError("psi is defined for |theta| < pi")
-    s = np.abs(np.sin(theta / 2.0))
-    c = np.cos(theta / 2.0)
-    return s ** (params.alpha + 0.5) * c ** (params.beta + 0.5)
+    return _half_angle_power(theta, params.alpha + 0.5, params.beta + 0.5)
+
+
+def _half_angle_power(theta, r, s) -> np.ndarray:
+    """|sin(theta/2)|^r * cos(theta/2)^s, elementwise; r and s may be arrays."""
+    theta = np.asarray(theta, dtype=float)
+    return np.abs(np.sin(theta / 2.0)) ** r * np.cos(theta / 2.0) ** s
 
 
 def log_norm_constant(params: JacobiParams, n) -> np.ndarray:
@@ -185,22 +189,8 @@ def _spread(Cs: list, ends: list, coef: np.ndarray):
 
 
 def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
-    """A_k, B_k and C_k of the recurrence, k = n..n+m-1: C_k a list, A_k and
-    B_k lists for short blocks and arrays for long ones.
-
-    Vectorized for long blocks; short ones, as in a single basis element,
-    use Python floats, because there numpy's per-call cost dominates.
-    """
-    if m < 32:
-        A, B, C = [], [], []
-        for k in map(float, range(n, n + m)):
-            s = 2.0 * k + a + b
-            c0 = 2.0 * k * (k + a + b) * (s - 2.0)
-            c1 = (s - 1.0) / c0
-            A.append(c1 * s * (s - 2.0))
-            B.append(c1 * (a * a - b * b))
-            C.append(2.0 * (k + a - 1.0) * (k + b - 1.0) * s / c0)
-        return A, B, C
+    """A_k, B_k and C_k of the recurrence, k = n..n+m-1: A_k and B_k arrays,
+    C_k a list."""
     ns = np.arange(n, n + m, dtype=float)
     s = 2.0 * ns + a + b
     c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
@@ -546,7 +536,7 @@ def coeff_b(params: JacobiParams, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact ladder action on index arrays of one family, and on single elements
+# exact ladder action on index arrays of one family
 # ---------------------------------------------------------------------------
 
 def _ladder_root(params: JacobiParams, n) -> np.ndarray:
@@ -561,92 +551,56 @@ def _vanish(coef: np.ndarray, params: JacobiParams, n: np.ndarray) -> tuple:
     return np.where(dead, 0.0, coef), params, np.where(dead, 0, n)
 
 
-def _ladder(op: str, params: JacobiParams, kind: str, n: np.ndarray) -> tuple:
-    """ladder_step on the indices n of one family: (factors, image params,
-    image indices)."""
-    if kind in (SYM_POLY, SYM_FN):
-        odd = n % 2 == 1
-        if op in ("DD", "DD_bar"):
-            if (op == "DD") != (kind == SYM_POLY):
-                raise ValueError(f"{op} acts on the other symmetrized family")
-        elif op == "delta" and (kind != SYM_POLY or odd.any()):
-            raise ValueError("delta is ladder-closed on even-index sym_poly only")
-        elif op == "delta_star" and (kind != SYM_POLY or not odd.all()):
-            raise ValueError("delta* is ladder-closed on odd-index sym_poly only")
-        elif op not in ("delta", "delta_star"):
-            raise ValueError(f"operator {op!r} is not ladder-closed on {kind}")
-        # Phi_2k -> -r_k Phi_2k-1 (delta and DD); Phi_2k+1 -> r_k+1 Phi_2k+2
-        # (DD; delta* negates it)
-        r = _ladder_root(params, half_index(n))
-        c = np.where(odd, -r if op == "delta_star" else r, -r)
-        return _vanish(c, params, np.where(odd, n + 1, n - 1))
-    if kind == JACOBI_FN and op == "D":
-        # D phi_n^{a,b} = -r_n phi_{n-1}^{a+1,b+1}
-        return _vanish(-_ladder_root(params, n), params.shifted(1), n - 1)
-    if kind == JACOBI_FN and op == "D_star":
-        # inverse of the shift: D*_{a,b} phi_n^{a+1,b+1} = -r_{n+1} phi_{n+1}^{a,b}
-        if params.alpha <= 0 or params.beta <= 0:
-            raise ValueError("D_star ladder needs parameters that are already shifted")
-        base = JacobiParams(params.alpha - 1.0, params.beta - 1.0)
-        return _vanish(-_ladder_root(base, n + 1), base, n + 1)
-    if kind == JACOBI_FN:
-        raise ValueError(f"operator {op!r} is not ladder-closed on jacobi_fn")
-    raise ValueError(f"no ladder action on kind {kind!r}")
-
-
-def ladder_step(op: str, elem: BasisElement) -> tuple[float, BasisElement | None]:
-    """Apply one first-order operator to an element when the result is again
-    a scalar multiple of an element of the same family.
-
-    Closed cases:
-      delta      on even-parity sym_poly:   delta Phi_{2k}   = -r_k Phi_{2k-1}
-      delta_star on odd-parity  sym_poly:   delta* Phi_{2k+1} = -r_{k+1} Phi_{2k+2}
-      DD on any sym_poly, DD_bar on any sym_fn (signs differ by parity)
-      D  on jacobi_fn:  D phi_n^{a,b}   = -r_n phi_{n-1}^{a+1,b+1}
-      D_star on jacobi_fn with a,b >= 0 shift available: the inverse shift step
-    Returns (coefficient, element); (0.0, None) when the image vanishes.
-    Raises ValueError when the action is not ladder-closed.
-    """
-    (c,), params, (n,) = _ladder(op, elem.params, elem.kind, np.array([elem.index]))
-    return (0.0, None) if c == 0.0 else (float(c), BasisElement(params, int(n), elem.kind))
-
-
 def ladder_images(N: int, params: JacobiParams, kind: str, n,
                   interlaced: bool = False) -> tuple:
     """The order-N chain on the indices n of one family, in closed form:
     (factors, image params, image indices), with factor 0 and image index 0
-    where the image vanishes.
+    where the image vanishes. With r_n = sqrt(lambda_n - lambda_0):
 
-    Plain chains iterate the ladder: DD^N on sym_poly, DD_bar^N on sym_fn,
-    the parameter-shifting D^N on jacobi_fn. Interlaced chains on sym_poly
-    are delta_N^even on the even indices and delta_N^odd on the odd ones;
-    they alternate between 2k <-> 2k-1 or 2k+1 <-> 2k+2, each step with the
-    same factor: delta_N^even Phi_{2k} = (-r_k)^N Phi_{2k - (N mod 2)},
-    delta_N^odd Phi_{2k+1} = (-r_{k+1})^N Phi_{2k+1 + (N mod 2)}. On jacobi_fn
-    the interlaced chain D_N^even = ...D D* D alternates D (shifting the
-    parameters up) and D* (shifting back): D_N^even phi_n =
-    (-r_n)^N phi_{n - (N mod 2)}^{(shifted iff N odd)}. The plain and the
-    interlaced chains differ by a parity-dependent sign:
+    - DD^N on sym_poly and DD_bar^N on sym_fn: DD Phi_2k = -r_k Phi_2k-1 and
+      DD Phi_2k+1 = r_k+1 Phi_2k+2, so every step has the root r_<n> and a
+      sign that flips with the index parity, which flips at every step;
+    - interlaced on sym_poly: delta_N^even on the even indices and
+      delta_N^odd on the odd ones, each step with the same factor:
+      delta_N^even Phi_2k = (-r_k)^N Phi_2k-(N mod 2) and
+      delta_N^odd Phi_2k+1 = (-r_k+1)^N Phi_2k+1+(N mod 2);
+    - D^N on jacobi_fn: D phi_n^{a,b} = -r_n phi_{n-1}^{a+1,b+1}, step j at
+      the parameters shifted by j, landing on params.shifted(N);
+    - interlaced on jacobi_fn: D_N^even = ...D D* D alternates D (shifting
+      the parameters up) and D* (shifting back), each step -r_n:
+      D_N^even phi_n = (-r_n)^N phi_{n-(N mod 2)} at params.shifted(N mod 2).
+
+    The plain and the interlaced chains differ by a parity-dependent sign:
     DD^N = (-1)^floor(N/2) delta_N^even on even elements and
-    DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones. The signs fall out of the
-    ladder automatically; this helper never absorbs them.
+    DD^N = (-1)^ceil(N/2) delta_N^odd on odd ones; this helper never absorbs
+    it. Products of factors multiply in step order.
     """
     if N < 0:
         raise ValueError("chain length must be nonnegative")
+    if kind not in (SYM_POLY, SYM_FN, JACOBI_FN):
+        raise ValueError(f"no ladder action on kind {kind!r}")
+    if interlaced and kind == SYM_FN:
+        raise ValueError("interlaced chains act on sym_poly and jacobi_fn elements")
     n = np.asarray(n)
-    if interlaced and kind != JACOBI_FN:
-        if kind != SYM_POLY:
-            raise ValueError("interlaced chains act on sym_poly elements")
-        # Python float powers: a vectorized power may round differently
-        coef = np.array([(-r) ** N for r in _ladder_root(params, half_index(n)).tolist()])
-        return _vanish(coef, params, np.where(n % 2 == 1, n + N % 2, n - N % 2))
-    ops = ([("D", "D_star")[i % 2] for i in range(N)] if interlaced
-           else [{SYM_POLY: "DD", JACOBI_FN: "D"}.get(kind, "DD_bar")] * N)
+    if kind == JACOBI_FN:
+        if interlaced:
+            steps = [-_ladder_root(params, n)] * N
+            params, m = params.shifted(N % 2), n - N % 2
+        else:  # an element dead at step j stays at index 0, whose root is 0
+            steps = [-_ladder_root(params.shifted(j), np.maximum(n - j, 0))
+                     for j in range(N)]
+            params, m = params.shifted(N), n - N
+    else:
+        r, odd = _ladder_root(params, half_index(n)), n % 2 == 1
+        m = np.where(odd, n + N % 2, n - N % 2)
+        if interlaced:
+            # Python float powers: a vectorized power may round differently
+            return _vanish(np.array([(-x) ** N for x in r.tolist()]), params, m)
+        steps = [np.where(odd == (j % 2 == 0), r, -r) for j in range(N)]
     coef = np.ones(n.shape)
-    for op in ops:  # the factors multiply in step order
-        c, params, n = _ladder(op, params, kind, n)
+    for c in steps:
         coef *= c
-    return _vanish(coef, params, n)
+    return _vanish(coef, params, m)
 
 
 def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:

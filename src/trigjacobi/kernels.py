@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import comb
 
-from .basis import JacobiParams, RowPlan, coeff_A, eigenvalue, psi, theta_row_terms
+from .basis import (JacobiParams, RowPlan, _ladder_root, coeff_A, eigenvalue, psi,
+                    theta_row_terms)
 
 COMPONENTS = ("even", "odd")
 
@@ -191,8 +192,7 @@ def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
     N, M = handle.family[2:4]
     if kind == "ladder":
         # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
-        roots = np.sqrt(idx * (idx + p.alpha + p.beta + 1.0))
-        return speed, 0.5 * (-speed) ** M * (-roots) ** N
+        return speed, 0.5 * (-speed) ** M * (-_ladder_root(p, idx)) ** N
     # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
     # never collapsed to the ladder coefficient
     k0 = N // 2

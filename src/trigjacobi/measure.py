@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaln
 
-from .basis import JacobiParams
+from .basis import JacobiParams, _half_angle_power
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,7 @@ class PowerWeight:
     s: float
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return (np.abs(np.sin(theta / 2.0)) ** self.r
-                * np.cos(theta / 2.0) ** self.s)
+        return _half_angle_power(theta, self.r, self.s)
 
     def shifted(self, dr: float, ds: float) -> "PowerWeight":
         return PowerWeight(self.r + dr, self.s + ds)
@@ -56,10 +54,7 @@ class Ball:
 
 def mu_density(params: JacobiParams, theta) -> np.ndarray:
     """Density of the symmetric measure at theta in (-pi,pi): psi(theta)^2."""
-    theta = np.asarray(theta, dtype=float)
-    s = np.abs(np.sin(theta / 2.0))
-    c = np.cos(theta / 2.0)
-    return s ** (2.0 * params.alpha + 1.0) * c ** (2.0 * params.beta + 1.0)
+    return _half_angle_power(theta, 2.0 * params.alpha + 1.0, 2.0 * params.beta + 1.0)
 
 
 def interval_measure(params: JacobiParams, lo, hi) -> float | np.ndarray:

@@ -254,10 +254,12 @@ def split_parity(f: GridFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction:
     """The (0,pi) Lebesgue-setting operators on the weighted family.
 
-    Plain Riesz chains iterate the parameter-shifting first-order operator;
-    interlaced ones alternate it with its adjoint and stay in (or return to)
-    the original parameters. Square kinds follow the same mapping with the
-    time factors attached.
+    Plain Riesz chains of order N iterate the parameter-shifting first-order
+    operator and land on params.shifted(N); interlaced ones alternate it with
+    its adjoint and land on params.shifted(N % 2) exactly, so an even one
+    reads its sources and images from one basis_matrix call and only a chain
+    that shifts the parameters makes two. Square kinds follow the same
+    mapping with the time factors attached.
     """
     if f.grid.tag != "theta_plus":
         raise ValueError("non-symmetrized operators act on theta_plus grids")

@@ -33,7 +33,6 @@ from trigjacobi.basis import (
     half_index,
     jacobi_table,
     ladder_images,
-    ladder_step,
     log_norm_constant,
     odd_factor_table,
     psi,
@@ -564,30 +563,33 @@ class TestSymmetrizedElements:
 
 
 class TestLadderSteps:
+    """Single first-order steps, as order-1 chains of ladder_images."""
+
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_delta_on_even_elements(self, a, b):
         p = params_of(a, b)
-        elem = BasisElement(p, 6, SYM_POLY)
-        coef, img = ladder_step("delta", elem)
+        (coef,), params, (img,) = ladder_images(1, p, SYM_POLY, [6], True)
         t = np.linspace(0.2, 2.8, 9)
         d = basis_matrix(p, SYM_POLY, [6], t, 1)[0]
-        assert img.index == 5
-        assert_allclose(coef * eval_basis(img, t), d, rtol=1e-11)
+        assert img == 5 and params == p
+        assert_allclose(coef * eval_basis(BasisElement(p, int(img), SYM_POLY), t), d,
+                        rtol=1e-11)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_delta_star_on_odd_elements(self, a, b):
         p = params_of(a, b)
         elem = BasisElement(p, 5, SYM_POLY)
-        coef, img = ladder_step("delta_star", elem)
+        (coef,), params, (img,) = ladder_images(1, p, SYM_POLY, [5], True)
         t = np.linspace(0.2, 2.8, 9)
         d = basis_matrix(p, SYM_POLY, [5], t, 1)[0]
         lhs = -d - coeff_A(p, t) * eval_basis(elem, t)
-        assert img.index == 6
-        assert_allclose(coef * eval_basis(img, t), lhs, rtol=2e-11)
+        assert img == 6 and params == p
+        assert_allclose(coef * eval_basis(BasisElement(p, int(img), SYM_POLY), t), lhs,
+                        rtol=2e-11)
 
     def test_constant_is_annihilated(self):
-        coef, img = ladder_step("delta", BasisElement(params_of(0.0, 0.0), 0, SYM_POLY))
-        assert coef == 0.0 and img is None
+        (coef,), _, (img,) = ladder_images(1, params_of(0.0, 0.0), SYM_POLY, [0], True)
+        assert coef == 0.0 and math.copysign(1.0, coef) == 1.0 and img == 0
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -595,12 +597,13 @@ class TestLadderSteps:
         # DD f = f' + A f_odd against the ladder image
         p = params_of(a, b)
         elem = BasisElement(p, n, SYM_POLY)
-        coef, img = ladder_step("DD", elem)
+        (coef,), params, (img,) = ladder_images(1, p, SYM_POLY, [n])
         t = np.linspace(0.15, 2.9, 13)
         lhs = basis_matrix(p, SYM_POLY, [n], t, 1)[0]
         if elem.parity == "odd":
             lhs = lhs + coeff_A(p, t) * eval_basis(elem, t)
-        assert_allclose(coef * eval_basis(img, t), lhs, rtol=5e-11)
+        assert_allclose(coef * eval_basis(BasisElement(params, int(img), SYM_POLY), t), lhs,
+                        rtol=5e-11)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -609,36 +612,44 @@ class TestLadderSteps:
         # with the derivative of Theta_n taken by central differences
         p = params_of(a, b)
         elem = BasisElement(p, n, SYM_FN)
-        coef, img = ladder_step("DD_bar", elem)
+        (coef,), params, (img,) = ladder_images(1, p, SYM_FN, [n])
         t = np.linspace(0.15, 2.9, 13)
         h = 1e-6
         d = (eval_basis(elem, t + h) - eval_basis(elem, t - h)) / (2 * h)
         reflect = eval_basis(elem, -t)
         lhs = d - coeff_b(p, t) * reflect
-        assert_allclose(coef * eval_basis(img, t), lhs, rtol=1e-7)
+        assert_allclose(coef * eval_basis(BasisElement(params, int(img), SYM_FN), t), lhs,
+                        rtol=1e-7)
 
     @pytest.mark.parametrize("a,b", [(1.5, 0.5), (2.5, 3.5)])
     def test_d_fn_ladder(self, a, b):
         # D phi_n = psi * (d/dtheta)(P-part): conjugation makes the check exact
         p = params_of(a, b)
-        elem = BasisElement(p, 4, JACOBI_FN)
-        coef, img = ladder_step("D", elem)
-        assert img.params.alpha == pytest.approx(a + 1)
+        (coef,), params, (img,) = ladder_images(1, p, JACOBI_FN, [4])
+        assert params == p.shifted(1) and img == 3
         t = np.linspace(0.2, 2.8, 9)
         d_poly = trig_poly_table(p, 4, t, dmax=1)[1, 4]
-        assert_allclose(coef * eval_basis(img, t), psi(p, t) * d_poly, rtol=1e-11)
+        assert_allclose(coef * eval_basis(BasisElement(params, int(img), JACOBI_FN), t),
+                        psi(p, t) * d_poly, rtol=1e-11)
 
     def test_d_star_fn_ladder_roundtrip(self):
         # D* D phi_n = (lam_n - lam_0) phi_n: the two steps visit n -> n-1 -> n
         p = params_of(1.5, 0.5)
-        elem = BasisElement(p, 4, JACOBI_FN)
-        c1, mid = ladder_step("D", elem)
-        c2, back = ladder_step("D_star", mid)
-        assert back == elem
-        root = math.sqrt(eigenvalue(p, 4) - p.lam0)
-        assert c1 == pytest.approx(-root)
-        assert c2 == pytest.approx(-root)
-        assert c1 * c2 == pytest.approx(eigenvalue(p, 4) - p.lam0)
+        (coef,), params, (img,) = ladder_images(2, p, JACOBI_FN, [4], True)
+        assert params == p and img == 4
+        assert coef == pytest.approx(eigenvalue(p, 4) - p.lam0)
+
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    def test_element_dying_mid_chain(self, a, b):
+        # D^N kills phi_n for N > n: factor +0 and index 0, and the steps past
+        # its death read the root at index 0, never a negative index
+        p = params_of(a, b)
+        n = np.array([0, 1, 2, 5])
+        coef, params, img = ladder_images(4, p, JACOBI_FN, n)
+        assert not np.isnan(coef).any()
+        assert np.array_equal(np.copysign(1.0, coef[:3]), np.ones(3))
+        assert np.array_equal(coef[:3], np.zeros(3)) and coef[3] != 0.0
+        assert np.array_equal(img, [0, 0, 0, 1]) and params == p.shifted(4)
 
 
 class TestInterlacedChains:
@@ -695,6 +706,16 @@ class TestInterlacedChains:
         p = params_of(0.0, 0.0)
         coef, _, _ = ladder_images(3, p, SYM_POLY, np.array([0, 2]), True)
         assert coef[0] == 0.0 and coef[1] != 0.0
+
+    @pytest.mark.parametrize("N", range(1, 5))
+    def test_jacobi_fn_chains_land_on_exact_parameters(self, N):
+        # at (0.1, 0.3) shifting up and back by 1 does not round-trip, so an
+        # interlaced chain must never take that route
+        p = params_of(0.1, 0.3)
+        assert (p.alpha + 1.0) - 1.0 != p.alpha
+        n = np.array([0, 3, 6])
+        assert ladder_images(N, p, JACOBI_FN, n, True)[1] == p.shifted(N % 2)
+        assert ladder_images(N, p, JACOBI_FN, n)[1] == p.shifted(N)
 
     @pytest.mark.parametrize("N", range(1, 5))
     def test_fn_chain_matches_poly_chain(self, N):
@@ -755,7 +776,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             BasisElement(p, 1, "chebyshev")
         with pytest.raises(ValueError):
-            ladder_step("delta", BasisElement(p, 3, SYM_POLY))
+            ladder_images(1, p, TRIG_POLY, np.array([3]))
         with pytest.raises(ValueError):
             ladder_images(2, p, SYM_FN, np.array([3]), True)
 
