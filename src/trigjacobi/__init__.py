@@ -9,9 +9,8 @@ from .basis import (JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, BasisElement,
 from .kernels import (DiscreteMeasure, TruncationConfig, TruncationError,
                       kernel_derivative, partial_derivative_kernel,
                       poisson_kernel, symmetrized_kernel_pairs)
-from .measure import (Ball, PowerWeight, ap_membership, ball_measure,
-                      bp_membership, unweighted_bp_admissible,
-                      unweighted_bp_window)
+from .measure import (PowerWeight, ap_membership, ball_measure, bp_membership,
+                      unweighted_bp_admissible, unweighted_bp_window)
 from .operators import (GridFunction, OperatorSpec, apply_operator,
                         apply_restricted, expand, expand_restricted,
                         grid_function, nonsym_apply, split_parity,
@@ -28,7 +27,7 @@ __all__ = [
     "TruncationConfig", "TruncationError", "DiscreteMeasure",
     "poisson_kernel", "symmetrized_kernel_pairs", "kernel_derivative",
     "partial_derivative_kernel",
-    "Ball", "PowerWeight", "ball_measure", "ap_membership", "bp_membership",
+    "PowerWeight", "ball_measure", "ap_membership", "bp_membership",
     "unweighted_bp_window", "unweighted_bp_admissible",
     "ThetaGrid", "TGrid", "gauss_jacobi_grid", "inner_product", "t_norm",
     "GridFunction", "OperatorSpec", "grid_function", "expand",

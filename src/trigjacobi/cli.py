@@ -70,13 +70,6 @@ class RunConfig:
         if self.grid is not None and self.grid < 1:
             raise ValueError("--grid must be positive")
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("theta", "phi", "atom_t", "atom_w"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
-
 
 def _float_list(text: str | None) -> tuple[float, ...] | None:
     if text is None:
@@ -185,7 +178,7 @@ def _format_cell(value) -> str:
 
 def _csv_text(cfg: RunConfig, fields: tuple[str, ...], rows) -> str:
     buf = io.StringIO()
-    buf.write("# " + json.dumps(cfg.to_dict(), sort_keys=True) + "\r\n")
+    buf.write("# " + json.dumps(dataclasses.asdict(cfg), sort_keys=True) + "\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(fields)
     for row in rows:
@@ -255,7 +248,7 @@ def _eval_operator(cfg: RunConfig) -> str:
     order = cfg.grid or 64
     nmax = order // 2 - 1
     if cfg.n > nmax:
-        raise ValueError(f"--n {cfg.n} needs --grid above {2 * (cfg.n + 1)}")
+        raise ValueError(f"--n {cfg.n} needs --grid at least {2 * (cfg.n + 1)}")
     grid = gauss_jacobi_grid(params, order, tag)
     elem = BasisElement(params, cfg.n, TAG_KINDS[tag])
     f = grid_function(grid, lambda th: eval_basis(elem, th))
@@ -299,7 +292,7 @@ def _run_verify(cfg: RunConfig) -> tuple[str, int]:
                   weights=((cfg.weight_r or 0.0, cfg.weight_s or 0.0),))
     doc = run_suite(cfg.suite, params, cfg.profile, spec=spec, ngrid=ngrid,
                     seed=cfg.seed, timings=cfg.timings, **lp)
-    doc["config"] = cfg.to_dict()
+    doc["config"] = dataclasses.asdict(cfg)
     return report_json(doc), 0 if doc["passed"] else 1
 
 

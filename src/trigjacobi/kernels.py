@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import comb
 
-from .basis import (JacobiParams, RowPlan, _ladder_root, coeff_A, eigenvalue, psi,
+from .basis import (JacobiParams, RowPlan, _ladder_root, coeff_A, eigenvalue,
                     theta_row_terms)
 
 COMPONENTS = ("even", "odd")
@@ -39,6 +39,13 @@ class TruncationConfig:
     eps_tail: float = 1e-10
     n_cap: int = 65536
     t_floor: float = 5e-3
+
+    def __post_init__(self):
+        # NaN fails every check
+        if not 0.0 < self.eps_tail < 1.0:
+            raise ValueError(f"eps_tail must lie in (0, 1), got {self.eps_tail!r}")
+        if not (self.t_floor > 0.0 and self.n_cap >= 1):
+            raise ValueError(f"need t_floor > 0, n_cap >= 1: {self.t_floor!r}, {self.n_cap!r}")
 
     def series_length(self, params: JacobiParams, t: float, orders: int) -> int:
         """Smallest n with e^{-tn} (n+1)^q below eps_tail.
@@ -118,13 +125,12 @@ class KernelHandle:
         """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt)."""
         return eval_kernels([(self, t)], theta, phi, cfg, n_override)[0]
 
-    def eval_matrix(self, theta, phi, t: float,
-                    cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
+    def eval_matrix(self, theta, phi, t: float) -> np.ndarray:
         """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         plan = RowPlan((theta, phi), _CHUNK)
-        stream = _Stream(plan, self, t, cfg, None, {})
+        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, None, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
         for k0 in range(0, stream.n, _CHUNK):
@@ -381,20 +387,13 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
 
 
 def symmetrized_kernel_pairs(params: JacobiParams, theta, phi, t,
-                             weighted: bool = False,
                              cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
     """The full symmetrized kernel on (-pi,pi)^2 through its parity parts:
-    even in each variable plus sign(theta phi) times the odd part.
-
-    weighted=True multiplies by psi(theta) psi(phi), giving the kernel of the
-    function-setting semigroup."""
+    even in each variable plus sign(theta phi) times the odd part."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     at, ap = np.abs(theta), np.abs(phi)
     sign = np.sign(theta) * np.sign(phi)
     even, odd = eval_kernels([(poisson_kernel(params, c), t) for c in COMPONENTS],
                              at, ap, cfg)
-    out = even + sign[:, None] * odd
-    if weighted:
-        out = out * (psi(params, theta) * psi(params, phi))[:, None]
-    return out
+    return even + sign[:, None] * odd

@@ -33,25 +33,6 @@ class PowerWeight:
         return PowerWeight(self.r + dr, self.s + ds)
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Interval ball (center-radius, center+radius) clipped to (0,pi)."""
-
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.center <= math.pi):
-            raise ValueError("center must lie in [0,pi]")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        return (max(self.center - self.radius, 0.0),
-                min(self.center + self.radius, math.pi))
-
-
 def mu_density(params: JacobiParams, theta) -> np.ndarray:
     """Density of the symmetric measure at theta in (-pi,pi): psi(theta)^2."""
     return _half_angle_power(theta, 2.0 * params.alpha + 1.0, 2.0 * params.beta + 1.0)
@@ -79,8 +60,14 @@ def interval_measure(params: JacobiParams, lo, hi) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def ball_measure(params: JacobiParams, ball: Ball) -> float:
-    return interval_measure(params, *ball.endpoints)
+def ball_measure(params: JacobiParams, center, radius) -> float | np.ndarray:
+    """mu+ of the balls (center - radius, center + radius) clipped to (0,pi), elementwise."""
+    center, radius = np.asarray(center, dtype=float), np.asarray(radius, dtype=float)
+    # NaN fails both checks
+    if not (np.all((0.0 <= center) & (center <= math.pi)) and np.all(radius > 0.0)):
+        raise ValueError("ball centers must lie in [0,pi] and radii be positive")
+    return interval_measure(params, np.maximum(center - radius, 0.0),
+                            np.minimum(center + radius, math.pi))
 
 
 def _in_class(params: JacobiParams, weight: PowerWeight, p,

@@ -34,7 +34,7 @@ from .basis import (
     psi,
 )
 from .kernels import DiscreteMeasure
-from .quadrature import TAG_KINDS, TGrid, ThetaGrid, inner_product, t_norm
+from .quadrature import TAG_KINDS, TGrid, ThetaGrid, t_norm
 
 OPERATOR_KINDS = ("semigroup", "riesz", "riesz_interlaced", "multiplier",
                   "maximal", "square", "square_interlaced")
@@ -58,9 +58,6 @@ class GridFunction:
     def __post_init__(self):
         if np.shape(self.values) != self.grid.nodes.shape:
             raise ValueError("values do not match the grid nodes")
-
-    def norm(self) -> float:
-        return float(np.sqrt(inner_product(self.grid, self.values, self.values)))
 
 
 def grid_function(grid: ThetaGrid, f) -> GridFunction:

@@ -41,7 +41,6 @@ _DOUBLINGS = 3
 @dataclass(frozen=True)
 class ThetaGrid:
     params: JacobiParams
-    order: int
     tag: str
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -64,8 +63,7 @@ def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") ->
     if tag in ("mu_full", "theta_full"):
         theta = np.concatenate([-theta[::-1], theta])
         w = np.concatenate([w[::-1], w])
-    return ThetaGrid(params=params, order=order, tag=tag,
-                     nodes=theta, weights=w)
+    return ThetaGrid(params=params, tag=tag, nodes=theta, weights=w)
 
 
 def _values_on(grid: ThetaGrid, f) -> np.ndarray:
@@ -95,6 +93,8 @@ class TGrid:
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
+        if not math.isfinite(self.t_max / self.t_min):
+            raise ValueError(f"time range [{self.t_min:g}, {self.t_max:g}] is too wide")
         if self.points_per_decade < 4:
             raise ValueError("points_per_decade must be at least 4")
         # a short range can miss the check at the default density: double it
@@ -130,16 +130,18 @@ class TGrid:
         object.__setattr__(self, "log_weights", w)
         # int t^{W-1} e^{-2t} dt over [t_min, t_max], closed form via the
         # regularized incomplete Gamma: from 2 t_min >= W on, the lower
-        # values sit near 1 and lose the digits, so the upper ones are used
+        # values sit near 1 and lose the digits, so the upper ones are used;
+        # a t^W that overflows makes the sum NaN, which fails the comparison
         for W in (1.0, 2.0):
-            got = self.integrate(np.exp(-2.0 * self.nodes), W)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self.integrate(np.exp(-2.0 * self.nodes), W)
             lo, hi = 2.0 * self.t_min, 2.0 * self.t_max
             if lo >= W:
                 mass = gammaincc(W, lo) - gammaincc(W, hi)
             else:
                 mass = gammainc(W, hi) - gammainc(W, lo)
             want = math.exp(gammaln(W) - W * math.log(2.0)) * mass
-            if abs(got - want) > 1e-6 * abs(want):
+            if not abs(got - want) <= 1e-6 * abs(want):
                 return (f"time grid on [{self.t_min:g}, {self.t_max:g}] fails its "
                         f"quadrature check at W={W} with {self.points_per_decade} "
                         f"points per decade: {float(got)!r} vs {float(want)!r}")

@@ -54,8 +54,8 @@ from .kernels import (
 from .measure import (
     PowerWeight,
     ap_membership,
+    ball_measure,
     bp_membership,
-    interval_measure,
     unweighted_bp_admissible,
     unweighted_bp_window,
 )
@@ -190,12 +190,6 @@ def _json_safe(value):
 
 # --- ratio sweeps -------------------------------------------------------------
 
-def _ball_measures(params: JacobiParams, theta: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """mu+ of the balls Ball(theta_i, d_i), as one array call."""
-    return interval_measure(params, np.maximum(theta - d, 0.0),
-                            np.minimum(theta + d, math.pi))
-
-
 def ratio_sweep_report(claim: str, r: np.ndarray, spec: SweepSpec,
                        details: dict | None = None) -> EstimateReport:
     """Split ratios LHS/RHS on spec.pairs() into the base sweep's per-band
@@ -244,7 +238,7 @@ def _sweep_step(params: JacobiParams, spec: SweepSpec, suites: list,
     jobs = [next(suite) for _, suite in suites]
     samples = timed("sweep-kernels", lambda: eval_kernels(
         sum(jobs, []), theta, phi, spec.truncation()))
-    mb = _ball_measures(params, theta, d)
+    mb = ball_measure(params, theta, d)
     out, lo = [], 0
     for (name, suite), part in zip(suites, jobs):
         out += timed(name, lambda: suite.send((samples[lo:lo + len(part)], mb)))
@@ -309,11 +303,10 @@ def check_ball_comparability(params: JacobiParams, spec: SweepSpec,
     """Shifted-parameter ball measures against the polynomial weight
     ((theta+phi)(2 pi - theta - phi))^{2 xi}, two-sided."""
     d, theta, phi = spec.pairs()
-    base = _ball_measures(params, theta, d)
+    base = ball_measure(params, theta, d)
     out = []
     for xi in xis:
-        up = _ball_measures(JacobiParams(params.alpha + xi, params.beta + xi),
-                            theta, d)
+        up = ball_measure(JacobiParams(params.alpha + xi, params.beta + xi), theta, d)
         poly = ((theta + phi) * (2.0 * math.pi - theta - phi)) ** (2.0 * xi)
         ratio = up / (poly * base)
         tag = f"xi{xi:g}".replace(".", "p")

@@ -79,6 +79,14 @@ class TestEvalKernel:
                          "--theta", "1.0,2.0", "--phi", "1.0,2.0,3.0"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "1", "2", "inf"])
+    def test_tail_target_outside_unit_interval_exit_2(self, eps, capsys):
+        rc = cli.main(["eval", "kernel", "--kind", "even", "--t", "0.5",
+                       "--theta", "1", "--phi", "2", f"--eps-tail={eps}"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "eps_tail" in err
+
     def test_default_time_floor_evaluates(self, capsys):
         rc, out = run_cli(["eval", "kernel", "--kind", "even", "--t", "0.005",
                            "--theta", "1.0", "--phi", "1.3"], capsys)
@@ -164,6 +172,21 @@ class TestEvalOperator:
         rc, _ = run_cli(["eval", "operator", "--kind", "maximal",
                          "--n", "40", "--grid", "32"], capsys)
         assert rc == 2
+
+    def test_grid_bound_named_in_the_message_is_the_least_that_works(self, capsys):
+        args = ["eval", "operator", "--kind", "semigroup", "--t", "0.5", "--n", "5"]
+        assert cli.main([*args, "--grid", "11"]) == 2
+        assert "needs --grid at least 12" in capsys.readouterr().err
+        rc, out = run_cli([*args, "--grid", "12"], capsys)
+        assert rc == 0
+        assert len(data_rows(out)) == 24
+
+    @pytest.mark.parametrize("t_max", ["inf", "1e308", "1e200"])
+    def test_unverifiable_time_range_exit_2(self, t_max, capsys):
+        rc = cli.main(["eval", "operator", "--kind", "maximal", "--n", "2",
+                       "--grid", "16", "--t-max", t_max])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("args", [
         ["--kind", "square", "--N", "-1", "--M", "2"],
@@ -255,6 +278,12 @@ class TestVerifyCommand:
         assert rc == 2 and not ran
         assert "quadrature check" in err
         assert "np.float64" not in err and "points_per_decade" not in err
+
+    @pytest.mark.parametrize("t_max", ["inf", "1e308", "1e200"])
+    def test_unverifiable_time_range_exit_2(self, t_max, capsys):
+        rc = cli.main(["verify", "all", "--profile", "quick", "--t-max", t_max])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as err:

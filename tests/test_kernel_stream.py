@@ -213,7 +213,7 @@ def test_matrix_matches_reference_series(a, b, family):
     n = cfg.series_length(h.table_params, t, h.orders)
     assert n > _CHUNK
     grid = np.array([0.1, 0.9, 1.7, 2.9])
-    got = h.eval_matrix(grid, grid, t, cfg)
+    got = h.eval_matrix(grid, grid, t)
     th, ph = np.meshgrid(grid, grid, indexing="ij")
     want, scale = reference(a, b, family, n, th.ravel(), ph.ravel(), np.array([t]))
     assert np.all(np.abs(got.ravel() - want[:, 0]) <= 1e-12 * scale[:, 0])

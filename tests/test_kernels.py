@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trigjacobi import verify
-from trigjacobi.basis import BasisElement, JacobiParams, SYM_POLY, eval_basis, psi
+from trigjacobi.basis import BasisElement, JacobiParams, SYM_POLY, eval_basis
 from trigjacobi.kernels import (
     DEFAULT_TRUNCATION,
     DiscreteMeasure,
@@ -220,8 +220,6 @@ class TestKernelStructure:
         odd = poisson_kernel(p, "odd").eval_pairs([0.9], [1.4], t)[0, 0]
         want = np.array([even - odd, even + odd, even + odd, even - odd])
         assert_allclose(full[:, 0], want, rtol=1e-12)
-        weighted = symmetrized_kernel_pairs(p, th, ph, t, weighted=True)
-        assert_allclose(weighted[:, 0], want * psi(p, th) * psi(p, ph), rtol=1e-12)
 
     def test_eigenfunction_expansion_identity(self):
         # sum over the symmetrized family of e^{-t sqrt(lam_<n>)} Phi_n(th) Phi_n(ph)
@@ -252,6 +250,18 @@ class TestTruncation:
             cfg.series_length(p, 1e-6, 0)
         with pytest.raises(TruncationError):
             cfg.series_length(p, 0.01, 0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps_tail", 0.0), ("eps_tail", -1.0), ("eps_tail", math.nan),
+        ("eps_tail", 1.0), ("eps_tail", 2.0), ("eps_tail", math.inf),
+        ("t_floor", 0.0), ("t_floor", -5e-3), ("t_floor", math.nan),
+        ("n_cap", 0), ("n_cap", -1)])
+    def test_rejects_bad_fields_where_built(self, field, value):
+        # a tail target of 1 or more would sum a handful of terms silently;
+        # a bad field is a configuration error, not a numeric failure
+        with pytest.raises(ValueError, match=field) as info:
+            TruncationConfig(**{field: value})
+        assert not isinstance(info.value, TruncationError)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_defaults_reach_their_own_floor(self, a, b, monkeypatch):

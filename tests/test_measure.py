@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 from trigjacobi.basis import JacobiParams, psi
 from trigjacobi.measure import (
-    Ball,
     PowerWeight,
     ap_membership,
     ball_measure,
@@ -70,12 +69,35 @@ class TestIntervalMeasure:
 
     def test_ball_clipping(self):
         p = JacobiParams(0.0, 0.0)
-        inner = ball_measure(p, Ball(0.2, 0.1))
+        inner = ball_measure(p, 0.2, 0.1)
         assert_allclose(inner, interval_measure(p, 0.1, 0.3), rtol=1e-14)
-        clipped = ball_measure(p, Ball(0.1, 0.5))
+        clipped = ball_measure(p, 0.1, 0.5)
         assert_allclose(clipped, interval_measure(p, 0.0, 0.6), rtol=1e-14)
-        right = ball_measure(p, Ball(3.0, 1.0))
+        right = ball_measure(p, 3.0, 1.0)
         assert_allclose(right, interval_measure(p, 2.0, math.pi), rtol=1e-14)
+
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_ball_arrays_are_the_clipped_intervals(self, ab):
+        # balls inside (0, pi), clipped at 0, clipped at pi, clipped at both
+        # and centered on an end: one array call equals interval_measure on
+        # the clipped ends and the scalar calls one at a time, bit for bit
+        p = JacobiParams(*ab)
+        center = np.array([0.2, 0.1, 3.0, 1.5, 0.0, math.pi, 1.2, 2.9])
+        radius = np.array([0.1, 0.5, 1.0, 2.0, 0.3, 0.3, 1e-9, 0.24])
+        got = ball_measure(p, center, radius)
+        lo = np.maximum(center - radius, 0.0)
+        hi = np.minimum(center + radius, math.pi)
+        assert np.array_equal(got, interval_measure(p, lo, hi))
+        assert np.array_equal(got, [ball_measure(p, c, r) for c, r in zip(center, radius)])
+        assert lo[[1, 3, 4]].tolist() == [0.0] * 3
+        assert hi[[2, 3, 5]].tolist() == [math.pi] * 3
+
+    @pytest.mark.parametrize("center,radius", [
+        (-0.1, 0.2), (math.pi + 1e-9, 0.2), (1.0, 0.0), (1.0, -0.5),
+        (math.nan, 0.2), (1.0, math.nan), ([0.5, -0.1], 0.2), (1.0, [0.2, 0.0])])
+    def test_ball_validation(self, center, radius):
+        with pytest.raises(ValueError):
+            ball_measure(JacobiParams(0.0, 0.0), center, radius)
 
     @pytest.mark.parametrize("ab", PARAM_PAIRS)
     def test_arrays_are_the_scalar_calls(self, ab):
@@ -108,10 +130,6 @@ class TestIntervalMeasure:
         p = JacobiParams(0.0, 0.0)
         with pytest.raises(ValueError):
             interval_measure(p, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            Ball(-0.1, 0.2)
-        with pytest.raises(ValueError):
-            Ball(1.0, 0.0)
 
     def test_cli_import_leaves_out_scipy_integrate(self):
         code = "import sys, trigjacobi.cli; print('scipy.integrate' in sys.modules)"

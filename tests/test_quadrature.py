@@ -157,6 +157,20 @@ class TestTGrid:
         with pytest.raises(ValueError):
             TGrid(t_min=2.0, t_max=1.0)
 
+    @pytest.mark.parametrize("t_min,t_max", [(1e-4, math.inf), (5e-3, 1e308),
+                                             (1e-320, 1.0)])
+    def test_overflowing_range_ratio_is_rejected(self, t_min, t_max):
+        # the decade count would be infinite: a bad range, not an OverflowError
+        with pytest.raises(ValueError, match="too wide"):
+            TGrid(t_min, t_max)
+
+    @pytest.mark.parametrize("t_max", [1e200, 1e300])
+    def test_nan_quadrature_check_fails(self, t_max):
+        # t^2 overflows at the top nodes and 0 * inf turns the check's
+        # integral into NaN, which must fail the check, not pass it
+        with pytest.raises(ValueError, match="quadrature check.*nan"):
+            TGrid(1e-4, t_max)
+
     @staticmethod
     def _truncated_gamma(g: TGrid, W: float, s: float) -> float:
         from scipy.special import gammainc

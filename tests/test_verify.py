@@ -11,11 +11,11 @@ import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import DEFAULT_TRUNCATION, partial_derivative_kernel, poisson_kernel
+from trigjacobi.measure import ball_measure
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     QUICK_SWEEP,
     SweepSpec,
-    _ball_measures,
     check_ball_comparability,
     check_chain_routes,
     check_conjugation,
@@ -96,7 +96,7 @@ class TestSweepContract:
 
     def test_levels_match_a_loop_over_bands(self):
         def ratio(d, theta, phi):
-            return _ball_measures(P, theta, d) * np.sin(theta) * phi / d
+            return ball_measure(P, theta, d) * np.sin(theta) * phi / d
 
         rep = ratio_sweep_report("probe", ratio(*TEST_SWEEP.pairs()), TEST_SWEEP)
         base, levels = self.band_loop(ratio, TEST_SWEEP)
@@ -111,7 +111,7 @@ class TestSweepContract:
 
         def ratio(d, theta, phi):
             s = odd.eval_pairs(theta, phi, ts)
-            return np.max(np.abs(s), axis=-1) * _ball_measures(P, theta, d)
+            return np.max(np.abs(s), axis=-1) * ball_measure(P, theta, d)
 
         rep = ratio_sweep_report("probe", ratio(*TEST_SWEEP.pairs()), TEST_SWEEP)
         _, levels = self.band_loop(ratio, TEST_SWEEP)
