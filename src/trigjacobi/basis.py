@@ -79,62 +79,120 @@ def log_norm_constant(params: JacobiParams, n) -> np.ndarray:
 
     The n = 0 branch uses Gamma(alpha+beta+2) directly, which stays finite in
     the degenerate case alpha+beta = -1 where the generic formula has a 0*inf
-    ambiguity.
+    ambiguity; the generic formula is read at n >= 1 only.
     """
     a, b = params.alpha, params.beta
     n = np.asarray(n, dtype=float)
-    # the generic formula hits gammaln(0) at n = 0 when alpha+beta = -1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        generic = 0.5 * (
-            np.log(2.0 * n + a + b + 1.0)
-            + gammaln(n + 1.0)
-            + gammaln(n + a + b + 1.0)
-            - gammaln(n + a + 1.0)
-            - gammaln(n + b + 1.0)
-        )
-    base = 0.5 * (gammaln(a + b + 2.0) - gammaln(a + 1.0) - gammaln(b + 1.0))
-    return np.where(n == 0, base, generic)
+    m = np.maximum(n, 1.0)
+    generic = 0.5 * (
+        np.log(2.0 * m + a + b + 1.0)
+        + gammaln(m + 1.0)
+        + gammaln(m + a + b + 1.0)
+        - gammaln(m + a + 1.0)
+        - gammaln(m + b + 1.0)
+    )
+    g = gammaln([a + b + 2.0, a + 1.0, b + 1.0])
+    return np.where(n == 0, 0.5 * (g[0] - g[1] - g[2]), generic)
+
+
+def _gamma(a: float, b: float, m: int) -> np.ndarray:
+    """gamma_n for n < m (or m + 1, so the degrees come in pairs).
+
+    P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2} becomes, with P_n = gamma_n Q_n,
+    gamma_0 = gamma_1 = 1 and gamma_n = C_n gamma_{n-2} (a running product over
+    each parity, one rounding a step), Q_n = (A'_n x + B'_n) Q_{n-1} - Q_{n-2}
+    with A'_n = A_n gamma_{n-1}/gamma_n and B'_n likewise (see _steps). Here
+    C_n = (n+a-1) (n+b-1) s / ((s-2) n (n+a+b)), with s = 2n + a + b, is > 0
+    for every n >= 2 when alpha, beta > -1. Every value depends on n only,
+    not on m; the work holds two arrays besides gamma.
+    """
+    m = max(m + m % 2, 2)
+    gamma = np.ones(m)
+    n = np.arange(2.0, m)
+    C = np.add(n, a - 1.0, out=gamma[2:])
+    t = n + (b - 1.0)
+    C *= t
+    np.multiply(n, 2.0, out=t)
+    t += a + b  # s
+    C *= t
+    t -= 2.0
+    t *= n
+    n += a + b
+    t *= n  # (s-2) n (n+a+b)
+    C /= t
+    pairs = gamma.reshape(-1, 2)  # column 0 the even degrees, column 1 the odd
+    np.multiply.accumulate(pairs, axis=0, out=pairs)
+    return gamma
+
+
+def _steps(a: float, b: float, gamma: np.ndarray, k: int, m: int) -> np.ndarray:
+    """(A'_n, B'_n) for n = k..k+m-1, k >= 2, as rows of one (2, m) array:
+    A_n = (s-1) s / 2d and B_n = (s-1) (a^2 - b^2) / (2d (s-2)), each times
+    gamma_{n-1}/gamma_n (see _gamma)."""
+    n = np.arange(k, k + m, dtype=float)
+    s = 2.0 * n + (a + b)
+    d = n + (a + b)
+    d *= n
+    h = s - 1.0
+    h /= d + d
+    h *= gamma[k - 1:k + m - 1] / gamma[k:k + m]
+    out = np.empty((2, m))
+    np.multiply(h, s, out=out[0])
+    s -= 2.0
+    h /= s
+    np.multiply(h, a * a - b * b, out=out[1])
+    return out
 
 
 class JacobiRecurrence:
-    """P_n(x) for n = d0, d0+1, ... by the three-term recurrence, resumable.
+    """Q_n(x) = P_n(x) / gamma_n for n = d0, d0+1, ... by the three-term
+    recurrence rescaled to C_n = 1 (see _gamma), resumable.
 
-    Each `fill(out)` writes the next len(out) degrees into the rows of `out`
-    and carries the last two rows, so a long series is produced in windows
-    of any size with memory bounded by the window. Degrees below zero are
-    zero rows. The recurrence coefficients are nonsingular for every n >= 2
-    when alpha, beta > -1, and degree 1 is written explicitly, so the
-    degenerate combination alpha+beta = -1 is safe.
+    Each `fill(out)` writes the next len(out) degrees of Q_n into the rows of
+    `out` and carries the last two rows, so a long series is produced in
+    windows of any size with memory bounded by the window; `gamma[n]` takes
+    row n back to P_n. Degrees below zero are zero rows, and Q_0 = P_0 and
+    Q_1 = P_1 are written explicitly, so the degenerate combination
+    alpha+beta = -1 is safe. `gamma` may be given as far as the recurrence
+    will be read; without it, it is computed on demand, doubling past the
+    degrees read so far.
     """
 
-    def __init__(self, params: JacobiParams, x, degree: int = 0):
+    def __init__(self, params: JacobiParams, x, degree: int = 0, gamma=None):
         self.params = params
         self.x = np.asarray(x, dtype=float)
-        self.x1 = np.empty((2,) + self.x.shape)  # x and 1, for A_n x + B_n * 1
+        self.x1 = np.empty((2,) + self.x.shape)  # x and 1, for A'_n x + B'_n * 1
         self.x1[0], self.x1[1] = self.x, 1.0
+        self.gamma = np.ones(0) if gamma is None else gamma
         self.degree = min(degree, 0)
-        # rows degree-2 and degree-1 (zero below degree 0), and scratch
-        self.carry = np.zeros((3,) + self.x.shape)
+        # rows degree-2 and degree-1 (zero below degree 0)
+        self.carry = np.zeros((2,) + self.x.shape)
         if degree > 0:
             self.fill(np.empty((degree,) + self.x.shape))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the next out.shape[0] degrees into out, row by row."""
+        """Write the next out.shape[0] degrees of Q_n into out, row by row."""
         _fill((self,), (0, len(self.x)), out, self.carry)
         return out
 
+    def steps(self, m: int) -> np.ndarray:
+        """(A'_n, B'_n) of the next m degrees, each at least 2."""
+        a, b = self.params.alpha, self.params.beta
+        if self.degree + m > self.gamma.size:
+            self.gamma = _gamma(a, b, max(self.degree + m, 2 * self.gamma.size))
+        return _steps(a, b, self.gamma, self.degree, m)
 
-def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray, coef=None) -> None:
+
+def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
     """Write the next len(out) degrees of each recurrence of recs into out.
 
     Recurrence j owns columns ends[j]..ends[j+1]-1 of out and of carry (rows
-    n-2 and n-1, then scratch; its own `carry` is a view of them). Once every
-    recurrence has reached degree 2, a row is one three-term step over all
-    the columns, C_n a float for one recurrence and a row spread over the
-    columns for several (coef is their scratch); the rows before that are
+    n-2 and n-1; its own `carry` is a view of them). Once every recurrence
+    has reached degree 2, a row is one step of two in-place calls over all
+    the columns, as C_n = 1 for every recurrence; the rows before that are
     each recurrence's own fill.
     """
-    m, (p2, p1, tmp) = len(out), carry
+    m, (p2, p1) = len(out), carry
     i = min(m, max(0, *(2 - r.degree for r in recs)))
     if len(recs) > 1 and i:
         for r, lo, hi in zip(recs, ends, ends[1:]):
@@ -154,18 +212,14 @@ def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray, coef=None) -> N
             p2, p1 = p1, row
         rec.degree += i
     if i < m:
-        # P_n = (A_n x + B_n) P_{n-1} - C_n P_{n-2}, the window's A_n x + B_n first:
-        # einsum adds B_n * 1 to the rounded A_n x, as two ufuncs would, in one pass
-        Cs = []
+        # Q_n = (A'_n x + B'_n) Q_{n-1} - Q_{n-2}, the window's A'_n x + B'_n first:
+        # einsum adds B'_n * 1 to the rounded A'_n x, as two ufuncs would, in one pass
         for r, lo, hi in zip(recs, ends, ends[1:]):
-            A, B, C = _coefficients(r.params.alpha, r.params.beta, r.degree, m - i)
-            np.einsum("ki,k...->i...", np.array([A, B]), r.x1, out=out[i:, lo:hi])
-            Cs.append(C)
+            np.einsum("ki,k...->i...", r.steps(m - i), r.x1, out=out[i:, lo:hi])
             r.degree += m - i
-        for row, cn in zip(out[i:], C if len(recs) == 1 else _spread(Cs, ends, coef)):
+        for row in out[i:]:
             row *= p1
-            np.multiply(p2, cn, out=tmp)
-            row -= tmp
+            row -= p2
             p2, p1 = p1, row
     if m:
         # p2 may be the old carried row, so it is copied first
@@ -173,36 +227,13 @@ def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray, coef=None) -> N
         np.copyto(carry[1], p1)
 
 
-# rows of per-column C_n that a step of several recurrences writes at a time
-_SPREAD_ROWS = 32
-
-
-def _spread(Cs: list, ends: list, coef: np.ndarray):
-    """Rows of per-column C_n: recurrence j's C_n on columns ends[j]..ends[j+1]-1,
-    written into coef len(coef) rows at a time."""
-    Cs, n = [np.reshape(C, (-1, 1)) for C in Cs], len(Cs[0])
-    for k in range(0, n, len(coef)):
-        block = coef[:min(len(coef), n - k), :ends[-1]]
-        for C, lo, hi in zip(Cs, ends, ends[1:]):
-            block[:, lo:hi] = C[k:k + len(block)]
-        yield from block
-
-
-def _coefficients(a: float, b: float, n: int, m: int) -> tuple:
-    """A_k, B_k and C_k of the recurrence, k = n..n+m-1: A_k and B_k arrays,
-    C_k a list."""
-    ns = np.arange(n, n + m, dtype=float)
-    s = 2.0 * ns + a + b
-    c0 = 2.0 * ns * (ns + a + b) * (s - 2.0)
-    c1 = (s - 1.0) / c0
-    return (c1 * s * (s - 2.0), c1 * (a * a - b * b),
-            (2.0 * (ns + a - 1.0) * (ns + b - 1.0) * s / c0).tolist())
-
-
 def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     """Values P_n(x) for 0 <= n <= nmax; shape (nmax+1,) + x.shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return JacobiRecurrence(params, x).fill(np.empty((nmax + 1,) + x.shape))
+    rec = JacobiRecurrence(params, x)
+    out = rec.fill(np.empty((nmax + 1,) + x.shape))
+    out[2:] *= rec.gamma[2:nmax + 1].reshape((-1,) + (1,) * x.ndim)  # P_n = gamma_n Q_n
+    return out
 
 
 def _deriv_gamma_ratio(params: JacobiParams, n: np.ndarray, k: int) -> np.ndarray:
@@ -237,26 +268,30 @@ def _order_terms(s, c, order: int, odd: bool) -> dict:
 class RowTerm:
     """One term of a row of theta-derivatives (see theta_row_terms):
 
-        row n  +=  pi * scale(n) * P_{n - lag}^{(params)}(cos theta)
+        row n  +=  pi * scale(n) * Q_{n - lag}^{(params)}(cos theta)
 
-    with params = source shifted by lag.
+    with params = source shifted by lag and Q the rows of JacobiRecurrence.
     """
 
     def __init__(self, source: JacobiParams, lag: int, pi):
         self.source, self.lag, self.pi = source, lag, pi
         self.params = source.shifted(lag)
 
-    def scale(self, n) -> np.ndarray:
-        """kappa(n) with d^lag/dx^lag (c_n P_n) = kappa(n) P_{n-lag}^{(params)}:
-        c_n times the parameter-shift Gamma ratio; zero for n < lag, where
-        the derivative vanishes (n may be negative there)."""
-        n = np.asarray(n, dtype=float)
+    def scale(self, lo: int, hi: int, gamma: np.ndarray) -> np.ndarray:
+        """kappa(n) gamma[n - lag] at n = lo..hi-1, with d^lag/dx^lag (c_n P_n)
+        = kappa(n) P_{n-lag}^{(params)}: c_n times the parameter-shift Gamma
+        ratio, and gamma (see JacobiRecurrence, at params) taking row n - lag
+        of the recurrence to P_{n-lag}; zero for n < lag, where the
+        derivative vanishes (n may be negative there)."""
         j = self.lag
-        live = np.maximum(n, j)  # keeps the formulas finite where the result is 0
-        vals = np.exp(log_norm_constant(self.source, live))
+        out = np.zeros(hi - lo)
+        live = out[max(j - lo, 0):]
+        n = np.arange(hi - live.size, hi)
+        np.exp(log_norm_constant(self.source, n), out=live)
         if j > 0:
-            vals *= _deriv_gamma_ratio(self.source, live, j)
-        return np.where(n >= j, vals, 0.0)
+            live *= _deriv_gamma_ratio(self.source, n, j)
+        live *= gamma[hi - live.size - j:hi - j]
+        return out
 
 
 def theta_row_terms(params: JacobiParams, theta, weights: dict,
@@ -274,7 +309,8 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
     if max(weights, default=0) > 2:
         raise ValueError("theta derivatives implemented up to order 2")
     theta = np.asarray(theta, dtype=float)
-    s, c = np.sin(theta), np.cos(theta)
+    # the polynomials' order 0 reads no trigonometric factor
+    s, c = (np.sin(theta), np.cos(theta)) if odd or max(weights, default=0) else (0.0, 0.0)
     pis = {}
     for d, w in weights.items():
         for j, pi in _order_terms(s, c, d, odd).items():
@@ -289,7 +325,7 @@ class _Run:
     def __init__(self, params: JacobiParams, start: int):
         self.params, self.start, self.sets, self.length = params, start, set(), 0
 
-    def begin(self, points: tuple, lo: int) -> JacobiRecurrence:
+    def begin(self, points: tuple, lo: int, gamma: np.ndarray) -> JacobiRecurrence:
         """Its recurrence over the union of its point sets, whose rows are
         the window's columns lo.. on."""
         sets, self.cols, end = sorted(self.sets), {}, lo
@@ -297,7 +333,7 @@ class _Run:
             self.cols[i], end = slice(end, end + points[i].size), end + points[i].size
         x = np.cos(points[sets[0]] if len(sets) == 1
                    else np.concatenate([points[i] for i in sets]))
-        return JacobiRecurrence(self.params, x, degree=self.start)
+        return JacobiRecurrence(self.params, x, self.start, gamma)
 
 
 class RowPlan:
@@ -309,21 +345,24 @@ class RowPlan:
     union of the point sets reading it (equal sets count once) and as far as
     the longest factor reading it. advance(k0, k1, runs) fills rows k0..k1-1
     of the runs that one pass of windows reads, stepped together as one
-    array (see _fill), and rows() reads them. RowTerm.scale runs once per
-    (source, lag), over every degree a factor reads; each factor reads a
-    slice, bitwise the values of a call on its own degrees, as the scale is
-    elementwise. All factors are added before any scale is read.
+    array (see _fill), and rows() reads them: rows of Q_n = P_n / gamma_n.
+    gamma is computed once per parameters, as far as any term reads it, and
+    RowTerm.scale, which folds it in, once per (source, lag), over every
+    degree a factor reads; each factor reads a slice, bitwise the values of
+    a call on its own degrees, as both are elementwise. All factors are
+    added before either is read.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
         self._runs, self._degrees, self._scales = {}, {}, {}
+        self._tops, self._gammas = {}, {}
         self._k0, self._tmp = 0, None
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
         """The factor of `terms` on point set `where`, read below row `length`."""
-        if self._scales:
-            raise ValueError("a factor added after the plan's scales were read")
+        if self._gammas:
+            raise ValueError("a factor added after the plan's gamma was read")
         if where:  # a point set equal to an earlier one reads that one's columns
             p = self.points[where]
             where = next(j for j, q in enumerate(self.points)
@@ -339,7 +378,17 @@ class RowPlan:
             runs.append(run)
             lo, hi = self._degrees.get((term.source, term.lag), (offset, offset + length))
             self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
+            self._tops[term.params] = max(self._tops.get(term.params, 0), run.start + length)
         return runs, where, terms, offset
+
+    def gamma(self, params: JacobiParams) -> np.ndarray:
+        """gamma_n of params (see _gamma), up to the highest degree any of the
+        plan's terms reads."""
+        gamma = self._gammas.get(params)
+        if gamma is None:
+            gamma = self._gammas[params] = _gamma(params.alpha, params.beta,
+                                                  self._tops[params])
+        return gamma
 
     def advance(self, k0: int, k1: int, runs=None) -> None:
         """Fill rows k0..k1-1 of `runs` (every run of the plan by default),
@@ -352,21 +401,21 @@ class RowPlan:
             order.sort(key=lambda r: -r.length)
             recs, ends = [], [0]
             for run in order:
-                recs.append(run.begin(self.points, ends[-1]))
+                recs.append(run.begin(self.points, ends[-1], self.gamma(run.params)))
                 ends.append(ends[-1] + recs[-1].x.size)
-            carry, coef = recs[0].carry, None
+            carry = recs[0].carry
             if len(recs) > 1:  # the carried rows side by side, as the window's
-                carry, coef = np.empty((3, ends[-1])), np.empty((_SPREAD_ROWS, ends[-1]))
+                carry = np.empty((2, ends[-1]))
                 for rec, lo, hi in zip(recs, ends, ends[1:]):
                     carry[:, lo:hi] = rec.carry
                     rec.carry = carry[:, lo:hi]
             self._window = np.empty((min(self.chunk, order[0].length), ends[-1]))
-            self._pass = order, recs, ends, carry, coef
-        order, recs, ends, carry, coef = self._pass
+            self._pass = order, recs, ends, carry
+        order, recs, ends, carry = self._pass
         live = sum(r.length > k0 for r in order) if k0 else len(order)  # all read at 0
         if live < len(recs):
             recs, ends, carry = recs[:live], ends[:live + 1], carry[:, :ends[live]]
-        _fill(recs, ends, self._window[:k1 - k0, :ends[-1]], carry, coef)
+        _fill(recs, ends, self._window[:k1 - k0, :ends[-1]], carry)
         self._k0 = k0
 
     def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
@@ -382,7 +431,7 @@ class RowPlan:
             key = term.source, term.lag
             lo, hi = self._degrees[key]
             if key not in self._scales:
-                self._scales[key] = term.scale(np.arange(lo, hi))
+                self._scales[key] = term.scale(lo, hi, self.gamma(term.params))
             out.append(self._scales[key][k0 + offset - lo:k1 + offset - lo])
         return out
 
@@ -603,20 +652,26 @@ def ladder_images(N: int, params: JacobiParams, kind: str, n,
     return _vanish(coef, params, m)
 
 
-def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:
-    """The symmetrized second-order operator, applied as a differential operator.
+def jacobi_operator_rows(params: JacobiParams, n, theta) -> tuple:
+    """The symmetrized second-order operator applied to the sym_poly elements
+    of indices n, as a differential operator, and the elements: two arrays
+    of shape (len(n), npts).
 
     JJ f = -f'' - A f' - A' f_odd + lambda_0 f, evaluated with analytic
-    derivatives of the element. Independent of the ladder identities, so
-    eigen-residual tests built on this are not circular.
+    derivatives of the elements, each row as the element alone would give it.
+    Independent of the ladder identities, so eigen-residual tests built on
+    this are not circular.
     """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    f0, f1, f2 = (basis_matrix(params, SYM_POLY, n, theta, order) for order in range(3))
+    out = -f2 - coeff_A(params, theta) * f1 + params.lam0 * f0
+    odd = np.asarray(n) % 2 == 1
+    out[odd] -= coeff_A_prime(params, theta) * f0[odd]
+    return out, f0
+
+
+def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:
+    """jacobi_operator_rows of one sym_poly element."""
     if elem.kind != SYM_POLY:
         raise ValueError("differential application implemented for sym_poly")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = elem.params
-    f0, f1, f2 = (basis_matrix(p, SYM_POLY, [elem.index], theta, order)[0]
-                  for order in range(3))
-    out = -f2 - coeff_A(p, theta) * f1 + p.lam0 * f0
-    if elem.parity == "odd":
-        out -= coeff_A_prime(p, theta) * f0
-    return out
+    return jacobi_operator_rows(elem.params, [elem.index], theta)[0][0]

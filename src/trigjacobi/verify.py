@@ -34,13 +34,12 @@ from scipy.special import binom, eval_jacobi, gamma, gammaln
 from .basis import (
     SYM_FN,
     SYM_POLY,
-    BasisElement,
     JacobiParams,
-    apply_jacobi_operator,
     basis_matrix,
     coeff_b,
     eigenvalue,
     half_index,
+    jacobi_operator_rows,
 )
 from .kernels import (
     DEFAULT_TRUNCATION,
@@ -248,19 +247,25 @@ def _sweep_step(params: JacobiParams, spec: SweepSpec, suites: list,
 
 # --- sharp constants ----------------------------------------------------------
 
-def _sharp_a(theta, phi):
-    return (np.abs(theta - phi) * phi * (math.pi - phi)
-            / ((theta + phi) ** 2 * (2.0 * math.pi - theta - phi) ** 2))
-
-
-def _sharp_b(theta, phi):
-    return (theta * phi * (math.pi - theta) * (math.pi - phi)
-            / ((theta + phi) ** 2 * (2.0 * math.pi - theta - phi) ** 2))
-
-
-def _sharp_c(theta, phi):
-    return (np.abs(theta - phi)
-            / ((theta + phi) * (2.0 * math.pi - theta - phi)))
+def _sharp_ratios(theta, phi) -> tuple:
+    """The ratios of the three sharp constants at (theta, phi), from the
+    shared parts w = (theta+phi)(2 pi - theta - phi) and |theta - phi|:
+    a = |theta - phi| phi (pi - phi) / w^2,
+    b = theta phi (pi - theta) (pi - phi) / w^2 and c = |theta - phi| / w,
+    in place where the shapes allow."""
+    s = theta + phi
+    d = np.subtract(theta, phi)
+    np.abs(d, out=d)
+    w = 2.0 * math.pi - s
+    w *= s
+    q = phi * (math.pi - phi)
+    a = np.multiply(d, q, out=s)
+    d /= w
+    w *= w
+    a /= w
+    b = theta * (math.pi - theta) * q
+    b /= w
+    return a, b, d
 
 
 def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
@@ -274,27 +279,29 @@ def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
     eps, rel_tol = 1e-11, 1e-9
     out = []
 
-    targets = [
-        ("sharp-constant-a", _sharp_a, 1.0 / (4.0 * math.pi),
-         _sharp_a(np.array([eps ** 2]), np.array([eps]))[0]),
-        ("sharp-constant-b", _sharp_b, 1.0 / 16.0,
-         _sharp_b(np.array([1.3]), np.array([1.3]))[0]),
-        ("sharp-constant-c", _sharp_c, 1.0 / math.pi,
-         _sharp_c(np.array([eps]), np.array([math.pi - eps]))[0]),
-    ]
-    for claim, fn, C, approach in targets:
-        # the grid in blocks of 64 rows, so no ngrid x ngrid array is held
-        grid_max = float(np.max([np.max(fn(x[i:i + 64, None], x[None, :]))
-                                 for i in range(0, x.size, 64)]))
-        rep = _tolerance_report(claim, grid_max / C, 1.0 + 1e-12, constant=C,
-                                grid_max=grid_max, approach_value=float(approach),
-                                approach_rel_error=abs(approach - C) / C)
-        rep.passed = rep.passed and abs(approach - C) <= rel_tol * C
+    # the grid in blocks of 16 rows, so no ngrid x ngrid array is held and a
+    # block's arrays stay in cache (64 rows took twice as long); np.max keeps
+    # a NaN of any block
+    grid_max = np.max([[np.max(r) for r in _sharp_ratios(x[i:i + 16, None], x[None, :])]
+                       for i in range(0, x.size, 16)], axis=0)
+    # the maximizing sequences: a as theta = eps^2 and phi = eps go to 0, b on
+    # the diagonal, c as theta -> 0 and phi -> pi
+    approach = [ratio[0] for ratio in (
+        _sharp_ratios(np.array([eps ** 2]), np.array([eps]))[0],
+        _sharp_ratios(np.array([1.3]), np.array([1.3]))[1],
+        _sharp_ratios(np.array([eps]), np.array([math.pi - eps]))[2])]
+    constants = (1.0 / (4.0 * math.pi), 1.0 / 16.0, 1.0 / math.pi)
+    for claim, C, top, near in zip(("sharp-constant-a", "sharp-constant-b",
+                                    "sharp-constant-c"), constants, grid_max, approach):
+        rep = _tolerance_report(claim, top / C, 1.0 + 1e-12, constant=C,
+                                grid_max=float(top), approach_value=float(near),
+                                approach_rel_error=abs(near - C) / C)
+        rep.passed = rep.passed and abs(near - C) <= rel_tol * C
         out.append(rep)
 
     out.append(_tolerance_report("sharp-constant-b-diagonal-identity",
-                                 np.abs(_sharp_b(x, x) - 1.0 / 16.0) * 16.0, rel_tol,
-                                 points=int(x.size)))
+                                 np.abs(_sharp_ratios(x, x)[1] - 1.0 / 16.0) * 16.0,
+                                 rel_tol, points=int(x.size)))
     return out
 
 
@@ -335,12 +342,10 @@ def check_eigen_residuals(params: JacobiParams) -> EstimateReport:
     nmax, tol = 12, 1e-6
     theta = np.linspace(-math.pi + 0.05, math.pi - 0.05, 121)
     theta = theta[np.abs(theta) > 1e-3]
-    V = basis_matrix(params, SYM_POLY, np.arange(nmax + 1), theta)
-    errors = []
-    for n, row in enumerate(V):
-        elem = BasisElement(params, n, SYM_POLY)
-        res = apply_jacobi_operator(elem, theta) - elem.lam * row
-        errors.append(np.max(np.abs(res)) / (1.0 + elem.lam))
+    n = np.arange(nmax + 1)
+    JV, V = jacobi_operator_rows(params, n, theta)
+    lam = eigenvalue(params, half_index(n))
+    errors = np.max(np.abs(JV - lam[:, None] * V), axis=1) / (1.0 + lam)
     return _tolerance_report("eigen-residual", errors, tol, nmax=nmax)
 
 

@@ -248,27 +248,32 @@ class TestRecurrence:
         rows = np.concatenate([rec.fill(np.empty((m, x.size)))
                                for m in (1, 1, 1, 2, 5, 1, 3, 40, 1)])
         assert np.all(rows[:2] == 0.0)
+        rows[2:] *= rec.gamma[:rows.shape[0] - 2, None]  # P_n = gamma_n Q_n
         assert_allclose(rows[2:], jacobi_table(p, rows.shape[0] - 3, x),
                         rtol=1e-13, atol=1e-13)
         want = eval_jacobi(np.arange(rows.shape[0] - 2)[:, None], a, b, x[None, :])
         assert_allclose(rows[2:], want, rtol=1e-11, atol=1e-11)
 
     @staticmethod
-    def five_call_rows(p, x, degree, m):
-        """Rows degree..degree+m-1 one at a time: x * A_n, + B_n, * P_{n-1},
-        C_n * P_{n-2}, subtract; the elementwise steps fill must keep."""
+    def two_call_rows(p, x, degree, m):
+        """Rows degree..degree+m-1 of Q_n = P_n / gamma_n one at a time, in
+        Python floats for the coefficients: gamma_n = C_n gamma_{n-2} from
+        gamma_0 = gamma_1 = 1, A'_n = A_n gamma_{n-1}/gamma_n, B'_n likewise,
+        then x * A'_n, + B'_n, * Q_{n-1}, - Q_{n-2}; the elementwise steps
+        fill must keep."""
         a, b = p.alpha, p.beta
-        rows, p2, p1 = [], np.zeros_like(x), np.zeros_like(x)
+        rows, p2, p1, gamma = [], np.zeros_like(x), np.zeros_like(x), [1.0, 1.0]
         for n in range(min(degree, 0), degree + m):
             if n < 2:
                 row = (np.zeros_like(x) if n < 0 else np.ones_like(x) if n == 0
                        else (x - 1.0) * ((a + b + 2.0) / 2.0) + (a + 1.0))
             else:
-                s = 2.0 * n + a + b
-                c0 = 2.0 * n * (n + a + b) * (s - 2.0)
-                c1 = (s - 1.0) / c0
-                cn = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s / c0
-                row = (x * (c1 * s * (s - 2.0)) + c1 * (a * a - b * b)) * p1 - p2 * cn
+                s = 2.0 * n + (a + b)
+                d = n * (n + (a + b))
+                gamma.append((n + (a - 1.0)) * (n + (b - 1.0)) * s
+                             / ((s - 2.0) * n * (n + (a + b))) * gamma[n - 2])
+                h = (s - 1.0) / (d + d) * (gamma[n - 1] / gamma[n])
+                row = (x * (h * s) + h / (s - 2.0) * (a * a - b * b)) * p1 - p2
             p2, p1 = p1, row
             rows.append(row)
         return np.array(rows[len(rows) - m:])
@@ -276,11 +281,11 @@ class TestRecurrence:
     # (-0.5, -0.5) has alpha + beta = -1
     @pytest.mark.parametrize("ab", PARAM_PAIRS)
     @pytest.mark.parametrize("npts", [1, 7, 360])
-    def test_windows_equal_the_five_call_rows_bitwise(self, ab, npts):
+    def test_windows_equal_the_two_call_rows_bitwise(self, ab, npts):
         p = params_of(*ab)
         x = np.cos(np.linspace(0.01, 3.13, npts))
         for degree in range(-2, 9):
-            want = self.five_call_rows(p, x, degree, 512)
+            want = self.two_call_rows(p, x, degree, 512)
             for m in list(range(1, 41)) + [256]:
                 # two windows: the second resumes from the carried rows
                 rec = JacobiRecurrence(p, x, degree=degree)
@@ -292,8 +297,56 @@ class TestRecurrence:
         p = params_of(1.5, -0.7)
         x = np.linspace(-0.9, 0.9, 5)
         for degree in (1, 2, 3, 8):
-            assert_allclose(JacobiRecurrence(p, x, degree=degree).fill(np.empty((2, 5))),
-                            jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
+            rec = JacobiRecurrence(p, x, degree=degree)
+            rows = rec.fill(np.empty((2, 5))) * rec.gamma[degree:degree + 2, None]
+            assert_allclose(rows, jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
+
+    @staticmethod
+    def mpmath_rows(a, b, x, degrees):
+        """P_n^{(a,b)}(x) at the given degrees, by the three-term recurrence in
+        40-digit arithmetic from the doubles a, b and x; {n: [P_n(x_j)]}."""
+        import mpmath as mp
+
+        with mp.workdps(40):
+            a, b, xs = mp.mpf(a), mp.mpf(b), [mp.mpf(v) for v in x]
+            p2 = [mp.mpf(1)] * len(xs)
+            p1 = [(a + 1) + (a + b + 2) * (v - 1) / 2 for v in xs]
+            out = {}
+            for n in range(2, max(degrees) + 1):
+                s = 2 * n + a + b
+                den = 2 * n * (n + a + b) * (s - 2)
+                A = (s - 1) * s * (s - 2) / den
+                B = (s - 1) * (a * a - b * b) / den
+                C = 2 * (n + a - 1) * (n + b - 1) * s / den
+                p2, p1 = p1, [(A * v + B) * q1 - C * q2 for v, q1, q2 in zip(xs, p1, p2)]
+                if n in degrees:
+                    out[n] = [float(v) for v in p1]
+        return out
+
+    # far out in degree the rows must stay within 5e-11 of the local amplitude
+    # sqrt(P_n^2 + P_{n+1}^2), the scale of their rounding near a zero of P_n
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_high_degrees_track_a_40_digit_recurrence(self, ab):
+        x = np.cos([0.015, 0.7, 2.9])
+        want = self.mpmath_rows(*ab, x, {1000, 1001, 5000, 5001})
+        got = jacobi_table(params_of(*ab), 5001, x)
+        for n in (1000, 5000):
+            amplitude = np.hypot(want[n], want[n + 1])
+            assert np.all(np.abs(got[n] - want[n]) <= 5e-11 * amplitude), n
+
+    # every series a sweep sums stops below its truncation cap; its rows are
+    # read at the parameters shifted by 0 to 3
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_gamma_is_finite_and_positive_as_far_as_a_sweep_reads(self, ab):
+        from trigjacobi.verify import FULL_SWEEP, QUICK_SWEEP
+
+        cap = max(spec.truncation().n_cap for spec in (QUICK_SWEEP, FULL_SWEEP))
+        for shift in range(4):
+            a, b = ab[0] + shift, ab[1] + shift
+            gamma = basis._gamma(a, b, cap)
+            assert gamma.size >= cap
+            assert np.all(np.isfinite(gamma)) and np.all(gamma > 0.0)
+            assert np.all(np.isfinite(basis._steps(a, b, gamma, 2, cap - 2)))
 
     # one pass of five runs at the five parameter pairs and widths 1 to 360,
     # read to lengths that end inside the first, second and third window of
@@ -301,14 +354,14 @@ class TestRecurrence:
     # degree 2 of a run that starts at -2
     @pytest.mark.parametrize("chunk", [3, 256])
     @pytest.mark.parametrize("d0", range(-2, 9))
-    def test_stacked_pass_equals_the_five_call_rows_bitwise(self, d0, chunk):
+    def test_stacked_pass_equals_the_two_call_rows_bitwise(self, d0, chunk):
         widths, lengths = (1, 7, 180, 360, 7), (600, 130, 256, 300, 520)
         points = tuple(np.linspace(0.01, 3.13, w) + 1e-3 * j for j, w in enumerate(widths))
         plan, reads = basis.RowPlan(points, chunk), []
         for j, (ab, n) in enumerate(zip(PARAM_PAIRS, lengths)):
             degree = (d0 + 2 + 3 * j) % 11 - 2  # over d0, every start from -2 to 8
             (term,) = theta_row_terms(params_of(*ab), points[j], {0: 1.0})
-            want = self.five_call_rows(params_of(*ab), np.cos(points[j]), degree, n)
+            want = self.two_call_rows(params_of(*ab), np.cos(points[j]), degree, n)
             reads.append((plan.add([term], n, j, degree), want))
         for k0 in range(0, max(lengths), chunk):
             plan.advance(k0, min(k0 + chunk, max(lengths)))
@@ -439,7 +492,7 @@ class TestThetaTable:
     @pytest.mark.parametrize("ab", PARAM_PAIRS)
     def test_sum_of_scaled_recurrence_rows_bitwise(self, ab, dmax, odd):
         # order d is the sum, in lag order, of pi * scale * the recurrence
-        # rows of each of its terms
+        # rows of each of its terms (the scale folds in gamma)
         p, nmax = params_of(*ab), 40
         theta = np.linspace(0.05, 3.1, 23)
         got = (odd_factor_table if odd else trig_poly_table)(p, nmax, theta, dmax)
@@ -447,9 +500,9 @@ class TestThetaTable:
         for d in range(dmax + 1):
             want = np.zeros((nmax + 1, theta.size))
             for term in theta_row_terms(p, theta, {d: 1.0}, odd):
-                rows = JacobiRecurrence(term.params, np.cos(theta), degree=-term.lag).fill(
-                    np.empty((nmax + 1, theta.size)))
-                want += rows * term.scale(np.arange(nmax + 1))[:, None] * term.pi
+                rec = JacobiRecurrence(term.params, np.cos(theta), degree=-term.lag)
+                rows = rec.fill(np.empty((nmax + 1, theta.size)))
+                want += rows * term.scale(0, nmax + 1, rec.gamma)[:, None] * term.pi
             assert np.array_equal(got[d], want), d
 
 
@@ -745,6 +798,19 @@ class TestSecondOrderOperator:
         lam = eigenvalue(p, half_index(n))
         want = lam * eval_basis(elem, t)
         assert_allclose(got, want, atol=1e-8 * (1 + abs(lam)), rtol=1e-8)
+
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_rows_are_the_elements_bitwise(self, ab):
+        # unsorted, with a repeat, both parities
+        p, n = params_of(*ab), np.array([7, 0, 12, 3, 3, 8, 1])
+        t = np.linspace(0.2, 2.95, 17)
+        t = np.concatenate([-t[::2], t])
+        JV, V = basis.jacobi_operator_rows(p, n, t)
+        assert JV.shape == V.shape == (n.size, t.size)
+        for k, jrow, row in zip(n, JV, V):
+            elem = BasisElement(p, int(k), SYM_POLY)
+            assert np.array_equal(jrow, apply_jacobi_operator(elem, t))
+            assert np.array_equal(row, eval_basis(elem, t))
 
     def test_coefficient_identities(self):
         p = params_of(1.5, -0.7)

@@ -265,9 +265,9 @@ def test_one_recurrence_per_parameters_and_start_degree(monkeypatch):
     built = []
 
     class Counted(basis.JacobiRecurrence):
-        def __init__(self, params, x, degree=0):
+        def __init__(self, params, x, degree=0, gamma=None):
             built.append((params, degree))
-            super().__init__(params, x, degree)
+            super().__init__(params, x, degree, gamma)
 
     monkeypatch.setattr(basis, "JacobiRecurrence", Counted)
     p = JacobiParams(1.5, -0.7)

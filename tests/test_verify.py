@@ -66,9 +66,13 @@ class TestSharpConstants:
         assert rep.constant <= 1e-9
 
     def test_a_nan_in_a_late_block_fails_the_constant(self, monkeypatch):
-        original = verify._sharp_a
-        monkeypatch.setattr(verify, "_sharp_a", lambda theta, phi: np.where(
-            theta > 3.0, np.nan, original(theta, phi)))
+        original = verify._sharp_ratios
+
+        def ratios(theta, phi):
+            a, b, c = original(theta, phi)
+            return np.where(theta > 3.0, np.nan, a), b, c
+
+        monkeypatch.setattr(verify, "_sharp_ratios", ratios)
         rep = check_sharp_constants(ngrid=256)[0]
         assert rep.claim == "sharp-constant-a"
         assert not rep.passed and math.isnan(rep.constant)
@@ -78,8 +82,8 @@ class TestSharpConstants:
         x = np.linspace(0.0, math.pi, ngrid + 2)[1:-1]
         T, Q = np.meshgrid(x, x, indexing="ij")
         reports = check_sharp_constants(ngrid)
-        for rep, fn in zip(reports, (verify._sharp_a, verify._sharp_b, verify._sharp_c)):
-            assert rep.details["grid_max"] == float(np.max(fn(T, Q)))
+        for rep, ratio in zip(reports, verify._sharp_ratios(T, Q)):
+            assert rep.details["grid_max"] == float(np.max(ratio))
 
 
 class TestSweepContract:
@@ -165,19 +169,40 @@ class TestIdentitySuite:
                 "unit-atom-matches-semigroup-bitwise"} <= claims
 
     @pytest.mark.parametrize("ab", ALL_PAIRS)
+    def test_eigen_residuals_equal_the_element_loop(self, monkeypatch, ab):
+        # three basis tables for every element, and the constant of a loop
+        # over the elements one at a time, bit for bit
+        params = JacobiParams(*ab)
+        theta = np.linspace(-math.pi + 0.05, math.pi - 0.05, 121)
+        theta = theta[np.abs(theta) > 1e-3]
+        elems = [basis.BasisElement(params, n, basis.SYM_POLY) for n in range(13)]
+        want = max(np.max(np.abs(basis.apply_jacobi_operator(e, theta)
+                                 - e.lam * basis.eval_basis(e, theta))) / (1.0 + e.lam)
+                   for e in elems)
+        calls, original = [], basis.basis_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(basis, "basis_matrix", counted)
+        rep = check_eigen_residuals(params)
+        assert rep.details["nmax"] == 12 and rep.constant == want
+        assert calls == [basis.SYM_POLY] * 3
+
+    @pytest.mark.parametrize("ab", ALL_PAIRS)
     def test_shift_identity_holds(self, ab):
         assert check_shift_identity(JacobiParams(*ab)).passed
 
     def test_shift_identity_does_not_share_the_recurrence(self, monkeypatch):
         # a wrong recurrence coefficient moves the odd kernel, not the
         # check's own reference sum
-        original = basis._coefficients
+        original = basis._steps
 
-        def skewed(a, b, n, m):
-            A, B, C = original(a, b, n, m)
-            return A, B, [c * 1.0001 for c in C]
+        def skewed(*args):
+            return original(*args) * 1.0001
 
-        monkeypatch.setattr(basis, "_coefficients", skewed)
+        monkeypatch.setattr(basis, "_steps", skewed)
         assert not check_shift_identity(P).passed
 
     @pytest.mark.parametrize("ab", ALL_PAIRS)
@@ -429,9 +454,9 @@ class TestSharedSweepStep:
         scales, merged = [], []
         original_scale = basis.RowTerm.scale
 
-        def scale(term, n):
+        def scale(term, *args):
             scales.append((term.source, term.lag))
-            return original_scale(term, n)
+            return original_scale(term, *args)
 
         monkeypatch.setattr(basis.RowTerm, "scale", scale)
         _, theta, phi = TEST_SWEEP.pairs()
