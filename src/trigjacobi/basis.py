@@ -153,17 +153,16 @@ class JacobiRecurrence:
     windows of any size with memory bounded by the window; `gamma[n]` takes
     row n back to P_n. Degrees below zero are zero rows, and Q_0 = P_0 and
     Q_1 = P_1 are written explicitly, so the degenerate combination
-    alpha+beta = -1 is safe. `gamma` may be given as far as the recurrence
-    will be read; without it, it is computed on demand, doubling past the
-    degrees read so far.
+    alpha+beta = -1 is safe. `gamma` (see _gamma) must reach as far as the
+    recurrence will be read.
     """
 
-    def __init__(self, params: JacobiParams, x, degree: int = 0, gamma=None):
+    def __init__(self, params: JacobiParams, x, degree: int, gamma: np.ndarray):
         self.params = params
         self.x = np.asarray(x, dtype=float)
         self.x1 = np.empty((2,) + self.x.shape)  # x and 1, for A'_n x + B'_n * 1
         self.x1[0], self.x1[1] = self.x, 1.0
-        self.gamma = np.ones(0) if gamma is None else gamma
+        self.gamma = gamma
         self.degree = min(degree, 0)
         # rows degree-2 and degree-1 (zero below degree 0)
         self.carry = np.zeros((2,) + self.x.shape)
@@ -177,10 +176,7 @@ class JacobiRecurrence:
 
     def steps(self, m: int) -> np.ndarray:
         """(A'_n, B'_n) of the next m degrees, each at least 2."""
-        a, b = self.params.alpha, self.params.beta
-        if self.degree + m > self.gamma.size:
-            self.gamma = _gamma(a, b, max(self.degree + m, 2 * self.gamma.size))
-        return _steps(a, b, self.gamma, self.degree, m)
+        return _steps(self.params.alpha, self.params.beta, self.gamma, self.degree, m)
 
 
 def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
@@ -230,7 +226,7 @@ def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
 def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     """Values P_n(x) for 0 <= n <= nmax; shape (nmax+1,) + x.shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rec = JacobiRecurrence(params, x)
+    rec = JacobiRecurrence(params, x, 0, _gamma(params.alpha, params.beta, nmax + 1))
     out = rec.fill(np.empty((nmax + 1,) + x.shape))
     out[2:] *= rec.gamma[2:nmax + 1].reshape((-1,) + (1,) * x.ndim)  # P_n = gamma_n Q_n
     return out
@@ -346,7 +342,7 @@ class RowPlan:
     the longest factor reading it. advance(k0, k1, runs) fills rows k0..k1-1
     of the runs that one pass of windows reads, stepped together as one
     array (see _fill), and rows() reads them: rows of Q_n = P_n / gamma_n.
-    gamma is computed once per parameters, as far as any term reads it, and
+    gamma is computed once per parameters, as far as any run is stepped, and
     RowTerm.scale, which folds it in, once per (source, lag), over every
     degree a factor reads; each factor reads a slice, bitwise the values of
     a call on its own degrees, as both are elementwise. All factors are
@@ -378,12 +374,14 @@ class RowPlan:
             runs.append(run)
             lo, hi = self._degrees.get((term.source, term.lag), (offset, offset + length))
             self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
-            self._tops[term.params] = max(self._tops.get(term.params, 0), run.start + length)
+            # a pass steps a run it still reads to the end of the chunk
+            top = run.start + -(-length // self.chunk) * self.chunk
+            self._tops[term.params] = max(self._tops.get(term.params, 0), top)
         return runs, where, terms, offset
 
     def gamma(self, params: JacobiParams) -> np.ndarray:
         """gamma_n of params (see _gamma), up to the highest degree any of the
-        plan's terms reads."""
+        plan's runs at params is stepped to."""
         gamma = self._gammas.get(params)
         if gamma is None:
             gamma = self._gammas[params] = _gamma(params.alpha, params.beta,
@@ -659,19 +657,17 @@ def jacobi_operator_rows(params: JacobiParams, n, theta) -> tuple:
 
     JJ f = -f'' - A f' - A' f_odd + lambda_0 f, evaluated with analytic
     derivatives of the elements, each row as the element alone would give it.
-    Independent of the ladder identities, so eigen-residual tests built on
-    this are not circular.
+    At theta = 0, where A and A' are singular, the rows are the theta -> 0
+    limit: A f' -> (2 alpha + 1) f''(0) on the even elements, and the odd
+    rows vanish. Independent of the ladder identities, so eigen-residual
+    tests built on this are not circular.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     f0, f1, f2 = (basis_matrix(params, SYM_POLY, n, theta, order) for order in range(3))
-    out = -f2 - coeff_A(params, theta) * f1 + params.lam0 * f0
-    odd = np.asarray(n) % 2 == 1
-    out[odd] -= coeff_A_prime(params, theta) * f0[odd]
+    zero, odd = theta == 0.0, np.asarray(n) % 2 == 1
+    away = np.where(zero, 1.0, theta)  # its columns at theta = 0 are replaced
+    out = -f2 - coeff_A(params, away) * f1 + params.lam0 * f0
+    out[odd] -= coeff_A_prime(params, away) * f0[odd]
+    out[:, zero] = np.where(odd[:, None], 0.0, params.lam0 * f0[:, zero]
+                            - (2.0 * params.alpha + 2.0) * f2[:, zero])
     return out, f0
-
-
-def apply_jacobi_operator(elem: BasisElement, theta) -> np.ndarray:
-    """jacobi_operator_rows of one sym_poly element."""
-    if elem.kind != SYM_POLY:
-        raise ValueError("differential application implemented for sym_poly")
-    return jacobi_operator_rows(elem.params, [elem.index], theta)[0][0]

@@ -3,9 +3,13 @@
 Every kernel here is a spectral series sum_k coef(k) e^{-t speed(k)}
 thetafac_k(theta) phifac_k(phi). The even component pairs the trigonometric
 polynomials with weights e^{-t sqrt(lam_k)}; the odd component pairs the
-sine-carrying companions s_k with e^{-t sqrt(lam_{k+1})}. Derivative families
-come in two genuinely different evaluation routes (term-wise ladder factors
-vs t-derivatives with a pointwise first-order tail), which the tests compare.
+sine-carrying companions s_k with e^{-t sqrt(lam_{k+1})}. A KernelHandle
+describes every kernel by one set of fields: component, chain order N,
+t-order M, phi order L, parameter shift and route. It has two genuinely
+different evaluation routes (term-wise ladder factors vs t-derivatives with
+a pointwise first-order tail), which the tests compare. The Poisson kernel
+is the ladder chain of order 0; a size-lemma partial derivative is the
+direct route on the even component at shifted parameters, with phi order L.
 
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
 q covering both the polynomial sup growth and the derivative powers. They
@@ -93,32 +97,30 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite")
 
 
-# --- kernel families ---------------------------------------------------------
+# --- kernel descriptions -----------------------------------------------------
 
 @dataclass(frozen=True)
 class KernelHandle:
-    """A kernel family member; evaluated by eval_pairs/eval_matrix/eval_kernels."""
+    """One kernel: d_phi^L, a chain of order N in theta and M t-derivatives of
+    a semigroup kernel component at parameters shifted by `shift`, by one of
+    two routes. Evaluated by eval_pairs/eval_matrix/eval_kernels."""
 
     params: JacobiParams
-    family: tuple
+    component: str
+    N: int = 0
+    M: int = 0
+    route: str = "ladder"
+    shift: int = 0
+    L: int = 0
 
     @property
     def orders(self) -> int:
-        """Total derivative order, used in the truncation exponent."""
-        kind = self.family[0]
-        if kind == "poisson":
-            return 0
-        if kind in ("ladder", "direct"):
-            return self.family[2] + self.family[3]
-        if kind == "partial":
-            return self.family[1] + self.family[2] + self.family[3] + self.family[4]
-        raise AssertionError(kind)
+        """Total derivative order and shift, used in the truncation exponent."""
+        return self.shift + self.L + self.N + self.M
 
     @property
     def table_params(self) -> JacobiParams:
-        if self.family[0] == "partial":
-            return self.params.shifted(self.family[1])
-        return self.params
+        return self.params.shifted(self.shift)
 
     def eval_pairs(self, theta, phi, t, cfg: TruncationConfig = DEFAULT_TRUNCATION,
                    n_override: int | None = None) -> np.ndarray:
@@ -145,10 +147,10 @@ class KernelHandle:
 
 def poisson_kernel(params: JacobiParams, component: str) -> KernelHandle:
     """The even or odd component of the symmetrized semigroup kernel,
-    as a function on (0,pi)^2."""
+    as a function on (0,pi)^2: the chain of order 0."""
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}")
-    return KernelHandle(params, ("poisson", component))
+    return KernelHandle(params, component)
 
 
 def kernel_derivative(handle: KernelHandle, N: int, M: int,
@@ -161,42 +163,35 @@ def kernel_derivative(handle: KernelHandle, N: int, M: int,
     route "direct": N = 2k + tail as (d_t^2 - lam_0)^k with binomial assembly,
     odd tails applied as pointwise first-order operators on the theta factor.
     """
-    if handle.family[0] != "poisson":
+    if handle != KernelHandle(handle.params, handle.component):
         raise ValueError("derivatives start from a semigroup kernel")
     if N < 0 or M < 0 or (N == 0 and M == 0):
         raise ValueError("need N, M >= 0 with N + M > 0")
     if route not in ("ladder", "direct"):
         raise ValueError("route must be 'ladder' or 'direct'")
-    return KernelHandle(handle.params, (route, handle.family[1], N, M))
+    return KernelHandle(handle.params, handle.component, N, M, route)
 
 
 def partial_derivative_kernel(params: JacobiParams, shift: int,
                               L: int, N: int, M: int) -> KernelHandle:
     """Plain partial derivatives d_phi^L d_theta^N d_t^M of the even semigroup
     kernel with parameters shifted by `shift`. This is the exact shape of the
-    size-lemma left-hand sides."""
+    size-lemma left-hand sides: the direct route, which for N <= 1 is d_theta^N
+    on the polynomials, at the shifted parameters."""
     if shift < 0 or L < 0 or N < 0 or M < 0:
         raise ValueError("orders must be nonnegative")
     if L > 1 or N > 1:
         raise ValueError("spatial orders above 1 are not needed and not built")
-    return KernelHandle(params, ("partial", shift, L, N, M))
+    return KernelHandle(params, "even", N, M, "direct", shift, L)
 
 
 def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
     """speed sqrt(lam) and coefficient of the first n terms."""
-    p = handle.params
-    kind = handle.family[0]
-    ks = np.arange(n, dtype=float)
-    if kind == "partial":
-        speed = np.sqrt(eigenvalue(p.shifted(handle.family[1]), ks))
-        return speed, 0.5 * (-speed) ** handle.family[4]
+    p, N, M = handle.table_params, handle.N, handle.M
     # the odd component's term k carries eigenvalue index k + 1
-    idx = ks if handle.family[1] == "even" else ks + 1.0
+    idx = np.arange(n, dtype=float) + (handle.component == "odd")
     speed = np.sqrt(eigenvalue(p, idx))
-    if kind == "poisson":
-        return speed, np.full(n, 0.5)
-    N, M = handle.family[2:4]
-    if kind == "ladder":
+    if handle.route == "ladder":
         # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
         return speed, 0.5 * (-speed) ** M * (-_ladder_root(p, idx)) ** N
     # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
@@ -210,35 +205,24 @@ def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
     return speed, 0.5 * mult
 
 
-def _side(params: JacobiParams, points: np.ndarray, order: int = 0,
-          odd: bool = False, offset: int = 0) -> tuple[list, int]:
-    """The theta or the phi factor of the series: term k is row k + offset
-    of the sum of the RowTerms (see basis.theta_row_terms)."""
-    return theta_row_terms(params, points, {order: 1.0}, odd), offset
-
-
 def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
-    p = handle.params
-    kind = handle.family[0]
-    if kind == "partial":
-        shift, L, N = handle.family[1:4]
-        ps = p.shifted(shift)
-        return _side(ps, theta, N), _side(ps, phi, L)
-    odd = handle.family[1] == "odd"
-    N = 0 if kind == "poisson" else handle.family[2]
-    if N % 2 == 0:
-        theta_side = _side(p, theta, odd=odd)
-    elif kind == "ladder":
+    """The theta and the phi factor of the series, each (RowTerms, offset):
+    term k is row k + offset of the sum of the RowTerms (see
+    basis.theta_row_terms)."""
+    p, odd = handle.table_params, handle.component == "odd"
+    if handle.N % 2 == 0:
+        weights, theta_odd, offset = {0: 1.0}, odd, 0
+    elif handle.route == "ladder":
         # odd chains land on the other component: the odd companions at
         # index k-1 (empty at k=0), or the polynomials at index k+1
-        theta_side = _side(p, theta, odd=not odd, offset=1 if odd else -1)
+        weights, theta_odd, offset = {0: 1.0}, not odd, 1 if odd else -1
     elif not odd:
-        theta_side = _side(p, theta, order=1)
+        weights, theta_odd, offset = {1: 1.0}, False, 0
     else:
         # first-order tail -d_theta - A on the odd companions
-        theta_side = theta_row_terms(p, theta, {1: -1.0, 0: -coeff_A(p, theta)},
-                                     odd=True), 0
-    return theta_side, _side(p, phi, odd=odd)
+        weights, theta_odd, offset = {1: -1.0, 0: -coeff_A(p, theta)}, True, 0
+    return ((theta_row_terms(p, theta, weights, theta_odd), offset),
+            (theta_row_terms(p, phi, {handle.L: 1.0}, odd), 0))
 
 
 # series terms evaluated together; bounds the working memory at

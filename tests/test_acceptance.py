@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from trigjacobi.basis import (SYM_FN, SYM_POLY, TRIG_POLY, BasisElement,
-                              JacobiParams, apply_jacobi_operator, coeff_A,
-                              coeff_A_prime, eigenvalue, eval_basis, psi)
+                              JacobiParams, coeff_A, coeff_A_prime, eigenvalue,
+                              eval_basis, jacobi_operator_rows, psi)
 from trigjacobi.kernels import DiscreteMeasure
 from trigjacobi.operators import (OperatorSpec, apply_operator, grid_function)
 from trigjacobi.quadrature import gauss_jacobi_grid
@@ -86,7 +86,7 @@ def test_criterion_03_spectral_identities():
         for n in range(13):
             elem = BasisElement(params, n, SYM_POLY)
             lam = elem.lam
-            res = np.max(np.abs(apply_jacobi_operator(elem, theta)
+            res = np.max(np.abs(jacobi_operator_rows(params, [n], theta)[0][0]
                                 - lam * eval_basis(elem, theta)))
             assert res <= 1e-6 * (1.0 + lam), f"{ab} n={n}: {res}"
             worst_eig = max(worst_eig, res / (1.0 + lam))
@@ -124,8 +124,8 @@ def test_criterion_03_spectral_identities():
         v_even = params.lam0 + 0.5 * A1 + 0.25 * A * A
         lhs = (-stencil + v_even * g_at(sample)
                - A1 * psi(params, sample) * f_at(sample, "odd"))
-        rhs = psi(params, sample) * sum(
-            c * apply_jacobi_operator(e, sample) for c, e in zip(coefs, elems))
+        rows = jacobi_operator_rows(params, np.arange(11), sample)[0]
+        rhs = psi(params, sample) * (coefs @ rows)
         res = float(np.max(np.abs(lhs - rhs)))
         assert res <= 1e-6, f"{ab}: conjugation residual {res}"
         worst_conj = max(worst_conj, res)

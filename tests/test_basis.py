@@ -23,7 +23,6 @@ from trigjacobi.basis import (
     BasisElement,
     JacobiParams,
     JacobiRecurrence,
-    apply_jacobi_operator,
     basis_matrix,
     coeff_A,
     coeff_A_prime,
@@ -244,7 +243,7 @@ class TestRecurrence:
 
         p = params_of(a, b)
         x = np.cos(np.array([0.02, 0.8, 1.9, 3.1]))
-        rec = JacobiRecurrence(p, x, degree=-2)
+        rec = JacobiRecurrence(p, x, -2, basis._gamma(a, b, 60))
         rows = np.concatenate([rec.fill(np.empty((m, x.size)))
                                for m in (1, 1, 1, 2, 5, 1, 3, 40, 1)])
         assert np.all(rows[:2] == 0.0)
@@ -288,7 +287,7 @@ class TestRecurrence:
             want = self.two_call_rows(p, x, degree, 512)
             for m in list(range(1, 41)) + [256]:
                 # two windows: the second resumes from the carried rows
-                rec = JacobiRecurrence(p, x, degree=degree)
+                rec = JacobiRecurrence(p, x, degree, basis._gamma(*ab, degree + 2 * m))
                 got = np.concatenate([rec.fill(np.empty((m, npts))),
                                       rec.fill(np.empty((m, npts)))])
                 assert np.array_equal(got, want[:2 * m]), (degree, m)
@@ -297,7 +296,7 @@ class TestRecurrence:
         p = params_of(1.5, -0.7)
         x = np.linspace(-0.9, 0.9, 5)
         for degree in (1, 2, 3, 8):
-            rec = JacobiRecurrence(p, x, degree=degree)
+            rec = JacobiRecurrence(p, x, degree, basis._gamma(1.5, -0.7, degree + 2))
             rows = rec.fill(np.empty((2, 5))) * rec.gamma[degree:degree + 2, None]
             assert_allclose(rows, jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
 
@@ -500,7 +499,9 @@ class TestThetaTable:
         for d in range(dmax + 1):
             want = np.zeros((nmax + 1, theta.size))
             for term in theta_row_terms(p, theta, {d: 1.0}, odd):
-                rec = JacobiRecurrence(term.params, np.cos(theta), degree=-term.lag)
+                q = term.params
+                rec = JacobiRecurrence(q, np.cos(theta), -term.lag,
+                                       basis._gamma(q.alpha, q.beta, nmax + 1))
                 rows = rec.fill(np.empty((nmax + 1, theta.size)))
                 want += rows * term.scale(0, nmax + 1, rec.gamma)[:, None] * term.pi
             assert np.array_equal(got[d], want), d
@@ -794,7 +795,7 @@ class TestSecondOrderOperator:
         elem = BasisElement(p, n, SYM_POLY)
         t = np.linspace(0.2, 2.95, 17)
         t = np.concatenate([-t[::2], t])
-        got = apply_jacobi_operator(elem, t)
+        got = basis.jacobi_operator_rows(p, [n], t)[0][0]
         lam = eigenvalue(p, half_index(n))
         want = lam * eval_basis(elem, t)
         assert_allclose(got, want, atol=1e-8 * (1 + abs(lam)), rtol=1e-8)
@@ -809,8 +810,22 @@ class TestSecondOrderOperator:
         assert JV.shape == V.shape == (n.size, t.size)
         for k, jrow, row in zip(n, JV, V):
             elem = BasisElement(p, int(k), SYM_POLY)
-            assert np.array_equal(jrow, apply_jacobi_operator(elem, t))
+            assert np.array_equal(jrow, basis.jacobi_operator_rows(p, [k], t)[0][0])
             assert np.array_equal(row, eval_basis(elem, t))
+
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_eigen_relation_through_zero(self, ab):
+        # at theta = 0 the rows are the limit of A f' and A' f, which are
+        # singular there: -(2 alpha + 2) f''(0) + lambda_0 f(0) on the even
+        # elements, 0 on the odd ones
+        p, n = params_of(*ab), np.arange(8)
+        t = np.linspace(-3.0, 3.0, 13)
+        assert 0.0 in t
+        JV, V = basis.jacobi_operator_rows(p, n, t)
+        want = eigenvalue(p, (n + 1) // 2)[:, None] * V
+        assert np.all(np.abs(JV - want) <= 1e-14 * np.abs(want).max(axis=1, keepdims=True))
+        zero = t == 0.0
+        assert_allclose(JV[:, zero], want[:, zero], rtol=1e-14, atol=0.0)
 
     def test_coefficient_identities(self):
         p = params_of(1.5, -0.7)

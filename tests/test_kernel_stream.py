@@ -20,10 +20,10 @@ from trigjacobi import basis
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import (
     _CHUNK,
+    KernelHandle,
     TruncationConfig,
     eval_kernels,
     kernel_derivative,
-    partial_derivative_kernel,
     poisson_kernel,
 )
 
@@ -107,7 +107,7 @@ def test_jacobi_rows_equal_eval_jacobi_on_long_series():
     # the longest series the reference sums, in
     # test_mixed_lengths_equal_single_time_calls, read at every 97th degree
     x = np.cos(np.concatenate([THETA, PHI]))
-    h = handle_for(JacobiParams(1.5, -0.7), ("ladder", "odd", 1, 1))
+    h = KernelHandle(JacobiParams(1.5, -0.7), "odd", 1, 1)
     n = TruncationConfig().series_length(h.table_params, MIXED_TIMES.min(), h.orders)
     assert n > 5000
     ks = np.append(np.arange(0, n, 97), n - 1)
@@ -127,87 +127,70 @@ def odd_dtheta(a, b, k, theta):
                   + np.sin(theta)[None, :] * poly_dtheta(a + 1, b + 1, k, theta))
 
 
-def reference(a, b, family, n, theta, phi, t):
+def reference(h, n, theta, phi, t):
     """Kernel values and the sum of the absolute values of the terms,
     both of shape (npairs, nt), from the series' definition."""
     ks = np.arange(n)
-    half = (a + b + 1) / 2.0
-    kind = family[0]
-    if kind == "partial":
-        _, shift, L, N, M = family
-        a, b = a + shift, b + shift
-        speed = np.abs(ks + (a + b + 1) / 2.0)
-        coef = 0.5 * (-speed) ** M
-        th = (poly_dtheta if N else poly)(a, b, ks, theta)
-        ph = (poly_dtheta if L else poly)(a, b, ks, phi)
-    else:
-        comp = family[1]
-        N, M = (0, 0) if kind == "poisson" else family[2:4]
-        idx = ks if comp == "even" else ks + 1
-        speed = np.abs(idx + half)  # sqrt(lam)
-        root = np.sqrt(idx * (idx + a + b + 1.0))
-        base = poly if comp == "even" else odd
-        ph = base(a, b, ks, phi)
-        if kind == "direct":
-            # (d_t^2 - lam_0)^{N//2} d_t^M; first-order tail applied in theta
-            coef = 0.5 * root ** (2 * (N // 2)) * (-speed) ** M
-            if N % 2 == 0:
-                th = base(a, b, ks, theta)
-            elif comp == "even":
-                th = poly_dtheta(a, b, ks, theta)
-            else:
-                A = ((a + 0.5) / np.tan(theta / 2.0)
-                     - (b + 0.5) * np.tan(theta / 2.0))
-                th = -odd_dtheta(a, b, ks, theta) - A[None, :] * odd(a, b, ks, theta)
+    a, b = h.params.alpha + h.shift, h.params.beta + h.shift
+    idx = ks if h.component == "even" else ks + 1
+    speed = np.abs(idx + (a + b + 1) / 2.0)  # sqrt(lam)
+    root = np.sqrt(idx * (idx + a + b + 1.0))
+    base = poly if h.component == "even" else odd
+    ph = (poly_dtheta if h.L else base)(a, b, ks, phi)
+    N, M = h.N, h.M
+    if h.route == "direct":
+        # (d_t^2 - lam_0)^{N//2} d_t^M; first-order tail applied in theta
+        coef = 0.5 * root ** (2 * (N // 2)) * (-speed) ** M
+        if N % 2 == 0:
+            th = base(a, b, ks, theta)
+        elif h.component == "even":
+            th = poly_dtheta(a, b, ks, theta)
         else:
-            # ladder: delta P_k = -r_k s_{k-1}, delta* s_k = -r_{k+1} P_{k+1}
-            coef = 0.5 * (-speed) ** M * (-root) ** N
-            if N % 2 == 0:
-                th = base(a, b, ks, theta)
-            elif comp == "even":
-                th = odd(a, b, ks - 1, theta)
-            else:
-                th = poly(a, b, ks + 1, theta)
+            A = ((a + 0.5) / np.tan(theta / 2.0)
+                 - (b + 0.5) * np.tan(theta / 2.0))
+            th = -odd_dtheta(a, b, ks, theta) - A[None, :] * odd(a, b, ks, theta)
+    else:
+        # ladder: delta P_k = -r_k s_{k-1}, delta* s_k = -r_{k+1} P_{k+1}
+        coef = 0.5 * (-speed) ** M * (-root) ** N
+        if N % 2 == 0:
+            th = base(a, b, ks, theta)
+        elif h.component == "even":
+            th = odd(a, b, ks - 1, theta)
+        else:
+            th = poly(a, b, ks + 1, theta)
     terms = (coef[:, None, None] * np.exp(-np.outer(speed, t))[:, None, :]
              * (th * ph)[:, :, None])
     return terms.sum(axis=0), np.abs(terms).sum(axis=0)
 
 
-def families():
-    out = [("poisson", "even"), ("poisson", "odd")]
+def kinds():
+    """KernelHandle fields after the parameters: (component, N, M, route,
+    shift, L). The Poisson kernels, chains of orders 1-4 by both routes, and
+    size-lemma partials (the direct route at shifted parameters)."""
+    out = [(comp,) for comp in ("even", "odd")]
     for route in ("ladder", "direct"):
         for comp in ("even", "odd"):
-            out += [(route, comp, N, 0) for N in range(1, 5)]
-    out += [("partial", 1, L, N, 0) for L in (0, 1) for N in (0, 1)]
-    out += [("ladder", "odd", 1, 1), ("partial", 0, 1, 0, 2)]
+            out += [(comp, N, 0, route) for N in range(1, 5)]
+    out += [("even", N, 0, "direct", 1, L) for L in (0, 1) for N in (0, 1)]
+    out += [("odd", 1, 1), ("even", 0, 2, "direct", 0, 1)]
     return out
 
 
-def handle_for(params, family):
-    if family[0] == "poisson":
-        return poisson_kernel(params, family[1])
-    if family[0] == "partial":
-        return partial_derivative_kernel(params, *family[1:])
-    route, comp, N, M = family
-    return kernel_derivative(poisson_kernel(params, comp), N, M, route=route)
-
-
 @pytest.mark.parametrize("a,b", PARAMS)
-@pytest.mark.parametrize("family", families(), ids=str)
-def test_matches_reference_series(a, b, family):
-    h = handle_for(JacobiParams(a, b), family)
+@pytest.mark.parametrize("kind", kinds(), ids=str)
+def test_matches_reference_series(a, b, kind):
+    h = KernelHandle(JacobiParams(a, b), *kind)
     for n in LENGTHS:
         got = h.eval_pairs(THETA, PHI, TIMES, n_override=n)
-        want, scale = reference(a, b, family, n, THETA, PHI, TIMES)
+        want, scale = reference(h, n, THETA, PHI, TIMES)
         assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, got - want)
 
 
 @pytest.mark.parametrize("a,b", PARAMS)
-@pytest.mark.parametrize("family", [("poisson", "even"), ("ladder", "even", 1, 0),
-                                    ("direct", "odd", 1, 0), ("partial", 1, 1, 1, 0)],
-                         ids=str)
-def test_matrix_matches_reference_series(a, b, family):
-    h = handle_for(JacobiParams(a, b), family)
+@pytest.mark.parametrize("kind", [("even",), ("even", 1, 0), ("odd", 1, 0, "direct"),
+                                  ("even", 1, 0, "direct", 1, 1)], ids=str)
+def test_matrix_matches_reference_series(a, b, kind):
+    h = KernelHandle(JacobiParams(a, b), *kind)
     cfg = TruncationConfig()
     t = 0.05
     n = cfg.series_length(h.table_params, t, h.orders)
@@ -215,46 +198,43 @@ def test_matrix_matches_reference_series(a, b, family):
     grid = np.array([0.1, 0.9, 1.7, 2.9])
     got = h.eval_matrix(grid, grid, t)
     th, ph = np.meshgrid(grid, grid, indexing="ij")
-    want, scale = reference(a, b, family, n, th.ravel(), ph.ravel(), np.array([t]))
+    want, scale = reference(h, n, th.ravel(), ph.ravel(), np.array([t]))
     assert np.all(np.abs(got.ravel() - want[:, 0]) <= 1e-12 * scale[:, 0])
 
 
 @pytest.mark.parametrize("comp", ["even", "odd"])
 def test_mixed_lengths_equal_single_time_calls(comp):
-    a, b = 1.5, -0.7
-    family = ("ladder", comp, 1, 1)
-    h = handle_for(JacobiParams(a, b), family)
+    h = KernelHandle(JacobiParams(1.5, -0.7), comp, 1, 1)
     cfg = TruncationConfig()
     t = MIXED_TIMES
     together = h.eval_pairs(THETA, PHI, t, cfg)
     for i, ti in enumerate(t):
         alone = h.eval_pairs(THETA, PHI, [ti], cfg)[:, 0]
         n = cfg.series_length(h.table_params, ti, h.orders)
-        want, scale = reference(a, b, family, n, THETA, PHI, np.array([ti]))
+        want, scale = reference(h, n, THETA, PHI, np.array([ti]))
         assert np.all(np.abs(together[:, i] - alone) <= 1e-13 * scale[:, 0])
         assert np.all(np.abs(together[:, i] - want[:, 0]) <= 1e-12 * scale[:, 0])
 
 
 @pytest.mark.parametrize("a,b", PARAMS)
 def test_one_pass_equals_single_handle_calls(a, b):
-    # every family in one pass, sharing its recurrences. At the mixed-length
+    # every kind in one pass, sharing its recurrences. At the mixed-length
     # times every other job sums its times in reverse order; the reference
     # is summed at the forced lengths only, since it takes one length for all
     # times (the single-handle path meets it at each mixed-length time in
     # test_mixed_lengths_equal_single_time_calls)
-    fams = families()
-    handles = [handle_for(JacobiParams(a, b), f) for f in fams]
+    handles = [KernelHandle(JacobiParams(a, b), *kind) for kind in kinds()]
     cfg = TruncationConfig()
-    cases = ([(n, [TIMES] * len(fams)) for n in LENGTHS]
-             + [(None, [MIXED_TIMES, MIXED_TIMES[::-1]] * (len(fams) // 2))])
+    cases = ([(n, [TIMES] * len(handles)) for n in LENGTHS]
+             + [(None, [MIXED_TIMES, MIXED_TIMES[::-1]] * (len(handles) // 2))])
     for n, times in cases:
         together = eval_kernels(list(zip(handles, times)), THETA, PHI, cfg, n)
-        assert len(together) == len(fams)
-        for family, h, t, got in zip(fams, handles, times, together):
-            assert np.array_equal(got, h.eval_pairs(THETA, PHI, t, cfg, n)), (family, n)
+        assert len(together) == len(handles)
+        for h, t, got in zip(handles, times, together):
+            assert np.array_equal(got, h.eval_pairs(THETA, PHI, t, cfg, n)), (h, n)
             if n is not None:
-                want, scale = reference(a, b, family, n, THETA, PHI, t)
-                assert np.all(np.abs(got - want) <= 1e-12 * scale), (family, n)
+                want, scale = reference(h, n, THETA, PHI, t)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (h, n)
 
 
 def test_one_recurrence_per_parameters_and_start_degree(monkeypatch):
@@ -265,7 +245,7 @@ def test_one_recurrence_per_parameters_and_start_degree(monkeypatch):
     built = []
 
     class Counted(basis.JacobiRecurrence):
-        def __init__(self, params, x, degree=0, gamma=None):
+        def __init__(self, params, x, degree, gamma):
             built.append((params, degree))
             super().__init__(params, x, degree, gamma)
 

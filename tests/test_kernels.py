@@ -18,6 +18,7 @@ from trigjacobi.basis import BasisElement, JacobiParams, SYM_POLY, eval_basis
 from trigjacobi.kernels import (
     DEFAULT_TRUNCATION,
     DiscreteMeasure,
+    KernelHandle,
     TruncationConfig,
     TruncationError,
     kernel_derivative,
@@ -236,6 +237,36 @@ class TestKernelStructure:
         assert_allclose(got, total, rtol=1e-10)
 
 
+class TestKernelDescription:
+    # one set of fields describes every kernel: the Poisson kernel is the
+    # chain of order 0, a size-lemma partial the direct route
+
+    @pytest.mark.parametrize("N,M", [(0, 1), (0, 2), (1, 0), (1, 1)])
+    def test_unshifted_partial_is_the_direct_route(self, N, M):
+        p = JacobiParams(1.5, -0.7)
+        want = kernel_derivative(poisson_kernel(p, "even"), N, M, "direct")
+        assert partial_derivative_kernel(p, 0, 0, N, M) == want
+
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    @pytest.mark.parametrize("comp", ["even", "odd"])
+    def test_poisson_kernel_is_the_direct_route_of_order_zero(self, a, b, comp):
+        p = JacobiParams(a, b)
+        th, ph, t = np.array([0.05, 0.7, 2.4]), np.array([1.9, 0.3, 3.05]), [0.02, 0.3]
+        direct = KernelHandle(p, comp, route="direct")
+        assert direct != poisson_kernel(p, comp)
+        for n in (37, 300):
+            got = poisson_kernel(p, comp).eval_pairs(th, ph, t, n_override=n)
+            assert np.array_equal(got, direct.eval_pairs(th, ph, t, n_override=n))
+
+    def test_derivatives_start_from_a_semigroup_kernel(self):
+        p = JacobiParams(0.0, 0.0)
+        derived = kernel_derivative(poisson_kernel(p, "odd"), 1, 0)
+        for h in (derived, partial_derivative_kernel(p, 1, 0, 0, 0),
+                  partial_derivative_kernel(p, 0, 1, 0, 0)):
+            with pytest.raises(ValueError, match="semigroup kernel"):
+                kernel_derivative(h, 1, 0)
+
+
 class TestTruncation:
     def test_monotone_in_t(self):
         cfg = TruncationConfig()
@@ -285,7 +316,9 @@ class TestTruncation:
         assert spec.truncation() == cfg
         verify.check_standard_estimates(p, spec, "full")
         verify.check_lemma_instances(p, spec, instances=verify.LEMMA_INSTANCES)
-        assert {h.family[0] for h in handles} == {"poisson", "ladder", "direct", "partial"}
+        kinds = {"poisson" if h == poisson_kernel(h.params, h.component)
+                 else "partial" if h.shift else h.route for h in handles}
+        assert kinds == {"poisson", "ladder", "direct", "partial"}
         for h in handles:
             assert cfg.series_length(h.table_params, cfg.t_floor, h.orders) <= cfg.n_cap
 

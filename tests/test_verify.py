@@ -176,7 +176,7 @@ class TestIdentitySuite:
         theta = np.linspace(-math.pi + 0.05, math.pi - 0.05, 121)
         theta = theta[np.abs(theta) > 1e-3]
         elems = [basis.BasisElement(params, n, basis.SYM_POLY) for n in range(13)]
-        want = max(np.max(np.abs(basis.apply_jacobi_operator(e, theta)
+        want = max(np.max(np.abs(basis.jacobi_operator_rows(params, [e.index], theta)[0][0]
                                  - e.lam * basis.eval_basis(e, theta))) / (1.0 + e.lam)
                    for e in elems)
         calls, original = [], basis.basis_matrix
@@ -322,12 +322,14 @@ class TestDomination:
 
 def count_kernel_evaluations(monkeypatch):
     """Patch eval_kernels, which every kernel evaluation on pairs goes
-    through, to log (family, number of times) per kernel evaluated."""
+    through, to log (kernel, number of times) per kernel evaluated, the
+    kernel by its fields other than the parameters."""
     calls = []
     original = kernels.eval_kernels
 
     def counted(jobs, *args, **kwargs):
-        calls.extend((h.family, np.size(t)) for h, t in jobs)
+        calls.extend(((h.component, h.N, h.M, h.route, h.shift, h.L), np.size(t))
+                     for h, t in jobs)
         return original(jobs, *args, **kwargs)
 
     for module in (kernels, verify):
