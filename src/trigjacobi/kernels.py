@@ -58,6 +58,8 @@ class TruncationConfig:
         summands including norm constants and the derivative powers of the
         eigenvalues. Solved by a fixed point of n = (q log n - log eps)/t.
         """
+        if not 0.0 < t < math.inf:  # NaN fails too
+            raise ValueError(f"t must be positive and finite, got {float(t)!r}")
         if t < self.t_floor:
             raise TruncationError(
                 f"t={t} is below the configured floor {self.t_floor}")
@@ -122,17 +124,16 @@ class KernelHandle:
     def table_params(self) -> JacobiParams:
         return self.params.shifted(self.shift)
 
-    def eval_pairs(self, theta, phi, t, cfg: TruncationConfig = DEFAULT_TRUNCATION,
-                   n_override: int | None = None) -> np.ndarray:
+    def eval_pairs(self, theta, phi, t, cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
         """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt)."""
-        return eval_kernels([(self, t)], theta, phi, cfg, n_override)[0]
+        return eval_kernels([(self, t)], theta, phi, cfg)[0]
 
     def eval_matrix(self, theta, phi, t: float) -> np.ndarray:
         """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         plan = RowPlan((theta, phi), _CHUNK)
-        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, None, {})
+        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
         for k0 in range(0, stream.n, _CHUNK):
@@ -243,16 +244,14 @@ class _Stream:
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
-                 n_override: int | None, known: dict):
+                 known: dict):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if n_override is not None:
-            lengths = np.full(t.shape, int(n_override))
-        else:  # `known` holds a call's series lengths by (parameters, t, orders)
-            keys = [(handle.table_params, ti, handle.orders) for ti in t]
-            for key in keys:
-                if key not in known:
-                    known[key] = cfg.series_length(*key)
-            lengths = np.array([known[key] for key in keys])
+        # `known` holds a call's series lengths by (parameters, t, orders)
+        keys = [(handle.table_params, ti, handle.orders) for ti in t]
+        for key in keys:
+            if key not in known:
+                known[key] = cfg.series_length(*key)
+        lengths = np.array([known[key] for key in keys])
         self.order = np.argsort(-lengths, kind="stable")
         self.t, self.lengths = t[self.order], lengths[self.order]
         self.n = n = int(self.lengths[0])
@@ -324,8 +323,8 @@ class _Decay:
         return self.X
 
 
-def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
-                 n_override: int | None = None) -> list[np.ndarray]:
+def eval_kernels(jobs, theta, phi,
+                 cfg: TruncationConfig = DEFAULT_TRUNCATION) -> list[np.ndarray]:
     """Samples K_t(theta_i, phi_i) of several kernels on the same pairs: one
     (npairs, nt) array per (handle, t) job.
 
@@ -342,7 +341,7 @@ def eval_kernels(jobs, theta, phi, cfg: TruncationConfig = DEFAULT_TRUNCATION,
         raise ValueError("theta and phi must pair up")
     plan = RowPlan((theta, phi), _CHUNK)
     known = {}
-    streams = [_Stream(plan, handle, t, cfg, n_override, known) for handle, t in jobs]
+    streams = [_Stream(plan, handle, t, cfg, known) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
         link = [p for p in passes if p[0] & s.runs]

@@ -224,7 +224,7 @@ def test_criterion_07_closed_form_operators():
 def test_criterion_08_weight_classes():
     clock = Stopwatch(5.0)
     for ab in ((1.5, -0.7), (-0.7, -0.6)):
-        reports = check_weight_classes(JacobiParams(*ab), n_samples=10000)
+        reports = check_weight_classes(JacobiParams(*ab))
         assert reports[0].passed and reports[0].constant == 0.0
         assert reports[1].passed
     elapsed = clock.check("weight classes")

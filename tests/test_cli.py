@@ -93,10 +93,21 @@ class TestEvalKernel:
         assert rc == 0
         assert math.isfinite(float(data_rows(out)[0].split(",")[3]))
 
-    def test_below_time_floor_exit_3(self, capsys):
-        rc, _ = run_cli(["eval", "kernel", "--kind", "even", "--t", "1e-6",
+    @pytest.mark.parametrize("t", ["1e-6", "1e-3"])
+    def test_below_time_floor_exit_3(self, t, capsys):
+        rc, _ = run_cli(["eval", "kernel", "--kind", "even", "--t", t,
                          "--theta", "1.0", "--phi", "2.0"], capsys)
         assert rc == 3
+
+    @pytest.mark.parametrize("t", ["-1", "0", "nan", "inf"])
+    def test_time_not_positive_and_finite_exit_2(self, t, capsys):
+        # bad configuration, not a numeric failure below the floor
+        rc = cli.main(["eval", "kernel", "--kind", "even", f"--t={t}",
+                       "--theta", "1", "--phi", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "t must be" in err
+        assert "np.float64" not in err
 
     @pytest.mark.parametrize("kind,theta,phi", [
         ("sym", "4", "1"), ("sym", "1", "-3.2"), ("even", "-1", "1"), ("even", "7", "1"),

@@ -3,14 +3,16 @@
 The reference sums each series term by term from Jacobi polynomial values
 computed as scipy.special.eval_jacobi computes them, and the closed-form
 Gamma norms, with every factor spelled out from its definition; nothing
-here comes from trigjacobi.basis. Series lengths are forced with n_override
-just below, at and above one chunk of the engine, and across several chunks.
+here comes from trigjacobi.basis. Series lengths are forced through a
+FixedLength truncation just below, at and above one chunk of the engine, and
+across several chunks.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -34,6 +36,16 @@ THETA = np.array([0.05, 0.7, 1.6, 2.4, 3.1])
 PHI = np.array([1.9, 0.3, 1.55, 3.05, 0.02])
 # lengths from tens of terms to several chunks, in no particular order
 MIXED_TIMES = np.array([0.4, 0.01, 3.0, 0.05, 0.01, 1.0])
+
+
+@dataclass(frozen=True, kw_only=True)
+class FixedLength(TruncationConfig):
+    """A truncation that sums n terms of every series, at every time."""
+
+    n: int
+
+    def series_length(self, params, t, orders):
+        return self.n
 
 
 def norm(a, b, n):
@@ -181,7 +193,7 @@ def kinds():
 def test_matches_reference_series(a, b, kind):
     h = KernelHandle(JacobiParams(a, b), *kind)
     for n in LENGTHS:
-        got = h.eval_pairs(THETA, PHI, TIMES, n_override=n)
+        got = h.eval_pairs(THETA, PHI, TIMES, FixedLength(n=n))
         want, scale = reference(h, n, THETA, PHI, TIMES)
         assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, got - want)
 
@@ -224,14 +236,14 @@ def test_one_pass_equals_single_handle_calls(a, b):
     # times (the single-handle path meets it at each mixed-length time in
     # test_mixed_lengths_equal_single_time_calls)
     handles = [KernelHandle(JacobiParams(a, b), *kind) for kind in kinds()]
-    cfg = TruncationConfig()
     cases = ([(n, [TIMES] * len(handles)) for n in LENGTHS]
              + [(None, [MIXED_TIMES, MIXED_TIMES[::-1]] * (len(handles) // 2))])
     for n, times in cases:
-        together = eval_kernels(list(zip(handles, times)), THETA, PHI, cfg, n)
+        cfg = TruncationConfig() if n is None else FixedLength(n=n)
+        together = eval_kernels(list(zip(handles, times)), THETA, PHI, cfg)
         assert len(together) == len(handles)
         for h, t, got in zip(handles, times, together):
-            assert np.array_equal(got, h.eval_pairs(THETA, PHI, t, cfg, n)), (h, n)
+            assert np.array_equal(got, h.eval_pairs(THETA, PHI, t, cfg)), (h, n)
             if n is not None:
                 want, scale = reference(h, n, THETA, PHI, t)
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (h, n)

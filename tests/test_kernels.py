@@ -28,6 +28,8 @@ from trigjacobi.kernels import (
 )
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 
+from test_kernel_stream import FixedLength
+
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
 
 TH, PH, T = 0.7, 1.9, 0.8
@@ -254,9 +256,9 @@ class TestKernelDescription:
         th, ph, t = np.array([0.05, 0.7, 2.4]), np.array([1.9, 0.3, 3.05]), [0.02, 0.3]
         direct = KernelHandle(p, comp, route="direct")
         assert direct != poisson_kernel(p, comp)
-        for n in (37, 300):
-            got = poisson_kernel(p, comp).eval_pairs(th, ph, t, n_override=n)
-            assert np.array_equal(got, direct.eval_pairs(th, ph, t, n_override=n))
+        for cfg in (FixedLength(n=37), FixedLength(n=300)):
+            got = poisson_kernel(p, comp).eval_pairs(th, ph, t, cfg)
+            assert np.array_equal(got, direct.eval_pairs(th, ph, t, cfg))
 
     def test_derivatives_start_from_a_semigroup_kernel(self):
         p = JacobiParams(0.0, 0.0)
@@ -315,7 +317,7 @@ class TestTruncation:
         spec = verify.SweepSpec(n_theta=1, levels=1)
         assert spec.truncation() == cfg
         verify.check_standard_estimates(p, spec, "full")
-        verify.check_lemma_instances(p, spec, instances=verify.LEMMA_INSTANCES)
+        verify.check_lemma_instances(p, spec, "full")
         kinds = {"poisson" if h == poisson_kernel(h.params, h.component)
                  else "partial" if h.shift else h.route for h in handles}
         assert kinds == {"poisson", "ladder", "direct", "partial"}
@@ -328,8 +330,8 @@ class TestTruncation:
         cfg = DEFAULT_TRUNCATION
         h = poisson_kernel(p, "even")
         n = cfg.series_length(p, 0.05, 0)
-        a = h.eval_pairs([0.7], [1.9], [0.05], n_override=n)[0, 0]
-        b = h.eval_pairs([0.7], [1.9], [0.05], n_override=min(2 * n, 4000))[0, 0]
+        a = h.eval_pairs([0.7], [1.9], [0.05], cfg)[0, 0]
+        b = h.eval_pairs([0.7], [1.9], [0.05], FixedLength(n=min(2 * n, 4000)))[0, 0]
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 

@@ -11,7 +11,8 @@ import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import DEFAULT_TRUNCATION, partial_derivative_kernel, poisson_kernel
-from trigjacobi.measure import ball_measure
+from trigjacobi.measure import PowerWeight, ball_measure
+from trigjacobi.quadrature import gauss_jacobi_grid
 from trigjacobi.verify import (
     LEMMA_INSTANCES,
     QUICK_SWEEP,
@@ -497,15 +498,19 @@ class TestLemmaInstances:
         assert len(ids) == len(LEMMA_INSTANCES)
 
     def test_quick_profile_covers_each_group(self):
+        # the first instance of each group, in order (the groups are contiguous)
+        first = [inst for i, inst in enumerate(LEMMA_INSTANCES)
+                 if i == 0 or LEMMA_INSTANCES[i - 1][0] != inst[0]]
         reports = check_lemma_instances(P, TEST_SWEEP, "quick")
         assert len(reports) == 7
+        assert [r.claim for r in reports] == [lemma_claim_id(inst) for inst in first]
         assert all(r.passed for r in reports)
 
 
 class TestWeightClasses:
     @pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.7, -0.6)])
     def test_shift_equivalence_and_window(self, ab):
-        reports = check_weight_classes(JacobiParams(*ab), n_samples=10000)
+        reports = check_weight_classes(JacobiParams(*ab))
         assert reports[0].passed and reports[0].constant == 0.0
         assert reports[1].passed
 
@@ -519,28 +524,43 @@ class TestLpSweep:
         assert rep.details["admissible"]
 
     def test_membership_flags(self):
-        reps = empirical_lp_sweep(P, 2.0, weights=((6.0, 0.0), (0.0, 0.0)),
-                                  orders=(16, 24), n_funcs=10)
+        reps = empirical_lp_sweep(P, 2.0, weights=((6.0, 0.0), (0.0, 0.0)))
         assert not reps[0].details["admissible"]
         assert reps[1].details["admissible"]
 
     def test_random_probe_path(self):
-        rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),),
-                                 orders=(16, 24), n_funcs=25)[0]
+        rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),))[0]
         assert rep.passed and math.isfinite(rep.constant)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_random_probe_equals_a_loop_over_inputs(self, p):
+        # the largest ratio |Tf|_p / |f|_p over 200 draws of one input each
+        rep = empirical_lp_sweep(P, p, weights=((1.0, 1.0),), seed=7)[0]
+        want = []
+        for order in (32, 64):
+            grid = gauss_jacobi_grid(P, order, "mu_plus")
+            T = verify._restricted_matrix(P, grid, 1, 16, "even")
+            wv = PowerWeight(1.0, 1.0)(grid.nodes) * grid.weights
+
+            def norm(v):
+                return (np.abs(v) ** p @ wv) ** (1.0 / p)
+
+            rng = np.random.default_rng(7)
+            fs = [rng.standard_normal(order) for _ in range(200)]
+            want.append(max(norm(T @ f) / norm(f) for f in fs))
+        np.testing.assert_allclose(rep.details["estimates"], want, rtol=1e-14, atol=0.0)
 
     def test_a_nan_probe_fails_the_estimate(self, monkeypatch):
         original = verify._restricted_matrix
 
         def poisoned(params, grid, *args):
             T = original(params, grid, *args)
-            if grid.nodes.size == 24:
+            if grid.nodes.size == 64:
                 T[0, 0] = np.nan
             return T
 
         monkeypatch.setattr(verify, "_restricted_matrix", poisoned)
-        rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),),
-                                 orders=(16, 24), n_funcs=25)[0]
+        rep = empirical_lp_sweep(P, 4.0, weights=((0.0, 0.0),))[0]
         assert not rep.passed and math.isnan(rep.constant)
 
 
