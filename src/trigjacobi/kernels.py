@@ -117,8 +117,9 @@ class KernelHandle:
 
     @property
     def orders(self) -> int:
-        """Total derivative order and shift, used in the truncation exponent."""
-        return self.shift + self.L + self.N + self.M
+        """Total derivative order, used in the truncation exponent; the shift
+        enters it through table_params."""
+        return self.L + self.N + self.M
 
     @property
     def table_params(self) -> JacobiParams:

@@ -6,11 +6,20 @@ one) stays below 2*order. The weighted variants divide out psi^2 so the same
 nodes integrate against plain dtheta whenever the integrand carries a psi^2
 factor, which every function-setting inner product does.
 
-Time grids are log-uniform with trapezoid weights in log t; each constructed
+Time grids are log-uniform in u = log t, with trapezoid weights and
+Gregory's end corrections through fifth differences, which make the rule
+sixth order at the ends of a smooth integrand: 16 points per decade on
+[5e-3, 40] integrate the grid's own check within 2e-10. Each constructed
 grid is checked against a closed-form incomplete-Gamma integral. A grid at
 the default density or above that fails the check doubles its density, up
 to three times; a grid that still fails, or a coarser one that fails, is
 rejected.
+
+t_norm reads samples on a grid. The L^1 norm integrates |f| and corrects the
+rule at each sign change of f, where |f| has a kink that the rule does not
+see; the sup norm takes the larger of the grid maximum and the peak of a
+quartic through log |f| around an interior grid argmax, so it is never below
+the grid maximum.
 """
 
 from __future__ import annotations
@@ -36,6 +45,12 @@ TAG_KINDS = {"mu_plus": TRIG_POLY, "theta_plus": JACOBI_FN,
 # grid at that density or above may double it to pass its quadrature check
 _DENSITY = 32
 _DOUBLINGS = 3
+# Gregory's end corrections through fifth differences, coefficients 1/12,
+# 1/24, 19/720, 3/160 and 863/60480 (Fornberg, SIAM Review 63, 2021),
+# written as weights on the six nodes nearest an end
+_GREGORY = np.array([-11153.0, 23719.0, -22742.0, 14762.0, -5449.0, 863.0]) / 60480.0
+# the monomial coefficients of the cubic through values at 0, 1, 2 and 3
+_CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 
 
 @dataclass(frozen=True)
@@ -117,11 +132,11 @@ class TGrid:
         h = u[1] - u[0]
         w = np.full(npts, h)
         w[0] = w[-1] = h / 2.0
-        # Gregory end correction: adds h^2/12 (g'(a) - g'(b)) with one-sided
-        # three-point derivative stencils, lifting the trapezoid rule to
-        # fourth order so short grids still pass the validation below
-        w[[0, 1, 2]] += np.array([-3.0, 4.0, -1.0]) * h / 24.0
-        w[[-1, -2, -3]] += np.array([-3.0, 4.0, -1.0]) * h / 24.0
+        # Gregory's end corrections through fifth differences, the same six
+        # weights mirrored at each end: they cancel the trapezoid rule's end
+        # errors through order h^6, so 16 points per decade pass the check
+        w[:6] += _GREGORY * h
+        w[-6:] += _GREGORY[::-1] * h
         nodes = np.exp(u)
         # read-only: one grid may be shared, e.g. the operators' default
         nodes.setflags(write=False)
@@ -167,9 +182,76 @@ def t_norm(grid: TGrid, samples, p: float, W: float = 1.0) -> float | np.ndarray
     """
     samples = np.asarray(samples)
     if p == math.inf:
-        return np.max(np.abs(samples), axis=-1)
+        return _peak(np.abs(samples))
     if p == 2:
         return np.sqrt(grid.integrate(np.abs(samples) ** 2, W))
     if p == 1:
-        return grid.integrate(np.abs(samples), W)
+        return grid.integrate(np.abs(samples), W) + _kink_correction(grid, samples, W)
     raise ValueError("p must be 1, 2, or inf")
+
+
+def _kink_correction(grid: TGrid, samples: np.ndarray, W: float) -> float | np.ndarray:
+    """What the grid rule on |f| misses at the sign changes of f.
+
+    In u = log t the integrand g = f t^W changes sign in a node interval
+    [u_i, u_i + h] with g(u_i) g(u_i + h) < 0, at a zero z = u_i + s h of the
+    cubic through g at the interval's nodes and one on either side, and
+    |g| has a kink there. By the Euler-Maclaurin formula for a function
+    with a kink, the trapezoid rule on |g| misses its integral by
+    h^2 B2(s) |g'(z)| - (h^3 / 3) B3(s) sign(g'(z)) g''(z) + O(h^4), with
+    the Bernoulli polynomials B2 and B3. Gregory's corrections at an end
+    read g with the sign it has at that end, as the smooth integrand there.
+    """
+    g = samples * grid.nodes**W
+    n, h = g.shape[-1], math.log(grid.nodes[1] / grid.nodes[0])
+    flat = g.reshape(-1, n)
+    out = np.zeros(flat.shape[0])
+    with np.errstate(invalid="ignore"):
+        rows, i = np.nonzero(flat[:, :-1] * flat[:, 1:] < 0.0)
+    # the cubic through four nodes around [u_i, u_i + h], in units of h from
+    # the first of them, and its zero in the interval by Newton steps from
+    # the zero of the chord
+    first = np.clip(i - 1, 0, n - 4)
+    c = flat[rows[:, None], first[:, None] + np.arange(4)] @ _CUBIC.T
+    x0 = i - first
+    ya, yb = flat[rows, i], flat[rows, i + 1]
+    x = x0 + ya / (ya - yb)
+    for _ in range(4):
+        x = np.clip(x - (c[:, 0] + x * (c[:, 1] + x * (c[:, 2] + x * c[:, 3])))
+                    / (c[:, 1] + x * (2.0 * c[:, 2] + 3.0 * x * c[:, 3])), x0, x0 + 1)
+    slope = c[:, 1] + x * (2.0 * c[:, 2] + 3.0 * x * c[:, 3])
+    curve = 2.0 * c[:, 2] + 6.0 * x * c[:, 3]
+    s = x - x0
+    b2, b3 = s * s - s + 1.0 / 6.0, s * (s - 0.5) * (s - 1.0)
+    np.add.at(out, rows, h * (b2 * np.abs(slope) - b3 * np.sign(slope) * curve / 3.0))
+    left, right = flat[:, :6], flat[:, -6:]
+    out += (np.sign(left[:, :1]) * left - np.abs(left)) @ (h * _GREGORY)
+    out += (np.sign(right[:, -1:]) * right - np.abs(right)) @ (h * _GREGORY[::-1])
+    return out.reshape(g.shape[:-1])[()]
+
+
+def _peak(a: np.ndarray) -> float | np.ndarray:
+    """The sup over t of samples `a` >= 0: the larger of the grid maximum and
+    the peak of the quartic through log a, in u = log t, at the grid argmax
+    and two nodes on either side, found by Newton steps from the vertex of
+    its parabola and kept within a node of the argmax. An argmax within two
+    nodes of an end keeps the grid maximum; a NaN sample is the argmax, so it
+    makes the sup NaN."""
+    top = np.max(a, axis=-1)
+    k = np.argmax(a, axis=-1)[..., None]
+    inner = np.clip(k, 2, a.shape[-1] - 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m2, m1, y, p1, p2 = (np.log(np.take_along_axis(a, inner + j, axis=-1))[..., 0]
+                             for j in (-2, -1, 0, 1, 2))
+        # the quartic's derivatives at the argmax, in units of the node step
+        d1 = (8.0 * (p1 - m1) - (p2 - m2)) / 12.0
+        d2 = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * y) / 12.0
+        d3 = (p2 - m2) / 2.0 - (p1 - m1)
+        d4 = p2 + m2 - 4.0 * (p1 + m1) + 6.0 * y
+        v = -d1 / d2
+        for _ in range(4):
+            v -= (d1 + v * (d2 + v * (d3 / 2.0 + v * d4 / 6.0))) / (d2 + v * (d3 + v * d4 / 2.0))
+        v = np.clip(v, -1.0, 1.0)
+        peak = np.exp(y + v * (d1 + v * (d2 / 2.0 + v * (d3 / 6.0 + v * d4 / 24.0))))
+    # fmax keeps the grid maximum where the quartic is undefined (a zero sample)
+    return np.where(k[..., 0] == inner[..., 0], np.fmax(top, peak), top)[()]

@@ -4,19 +4,21 @@ Every check produces an EstimateReport: the claim it tested, the estimated
 constant (a sup of LHS/RHS ratios, or a max error), the tolerance when the
 claim carries an explicit one, and a drift diagnostic. Drift is the ratio
 between the constant re-estimated on a refined sweep and the base constant;
-a ratio check passes only while it stays within a fixed factor of 2 either
-way, the sign that the sup estimate has converged rather than being an
-artifact of the sampling. Every constant is a NumPy max over the check's
-errors or ratios (ratio_sweep_report and _tolerance_report), so a NaN
-anywhere makes the constant NaN and fails the claim.
+the refined sweep holds the base one, so it is at least 1, and a ratio
+check passes only while it stays below 2, the sign that the sup estimate
+has converged rather than being an artifact of the sampling. Every
+constant is a NumPy max over the check's errors or ratios
+(ratio_sweep_report and _tolerance_report), so a NaN anywhere makes the
+constant NaN and fails the claim.
 
 Size and smoothness estimates are swept over dyadic bands of the distance
 |theta - phi|, with log-spaced centers accumulating at both endpoints where
 the measure degenerates. A check computes its ratios as arrays on
-SweepSpec.pairs(), the pairs of both sweeps at once; the kernel sweeps of a
-run evaluate every kernel family they need in one call. Time integrals run
-over a validated log grid; the truncation to [t_min, t_max] only
-underestimates left-hand sides, so upper bound claims are never helped by it.
+SweepSpec.pairs(), each pair of the refined sweep once; the kernel sweeps of
+a run evaluate every kernel family they need in one call. Time integrals run
+over a validated log grid of 16 points per decade; the truncation to
+[t_min, t_max] only underestimates left-hand sides, so upper bound claims
+are never helped by it.
 
 Reports serialize to a versioned JSON document. Wall-clock data stays out of
 the payload unless explicitly requested, keeping reruns byte-identical.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import binom, eval_jacobi, gamma, gammaln
@@ -74,21 +76,25 @@ SUITES = ("identities", "sharp-constants", "standard-estimates", "domination",
           "lemma-ratios", "lp-sweep", "all")
 
 
-# the largest band distance, the finest band kept, and how many times more
-# pairs per band the refined sweep takes
+# the largest band distance, the finest band kept, and the sweeps' time grid
+# density in points per decade
 _D_MAX = math.pi / 2.0
 _GUARD = 1.5e-2
-_REFINE = 2
+_DENSITY = 16
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Geometry of a kernel-estimate sweep.
 
-    Distances run over `levels` dyadic bands below pi/2; each band carries
-    2 * n_theta pairs with log-spaced first coordinates accumulating at both
-    interval endpoints. Bands finer than 1.5e-2 are skipped: there the
-    truncated time integral no longer resolves the near-diagonal kernel.
+    Distances run over `levels` dyadic bands below pi/2. A band's first
+    coordinates run over two mirrored half bands of n_theta log-spaced
+    points each, accumulating at both interval endpoints; the two share the
+    band's midpoint, so a band holds 2 * n_theta - 1 pairs. The refined
+    sweep puts the geometric midpoint between each two adjacent points of a
+    half band, so it holds every base pair, bit for bit. Bands finer than
+    1.5e-2 are skipped: there the truncated time integral no longer resolves
+    the near-diagonal kernel.
     """
 
     n_theta: int = 12
@@ -97,35 +103,66 @@ class SweepSpec:
     t_max: float = 40.0
 
     def tgrid(self) -> TGrid:
-        return TGrid(self.t_min, self.t_max)
+        """The time grid at 16 points per decade; a range that misses the
+        grid's check there takes the default density, which refines itself."""
+        try:
+            return TGrid(self.t_min, self.t_max, _DENSITY)
+        except ValueError:
+            return TGrid(self.t_min, self.t_max)
 
     def truncation(self) -> TruncationConfig:
         return TruncationConfig(t_floor=self.t_min)
 
     def refined(self) -> "SweepSpec":
-        return replace(self, n_theta=self.n_theta * _REFINE)
+        return _RefinedSweep(self.n_theta, self.levels, self.t_min, self.t_max)
 
     def distances(self) -> list[float]:
-        """The distance of each usable dyadic band; a band has 2 * n_theta pairs."""
+        """The distance of each usable dyadic band."""
         return [d for d in (_D_MAX * 2.0 ** (-j) for j in range(self.levels)) if d >= _GUARD]
 
+    def _half_band(self, d: float) -> np.ndarray:
+        """The lower half band's first coordinates, ascending to the midpoint."""
+        return np.geomspace(min(_GUARD, 0.2 * (math.pi - d)), 0.5 * (math.pi - d),
+                            self.n_theta)
+
     def bands(self):
-        """Yields (distance, theta, phi) per usable dyadic band."""
+        """Yields (distance, theta, phi) per usable dyadic band, theta ascending."""
         for d in self.distances():
-            lo = min(_GUARD, 0.2 * (math.pi - d))
-            mid = 0.5 * (math.pi - d)
-            left = np.geomspace(lo, mid, self.n_theta)
-            theta = np.concatenate([left, (math.pi - d) - left])
-            theta = np.clip(theta, 1e-12, math.pi - d - 1e-12)
+            half = self._half_band(d)
+            theta = np.clip(_mirror(half, (math.pi - d) - half), 1e-12, math.pi - d - 1e-12)
             yield d, theta, theta + d
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(distance, theta, phi) per pair: every band of this sweep, then
-        every band of the refined one, concatenated."""
-        bands = [b for s in (self, self.refined()) for b in s.bands()]
+        """(distance, theta, phi) per pair of the refined sweep, band after
+        band; the base sweep's pairs are among them (see _base_mask)."""
+        bands = list(self.refined().bands())
         return (np.concatenate([np.full(th.size, d) for d, th, _ in bands]),
                 np.concatenate([th for _, th, _ in bands]),
                 np.concatenate([ph for _, _, ph in bands]))
+
+    def _base_mask(self) -> np.ndarray:
+        """Which pairs of a band of pairs() the base sweep holds: every second
+        point of each refined half band."""
+        every_second = np.arange(2 * self.n_theta - 1) % 2 == 0
+        return _mirror(every_second, every_second)
+
+
+class _RefinedSweep(SweepSpec):
+    """The refined sweep of a SweepSpec with the same fields."""
+
+    def _half_band(self, d: float) -> np.ndarray:
+        base = super()._half_band(d)
+        half = np.empty(2 * base.size - 1)
+        half[0::2] = base
+        half[1::2] = np.sqrt(base[:-1] * base[1:])
+        return half
+
+
+def _mirror(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A lower half band and the mirror images `upper` of its points: a half
+    band of two or more points ends at the midpoint, where its mirror image
+    starts, and that pair is kept once."""
+    return np.concatenate([lower, upper[::-1][1 if lower.size > 1 else 0:]])
 
 
 QUICK_SWEEP = SweepSpec(n_theta=6, levels=5)
@@ -195,26 +232,35 @@ def ratio_sweep_report(claim: str, r: np.ndarray, spec: SweepSpec,
     maxima and the sup of each sweep.
 
     Passes when both sups are finite and the refined one stays within a
-    factor 2 of the base one. The drift is NaN when a ratio is, 1 when both
-    sups are 0 and infinite when only the refined one is positive.
+    factor 2 of the base one; it holds the base pairs, so the drift is at
+    least 1. The drift is NaN when a ratio is, 1 when both sups are 0 and
+    infinite when only the refined one is positive.
     """
     distances = spec.distances()
-    size = 2 * spec.n_theta
-    base = size * len(distances)
-    if len(r) != base * (1 + _REFINE):
-        raise ValueError(f"{len(r)} ratios for the sweep's {base * (1 + _REFINE)} pairs")
-    levels = [{"distance": d, "pairs": size, "max_ratio": float(np.max(r[lo:lo + size]))}
-              for d, lo in zip(distances, range(0, base, size))]
-    constant, refined, top = (float(np.max(x)) for x in (r[:base], r[base:], r))
+    mask = spec._base_mask()
+    size = len(distances) * mask.size
+    if len(r) != size:
+        raise ValueError(f"{len(r)} ratios for the sweep's {size} pairs")
+    base = np.reshape(r, (len(distances), -1))[:, mask]
+    levels = [{"distance": d, "pairs": base.shape[1], "max_ratio": float(np.max(b))}
+              for d, b in zip(distances, base)]
+    constant, top = float(np.max(base)), float(np.max(r))
     if math.isnan(top):
         drift = math.nan
     elif constant > 0.0:
-        drift = refined / constant
+        drift = top / constant
     else:
-        drift = math.inf if refined > 0.0 else 1.0
+        drift = math.inf if top > 0.0 else 1.0
     return EstimateReport(claim=claim, passed=math.isfinite(top) and 0.5 < drift < 2.0,
                           constant=top, drift=drift, levels=levels,
                           details=details or {})
+
+
+def _full(profile: str) -> bool:
+    """Whether a profile is the full one; any but "quick" and "full" raises."""
+    if profile not in ("quick", "full"):
+        raise ValueError("profile must be 'quick' or 'full'")
+    return profile == "full"
 
 
 def _tolerance_report(claim: str, errors, tol: float, **details) -> EstimateReport:
@@ -469,7 +515,7 @@ def check_chain_routes(params: JacobiParams) -> EstimateReport:
 
 
 def check_identities(params: JacobiParams, profile: str = "quick") -> list[EstimateReport]:
-    nmax = 20 if profile == "full" else 12
+    nmax = 20 if _full(profile) else 12
     out = check_orthonormality(params, nmax=nmax)
     out.append(check_eigen_residuals(params))
     out.append(check_conjugation(params))
@@ -577,11 +623,11 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
     order N reads chain N+1, the smoothness ratios reuse it at the unmoved
     points); each moved point set takes one more.
     """
-    suite = _standard_estimates(params, spec, profile)
+    suite = _standard_estimates(params, spec, _full(profile))
     return _sweep_step(params, spec, [("standard-estimates", suite)])
 
 
-def _standard_estimates(params: JacobiParams, spec: SweepSpec, profile: str):
+def _standard_estimates(params: JacobiParams, spec: SweepSpec, full: bool):
     tg, cfg = spec.tgrid(), spec.truncation()
     d, theta, phi = spec.pairs()
     odd = poisson_kernel(params, "odd")
@@ -615,7 +661,7 @@ def _standard_estimates(params: JacobiParams, spec: SweepSpec, profile: str):
     moves = (("smooth-first-quarter", 0.25, theta + 0.25 * d, phi),
              ("smooth-first-eighth", 0.125, theta + 0.125 * d, phi),
              ("smooth-second-quarter", 0.25, theta, phi - 0.25 * d),
-             ) if profile == "full" else ()
+             ) if full else ()
     moved = [eval_kernels([(kernel_derivative(odd, *key), tg.nodes) for key in vectors],
                           th, ph, cfg) for _, _, th, ph in moves]
     for i, (N, M, route) in enumerate(vectors):
@@ -694,13 +740,13 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
     inverse ball measure, optionally with a distance gain: every instance in
     the full profile, the first of each group in the quick one. One pass
     evaluates the distinct partial derivatives on the sweep."""
-    suite = _lemma_instances(params, spec, profile)
+    suite = _lemma_instances(params, spec, _full(profile))
     return _sweep_step(params, spec, [("lemma-ratios", suite)])
 
 
-def _lemma_instances(params: JacobiParams, spec: SweepSpec, profile: str):
+def _lemma_instances(params: JacobiParams, spec: SweepSpec, full: bool):
     instances = LEMMA_INSTANCES
-    if profile != "full":
+    if not full:
         first = {}
         for inst in LEMMA_INSTANCES:
             first.setdefault(inst[0], inst)
@@ -810,10 +856,9 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
     exponent and power weights (r, s)."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
-    if profile not in ("quick", "full"):
-        raise ValueError("profile must be 'quick' or 'full'")
+    full = _full(profile)
     if spec is None:
-        spec = FULL_SWEEP if profile == "full" else QUICK_SWEEP
+        spec = FULL_SWEEP if full else QUICK_SWEEP
     clock = {}
 
     def timed(name, fn):
@@ -833,12 +878,12 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         reports += timed("ball-comparability",
                          lambda: check_ball_comparability(
                              params, spec,
-                             xis=(1.0,) if profile == "quick" else (0.5, 1.0, 2.0)))
+                             xis=(0.5, 1.0, 2.0) if full else (1.0,)))
     # the sweep suites share one kernel call; their entries time their reductions
     sweeps = [(name, gen) for name, gen in (
-        ("standard-estimates", _standard_estimates(params, spec, profile)),
+        ("standard-estimates", _standard_estimates(params, spec, full)),
         ("domination", _domination(params, spec)),
-        ("lemma-ratios", _lemma_instances(params, spec, profile)),
+        ("lemma-ratios", _lemma_instances(params, spec, full)),
     ) if suite in (name, "all")]
     if sweeps:
         reports += _sweep_step(params, spec, sweeps, timed)

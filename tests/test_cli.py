@@ -279,12 +279,12 @@ class TestVerifyCommand:
         assert json.loads(out)["passed"]
 
     def test_far_time_range_exits_2_before_any_check(self, monkeypatch, capsys):
-        # from t_min of about 8 on, the log-uniform nodes cannot resolve
+        # from t_min of about 20 on, the log-uniform nodes cannot resolve
         # e^{-2t}; the sweep's grid is built before the first suite runs
         ran = []
         monkeypatch.setattr(verify, "check_identities",
                             lambda *a, **k: ran.append(a) or [])
-        rc = cli.main(["verify", "all", "--profile", "quick", "--t-min", "10"])
+        rc = cli.main(["verify", "all", "--profile", "quick", "--t-min", "20"])
         err = capsys.readouterr().err
         assert rc == 2 and not ran
         assert "quadrature check" in err

@@ -21,6 +21,7 @@ from trigjacobi.kernels import (
     KernelHandle,
     TruncationConfig,
     TruncationError,
+    eval_kernels,
     kernel_derivative,
     partial_derivative_kernel,
     poisson_kernel,
@@ -324,6 +325,30 @@ class TestTruncation:
         for h in handles:
             assert cfg.series_length(h.table_params, cfg.t_floor, h.orders) <= cfg.n_cap
 
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    def test_lemma_partials_hold_their_tail_without_the_shift(self, a, b):
+        # the shift enters the truncation exponent once, through the shifted
+        # parameters; the quick lemma partials at the sweep's t_min then
+        # differ from a series 1.5x longer (or more) by at most eps_tail
+        # times the sum of the absolute values of their terms, here bounded
+        # below by that of their first 600 terms
+        from test_kernel_stream import reference
+
+        p, t = JacobiParams(a, b), np.array([5e-3])
+        _, theta, phi = verify.QUICK_SWEEP.pairs()
+        cfg = verify.QUICK_SWEEP.truncation()
+        handles = [partial_derivative_kernel(p, 1, *key)
+                   for key in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))]
+        for h in handles:
+            assert h.orders == h.L + h.N + h.M
+        n = max(cfg.series_length(h.table_params, t[0], h.orders) for h in handles)
+        got = eval_kernels([(h, t) for h in handles], theta, phi, cfg)
+        longer = eval_kernels([(h, t) for h in handles], theta, phi,
+                              FixedLength(n=3 * n // 2))
+        for h, short, long_ in zip(handles, got, longer):
+            _, scale = reference(h, 600, theta, phi, t)
+            assert np.all(np.abs(short - long_) <= cfg.eps_tail * scale), h
+
     def test_tail_bound_is_honest(self):
         # doubling the computed length must not change the kernel beyond eps
         p = JacobiParams(1.5, -0.7)
@@ -368,7 +393,7 @@ class TestIntegratedKernels:
 
     def test_laplace_profile_multiplier(self):
         # profile phi = 1 gives -int d_t K_t dt = K_{t_min} - K_{t_max} exactly;
-        # at the default 32 points per decade the quadrature misses rtol 1e-6
+        # at 16 points per decade the quadrature misses rtol 1e-6 (3.4e-6)
         p = JacobiParams(0.0, 0.0)
         h = poisson_kernel(p, "even")
         grid = TGrid(5e-3, 30.0, points_per_decade=64)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from trigjacobi.basis import (
     JACOBI_FN,
@@ -117,10 +118,11 @@ class TestTGrid:
         with pytest.raises(ValueError):
             TGrid(t_min=1e-4, t_max=40.0, points_per_decade=4)
 
-    @pytest.mark.parametrize("t_max", [2.0, 4.0, 5.0])
-    def test_short_range_doubles_its_density(self, t_max):
-        # 32 per decade misses the check here by about 2.7x; 64 passes
-        g = TGrid(0.01, t_max)
+    @pytest.mark.parametrize("t_min", [3.0, 4.0, 5.0])
+    def test_short_range_doubles_its_density(self, t_min):
+        # on less than a decade far out in t, 32 per decade misses the check
+        # by 1.4x to 14x; 64 passes
+        g = TGrid(t_min, 40.0)
         assert g.points_per_decade == 64
         W = 2.0
         got = g.integrate(np.exp(-2.0 * g.nodes), W)
@@ -136,10 +138,10 @@ class TestTGrid:
 
     def test_raises_once_doublings_run_out(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_DOUBLINGS", 1)
-        assert TGrid(0.01, 2.0).points_per_decade == 64
+        assert TGrid(5.0, 40.0).points_per_decade == 64
         monkeypatch.setattr(quadrature, "_DOUBLINGS", 0)
         with pytest.raises(ValueError, match="quadrature check"):
-            TGrid(0.01, 2.0)
+            TGrid(5.0, 40.0)
 
     def test_far_range_checks_against_its_closed_form(self):
         # both lower incomplete Gammas round to 1 out here; the check's
@@ -193,6 +195,55 @@ class TestTGrid:
         assert out.shape == (2,)
         want = [self._truncated_gamma(g, 1.0, 1.0), self._truncated_gamma(g, 1.0, 2.0)]
         assert_allclose(out, want, rtol=1e-6)
+
+    def test_end_rule_order(self):
+        # Gregory's end corrections through fifth differences: halving the
+        # step (8 to 16 points per decade on [5e-3, 40], 31 to 62 steps)
+        # cuts the error of the grid's own check integrals at least 32-fold,
+        # and at 16 per decade it is within 1e-9
+        grids = [TGrid(5e-3, 40.0, 8), TGrid(5e-3, 40.0, 16)]
+        assert [g.nodes.size - 1 for g in grids] == [31, 62]
+        coarse, fine = ([abs(g.integrate(np.exp(-2.0 * g.nodes), W)
+                             / self._truncated_gamma(g, W, 2.0) - 1.0) for W in (1.0, 2.0)]
+                        for g in grids)
+        for c, f in zip(coarse, fine):
+            assert f <= c / 32.0
+        assert max(fine) <= 1e-9
+
+    @pytest.mark.parametrize("c", [-1.0, 0.37])
+    def test_l1_norm_splits_at_the_sign_change(self, c):
+        # |f| has a kink at t = e^c, between two nodes; the rule on |f|
+        # alone misses the integral by over 2e-4 at 16 points per decade
+        g = TGrid(5e-3, 40.0, 16)
+        f = (np.log(g.nodes) - c) * np.exp(-g.nodes)
+        want = quad(lambda t: abs(math.log(t) - c) * math.exp(-t), g.t_min, g.t_max,
+                    points=[math.exp(c)], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(g.integrate(np.abs(f), 1.0) / want - 1.0) > 2e-4
+        assert abs(t_norm(g, f, 1) / want - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("d", [0.0123, 0.3, 1.7])
+    def test_sup_norm_interpolates_the_peak(self, d):
+        # t / (t^2 + d^2) peaks at t = d with 1 / (2d), between two nodes;
+        # the grid maximum alone is 1.4e-4 to 6.4e-4 low
+        g = TGrid(5e-3, 40.0, 16)
+        f = g.nodes / (g.nodes**2 + d * d)
+        got = t_norm(g, np.stack([f, -f]), math.inf)
+        assert np.all(got >= np.max(f))
+        assert_allclose(got, 0.5 / d, rtol=1e-6)
+
+    def test_sup_norm_keeps_the_grid_maximum(self):
+        g = TGrid(5e-3, 40.0, 16)
+        f = np.exp(-g.nodes)
+        # a maximum at an end node, or next to a zero sample, is the grid's
+        peaked = g.nodes / (g.nodes**2 + 0.09)
+        peaked[np.argmax(peaked) + 1] = 0.0
+        got = t_norm(g, np.stack([f, peaked, -f[::-1]]), math.inf)
+        assert np.array_equal(got, [f[0], np.max(peaked), f[0]])
+        # a NaN sample anywhere makes the sup NaN
+        for i in (0, 20, f.size - 1):
+            bad = f.copy()
+            bad[i] = np.nan
+            assert math.isnan(t_norm(g, bad, math.inf))
 
     def test_t_norm_modes(self):
         g = TGrid()

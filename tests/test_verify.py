@@ -10,10 +10,12 @@ from scipy.special import eval_jacobi
 import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
-from trigjacobi.kernels import DEFAULT_TRUNCATION, partial_derivative_kernel, poisson_kernel
+from trigjacobi.kernels import (DEFAULT_TRUNCATION, eval_kernels, kernel_derivative,
+                                partial_derivative_kernel, poisson_kernel)
 from trigjacobi.measure import PowerWeight, ball_measure
 from trigjacobi.quadrature import gauss_jacobi_grid
 from trigjacobi.verify import (
+    FULL_SWEEP,
     LEMMA_INSTANCES,
     QUICK_SWEEP,
     SweepSpec,
@@ -39,8 +41,8 @@ from trigjacobi.verify import (
 P = JacobiParams(1.5, -0.7)
 ALL_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
 
-# three dyadic bands, six pairs each: enough to exercise every code path
-# while keeping the series work small
+# three dyadic bands of five pairs each, nine in the refined sweep: enough
+# to exercise every code path while keeping the series work small
 TEST_SWEEP = SweepSpec(n_theta=3, levels=3)
 
 
@@ -143,9 +145,89 @@ class TestSweepContract:
         rep = ratio_sweep_report("probe", r, TEST_SWEEP)
         assert rep.passed and rep.drift == 1.0 and rep.constant == 0.0
         # only the refined sweep sees a nonzero ratio: no convergence shown
-        r[-1] = 1.0
+        _, theta, phi = TEST_SWEEP.pairs()
+        base = {(t, p) for _, th, ph in TEST_SWEEP.bands() for t, p in zip(th, ph)}
+        r[[i for i, pair in enumerate(zip(theta, phi)) if pair not in base][-1]] = 1.0
         rep = ratio_sweep_report("probe", r, TEST_SWEEP)
         assert not rep.passed and rep.drift == math.inf
+
+
+class TestNestedSweeps:
+    """The refined sweep holds the base one, and pairs() is its union."""
+
+    SPECS = [QUICK_SWEEP, FULL_SWEEP, TEST_SWEEP, SweepSpec(n_theta=1, levels=1)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_every_base_pair_is_a_refined_pair(self, spec):
+        refined = {(t, p) for _, th, ph in spec.refined().bands()
+                   for t, p in zip(th.tolist(), ph.tolist())}
+        for _, th, ph in spec.bands():
+            assert set(zip(th.tolist(), ph.tolist())) <= refined
+
+    def test_refined_points_are_geometric_midpoints(self):
+        for _, theta, _ in FULL_SWEEP.refined().bands():
+            half = theta[:2 * FULL_SWEEP.n_theta - 1]
+            np.testing.assert_allclose(half[1::2] ** 2, half[:-1:2] * half[2::2],
+                                       rtol=1e-14)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_pairs_are_the_refined_bands_each_once(self, spec):
+        d, theta, phi = spec.pairs()
+        assert len(set(zip(theta.tolist(), phi.tolist()))) == theta.size
+        bands = list(spec.refined().bands())
+        assert np.array_equal(np.concatenate([th for _, th, _ in bands]), theta)
+        assert np.array_equal(np.concatenate([ph for _, _, ph in bands]), phi)
+        assert np.array_equal(np.concatenate([np.full(th.size, dist)
+                                              for dist, th, _ in bands]), d)
+
+    def test_pair_counts(self):
+        # a band holds 2 n - 1 base pairs and 4 n - 3 refined ones
+        assert QUICK_SWEEP.pairs()[0].size == 5 * 21 == 105
+        assert FULL_SWEEP.pairs()[0].size == 6 * 45 == 270
+        assert [lv["pairs"] for lv in check_ball_comparability(P, QUICK_SWEEP)[0].levels] == [11] * 5
+
+
+def parent_layout(spec):
+    """(distance, theta, phi) of each pair as the sweeps were laid out before
+    the refinement was nested: a band's two half bands of n_theta points in
+    full, their shared midpoint twice; every band of the base sweep, then
+    every band of a sweep with 2 n_theta."""
+    out = []
+    for n in (spec.n_theta, 2 * spec.n_theta):
+        for d in spec.distances():
+            left = np.geomspace(min(1.5e-2, 0.2 * (math.pi - d)), 0.5 * (math.pi - d), n)
+            theta = np.clip(np.concatenate([left, (math.pi - d) - left]),
+                            1e-12, math.pi - d - 1e-12)
+            out.append((np.full(theta.size, d), theta, theta + d))
+    return [np.concatenate(x) for x in zip(*out)]
+
+
+@pytest.mark.parametrize("ab", ALL_PAIRS)
+def test_base_levels_equal_the_parent_layout(ab):
+    # the quick sweep claims that read no time grid: their base band maxima
+    # are those of the layout before nesting, evaluated in one call as it
+    # was, bit for bit
+    params, spec = JacobiParams(*ab), QUICK_SWEEP
+    d, theta, phi = parent_layout(spec)
+    odd = poisson_kernel(params, "odd")
+    ts, atom = 0.01 * 2.0 ** np.arange(11), np.array([1.0])
+    even, o, size, slope = eval_kernels(
+        [(poisson_kernel(params, "even"), ts), (odd, ts), (odd, atom),
+         (kernel_derivative(odd, 1, 0), atom)], theta, phi, spec.truncation())
+    mb = ball_measure(params, theta, d)
+    up = ball_measure(JacobiParams(params.alpha + 1.0, params.beta + 1.0), theta, d) / (
+        ((theta + phi) * (2.0 * math.pi - theta - phi)) ** 2.0 * mb)
+    ratios = {"odd-dominated-by-even": np.max(np.abs(o) / even, axis=-1),
+              "multiplier-kernel-single-atom/growth": np.abs(size[:, 0]) * mb,
+              "multiplier-kernel-single-atom/gradient": np.abs(slope[:, 0]) * mb * d,
+              "ball-comparability-upper/xi1": up,
+              "ball-comparability-lower/xi1": 1.0 / up}
+    checks = {c["claim"]: c for c in run_suite("all", params, "quick")["checks"]}
+    band = 2 * spec.n_theta
+    for claim, r in ratios.items():
+        want = [(dist, float(np.max(r[i * band:(i + 1) * band])))
+                for i, dist in enumerate(spec.distances())]
+        assert [(lv["distance"], lv["max_ratio"]) for lv in checks[claim]["levels"]] == want
 
 
 class TestBallComparability:
@@ -599,3 +681,11 @@ class TestReports:
             run_suite("nonsense", P)
         with pytest.raises(ValueError):
             run_suite("identities", P, profile="slow")
+
+    @pytest.mark.parametrize("check", [check_standard_estimates, check_lemma_instances])
+    def test_sweep_checks_reject_an_unknown_profile(self, check):
+        # "ful" is not read as the quick profile
+        with pytest.raises(ValueError, match="profile must be 'quick' or 'full'"):
+            check(P, TEST_SWEEP, "ful")
+        with pytest.raises(ValueError, match="profile must be 'quick' or 'full'"):
+            run_suite("all", P, profile="ful")
