@@ -242,6 +242,12 @@ def _eval_kernel(cfg: RunConfig) -> str:
                      ((a, b, cfg.t, v) for a, b, v in zip(theta, phi, values)))
 
 
+def _time_bounds(cfg: RunConfig) -> dict:
+    """The time bounds the run was given, by field name; the others keep
+    their defaults."""
+    return {k: v for k, v in (("t_min", cfg.t_min), ("t_max", cfg.t_max)) if v is not None}
+
+
 def _eval_operator(cfg: RunConfig) -> str:
     params = JacobiParams(cfg.alpha, cfg.beta)
     tag = SETTING_MAP[cfg.setting]
@@ -253,16 +259,13 @@ def _eval_operator(cfg: RunConfig) -> str:
     elem = BasisElement(params, cfg.n, TAG_KINDS[tag])
     f = grid_function(grid, lambda th: eval_basis(elem, th))
 
-    tgrid = None
-    if cfg.t_min is not None or cfg.t_max is not None:
-        tgrid = TGrid(1e-4 if cfg.t_min is None else cfg.t_min,
-                      40.0 if cfg.t_max is None else cfg.t_max)
+    bounds = _time_bounds(cfg)
     multiplier = None
     if cfg.atom_t is not None:
         weights = cfg.atom_w if cfg.atom_w else (1.0,) * len(cfg.atom_t)
         multiplier = DiscreteMeasure(cfg.atom_t, tuple(weights))
     spec = OperatorSpec(cfg.kind, t=cfg.t, N=cfg.N, M=cfg.M,
-                        multiplier=multiplier, tgrid=tgrid)
+                        multiplier=multiplier, tgrid=TGrid(**bounds) if bounds else None)
 
     if cfg.setting in ("poly-sym", "fn-sym"):
         g = apply_operator(spec, f, nmax)
@@ -278,13 +281,7 @@ def _eval_operator(cfg: RunConfig) -> str:
 def _run_verify(cfg: RunConfig) -> tuple[str, int]:
     params = JacobiParams(cfg.alpha, cfg.beta)
     spec = FULL_SWEEP if cfg.profile == "full" else QUICK_SWEEP
-    overrides = {}
-    if cfg.t_min is not None:
-        overrides["t_min"] = cfg.t_min
-    if cfg.t_max is not None:
-        overrides["t_max"] = cfg.t_max
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = dataclasses.replace(spec, **_time_bounds(cfg))
     ngrid = cfg.grid or 1024
     lp = {}
     if any(v is not None for v in (cfg.p, cfg.weight_r, cfg.weight_s)):

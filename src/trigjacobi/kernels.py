@@ -42,14 +42,13 @@ class TruncationError(ValueError):
 class TruncationConfig:
     eps_tail: float = 1e-10
     n_cap: int = 65536
-    t_floor: float = 5e-3
 
     def __post_init__(self):
         # NaN fails every check
         if not 0.0 < self.eps_tail < 1.0:
             raise ValueError(f"eps_tail must lie in (0, 1), got {self.eps_tail!r}")
-        if not (self.t_floor > 0.0 and self.n_cap >= 1):
-            raise ValueError(f"need t_floor > 0, n_cap >= 1: {self.t_floor!r}, {self.n_cap!r}")
+        if not self.n_cap >= 1:
+            raise ValueError(f"need n_cap >= 1, got {self.n_cap!r}")
 
     def series_length(self, params: JacobiParams, t: float, orders: int) -> int:
         """Smallest n with e^{-tn} (n+1)^q below eps_tail.
@@ -57,14 +56,18 @@ class TruncationConfig:
         q = 2 max(alpha,beta) + 2 + orders majorizes the sup growth of the
         summands including norm constants and the derivative powers of the
         eigenvalues. Solved by a fixed point of n = (q log n - log eps)/t.
+        n_cap is the only limit on t: a series that needs more terms raises
+        TruncationError, before the iteration already where t n_cap <= -log
+        eps, as e^{-tn} alone stays above eps_tail through n_cap there.
         """
         if not 0.0 < t < math.inf:  # NaN fails too
             raise ValueError(f"t must be positive and finite, got {float(t)!r}")
-        if t < self.t_floor:
-            raise TruncationError(
-                f"t={t} is below the configured floor {self.t_floor}")
-        q = max(2.0 * max(params.alpha, params.beta) + 2.0 + orders, 0.5)
         log_eps = math.log(self.eps_tail)
+        if t * self.n_cap <= -log_eps:
+            raise TruncationError(
+                f"series needs more than n_cap={self.n_cap} terms at t={t}; "
+                "raise n_cap or t")
+        q = max(2.0 * max(params.alpha, params.beta) + 2.0 + orders, 0.5)
         n = max(-log_eps / t, 10.0)
         for _ in range(60):
             n_next = (q * math.log(n + 1.0) - log_eps) / t
@@ -75,8 +78,8 @@ class TruncationConfig:
         n = int(math.ceil(n)) + 1
         if n > self.n_cap:
             raise TruncationError(
-                f"series needs {n} terms at t={t}, cap is {self.n_cap}; "
-                "raise n_cap or t")
+                f"series needs {n} terms at t={t}, more than "
+                f"n_cap={self.n_cap}; raise n_cap or t")
         return n
 
 

@@ -13,11 +13,12 @@ scaled by a function of the speed sqrt(lambda_n). Rows are read by index
 array from basis_matrix, one call for the sources and their images unless
 the chain shifts the parameters; speeds and ladder images are array
 arithmetic. Maximal and square operators share one time trajectory on a
-TGrid and its t-norm.
+TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,8 +211,9 @@ def _act(spec: OperatorSpec, f: GridFunction, setting: str,
     V = (coefs * F)[:, None] * V
     field = np.exp(-np.outer(tgrid.nodes, z)) @ V
     if spec.kind == "maximal":
-        # the t -> 0 limit of the trajectory is the (band-limited) function
-        return GridFunction(f.grid, np.maximum(np.max(np.abs(field), axis=0),
+        # the sup over the grid's times, as the p = inf t-norm reads it, and
+        # the t -> 0 limit of the trajectory, the (band-limited) function
+        return GridFunction(f.grid, np.maximum(t_norm(tgrid, field.T, math.inf),
                                                np.abs(np.sum(V, axis=0))))
     return GridFunction(f.grid, t_norm(tgrid, field.T, 2, W=2.0 * spec.M + 2.0 * spec.N))
 

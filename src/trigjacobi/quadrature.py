@@ -10,10 +10,10 @@ Time grids are log-uniform in u = log t, with trapezoid weights and
 Gregory's end corrections through fifth differences, which make the rule
 sixth order at the ends of a smooth integrand: 16 points per decade on
 [5e-3, 40] integrate the grid's own check within 2e-10. Each constructed
-grid is checked against a closed-form incomplete-Gamma integral. A grid at
-the default density or above that fails the check doubles its density, up
-to three times; a grid that still fails, or a coarser one that fails, is
-rejected.
+grid is checked against a closed-form incomplete-Gamma integral. Every grid
+starts at 16 points per decade unless asked for another density; one that
+fails the check doubles its density, up to four times, and one that still
+fails is rejected.
 
 t_norm reads samples on a grid. The L^1 norm integrates |f| and corrects the
 rule at each sign change of f, where |f| has a kink that the rule does not
@@ -42,9 +42,9 @@ TAG_KINDS = {"mu_plus": TRIG_POLY, "theta_plus": JACOBI_FN,
              "mu_full": SYM_POLY, "theta_full": SYM_FN}
 
 # time grids: the default density in points per decade, and how many times a
-# grid at that density or above may double it to pass its quadrature check
-_DENSITY = 32
-_DOUBLINGS = 3
+# grid may double its density to pass its quadrature check
+_DENSITY = 16
+_DOUBLINGS = 4
 # Gregory's end corrections through fifth differences, coefficients 1/12,
 # 1/24, 19/720, 3/160 and 863/60480 (Fornberg, SIAM Review 63, 2021),
 # written as weights on the six nodes nearest an end
@@ -112,11 +112,11 @@ class TGrid:
             raise ValueError(f"time range [{self.t_min:g}, {self.t_max:g}] is too wide")
         if self.points_per_decade < 4:
             raise ValueError("points_per_decade must be at least 4")
-        # a short range can miss the check at the default density: double it
+        # a short range can miss the check: double the density
         # (points_per_decade records the density used) a few times before
-        # giving up; a coarser density is checked as given
+        # giving up
         failure = self._build()
-        for _ in range(_DOUBLINGS if self.points_per_decade >= _DENSITY else 0):
+        for _ in range(_DOUBLINGS):
             if failure is None:
                 break
             object.__setattr__(self, "points_per_decade", 2 * self.points_per_decade)

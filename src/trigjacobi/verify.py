@@ -16,7 +16,7 @@ Size and smoothness estimates are swept over dyadic bands of the distance
 the measure degenerates. A check computes its ratios as arrays on
 SweepSpec.pairs(), each pair of the refined sweep once; the kernel sweeps of
 a run evaluate every kernel family they need in one call. Time integrals run
-over a validated log grid of 16 points per decade; the truncation to
+over a validated log grid (quadrature.TGrid); the truncation to
 [t_min, t_max] only underestimates left-hand sides, so upper bound claims
 are never helped by it.
 
@@ -76,11 +76,9 @@ SUITES = ("identities", "sharp-constants", "standard-estimates", "domination",
           "lemma-ratios", "lp-sweep", "all")
 
 
-# the largest band distance, the finest band kept, and the sweeps' time grid
-# density in points per decade
+# the largest band distance and the finest band kept
 _D_MAX = math.pi / 2.0
 _GUARD = 1.5e-2
-_DENSITY = 16
 
 
 @dataclass(frozen=True)
@@ -103,15 +101,12 @@ class SweepSpec:
     t_max: float = 40.0
 
     def tgrid(self) -> TGrid:
-        """The time grid at 16 points per decade; a range that misses the
-        grid's check there takes the default density, which refines itself."""
-        try:
-            return TGrid(self.t_min, self.t_max, _DENSITY)
-        except ValueError:
-            return TGrid(self.t_min, self.t_max)
+        """The time grid on [t_min, t_max] at TGrid's own density rule."""
+        return TGrid(self.t_min, self.t_max)
 
     def truncation(self) -> TruncationConfig:
-        return TruncationConfig(t_floor=self.t_min)
+        """The kernels' truncation: the default, whose term cap alone limits t."""
+        return DEFAULT_TRUNCATION
 
     def refined(self) -> "SweepSpec":
         return _RefinedSweep(self.n_theta, self.levels, self.t_min, self.t_max)
@@ -352,13 +347,14 @@ def check_sharp_constants(ngrid: int = 1024) -> list[EstimateReport]:
 
 
 def check_ball_comparability(params: JacobiParams, spec: SweepSpec,
-                             xis: tuple = (1.0,)) -> list[EstimateReport]:
+                             profile: str = "quick") -> list[EstimateReport]:
     """Shifted-parameter ball measures against the polynomial weight
-    ((theta+phi)(2 pi - theta - phi))^{2 xi}, two-sided."""
+    ((theta+phi)(2 pi - theta - phi))^{2 xi}, two-sided, at xi = 0.5, 1 and
+    2 in the full profile and xi = 1 in the quick one."""
     d, theta, phi = spec.pairs()
     base = ball_measure(params, theta, d)
     out = []
-    for xi in xis:
+    for xi in (0.5, 1.0, 2.0) if _full(profile) else (1.0,):
         up = ball_measure(JacobiParams(params.alpha + xi, params.beta + xi), theta, d)
         poly = ((theta + phi) * (2.0 * math.pi - theta - phi)) ** (2.0 * xi)
         ratio = up / (poly * base)
@@ -876,9 +872,7 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
     if suite in ("sharp-constants", "all"):
         reports += timed("sharp-constants", lambda: check_sharp_constants(ngrid))
         reports += timed("ball-comparability",
-                         lambda: check_ball_comparability(
-                             params, spec,
-                             xis=(0.5, 1.0, 2.0) if full else (1.0,)))
+                         lambda: check_ball_comparability(params, spec, profile))
     # the sweep suites share one kernel call; their entries time their reductions
     sweeps = [(name, gen) for name, gen in (
         ("standard-estimates", _standard_estimates(params, spec, full)),

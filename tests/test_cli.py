@@ -87,21 +87,25 @@ class TestEvalKernel:
         assert rc == 2
         assert err.startswith("config error:") and "eps_tail" in err
 
-    def test_default_time_floor_evaluates(self, capsys):
-        rc, out = run_cli(["eval", "kernel", "--kind", "even", "--t", "0.005",
+    @pytest.mark.parametrize("t", ["0.005", "1e-3"])
+    def test_small_time_evaluates(self, t, capsys):
+        # only the term cap limits t: the sweeps' t_min and below it evaluate
+        rc, out = run_cli(["eval", "kernel", "--kind", "even", "--t", t,
                            "--theta", "1.0", "--phi", "1.3"], capsys)
         assert rc == 0
         assert math.isfinite(float(data_rows(out)[0].split(",")[3]))
 
-    @pytest.mark.parametrize("t", ["1e-6", "1e-3"])
-    def test_below_time_floor_exit_3(self, t, capsys):
-        rc, _ = run_cli(["eval", "kernel", "--kind", "even", "--t", t,
-                         "--theta", "1.0", "--phi", "2.0"], capsys)
+    @pytest.mark.parametrize("t", ["1e-6", "1e-5"])
+    def test_beyond_the_term_cap_exit_3(self, t, capsys):
+        rc = cli.main(["eval", "kernel", "--kind", "even", "--t", t,
+                       "--theta", "1.0", "--phi", "2.0"])
+        err = capsys.readouterr().err
         assert rc == 3
+        assert err.startswith("numeric failure:") and "n_cap=65536" in err
 
     @pytest.mark.parametrize("t", ["-1", "0", "nan", "inf"])
     def test_time_not_positive_and_finite_exit_2(self, t, capsys):
-        # bad configuration, not a numeric failure below the floor
+        # bad configuration, not a numeric failure beyond the term cap
         rc = cli.main(["eval", "kernel", "--kind", "even", f"--t={t}",
                        "--theta", "1", "--phi", "2"])
         err = capsys.readouterr().err
@@ -275,6 +279,16 @@ class TestVerifyCommand:
         # the sweep's time grid refines itself instead of failing its check
         rc, out = run_cli(["verify", "all", "--profile", "quick",
                            "--t-min", "0.01", "--t-max", "2"], capsys)
+        assert rc == 0
+        assert json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("suite,t_min", [("all", "10"), ("all", "5"),
+                                             ("standard-estimates", "0.003")])
+    def test_time_ranges_the_sweeps_sample_run(self, suite, t_min, capsys):
+        # no floor above the sweep's own times: at t_min 10 the single-atom
+        # kernel at t = 1 and domination's dyadic times below 10 evaluate, and
+        # a first node that rounds below t_min (exp(log 5) < 5) evaluates too
+        rc, out = run_cli(["verify", suite, "--profile", "quick", "--t-min", t_min], capsys)
         assert rc == 0
         assert json.loads(out)["passed"]
 

@@ -8,6 +8,7 @@ term-wise ladder route against a derivative route that never sees it.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,18 +278,26 @@ class TestTruncation:
         ns = [cfg.series_length(p, t, 0) for t in (0.01, 0.1, 1.0, 10.0)]
         assert ns == sorted(ns, reverse=True)
 
-    def test_floor_and_cap(self):
+    def test_cap_limits_t(self):
         cfg = TruncationConfig(n_cap=200)
         p = JacobiParams(0.0, 0.0)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match="n_cap=200"):
             cfg.series_length(p, 1e-6, 0)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match="n_cap=200"):
             cfg.series_length(p, 0.01, 0)
+
+    @pytest.mark.parametrize("t", [1e-320, 5e-324, np.float64(5e-324)])
+    def test_tiny_t_raises_before_overflow(self, t):
+        # -log(eps) / t overflows here; the cap rejects such a t up front,
+        # so no RuntimeWarning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="n_cap"):
+                DEFAULT_TRUNCATION.series_length(JacobiParams(0.0, 0.0), t, 0)
 
     @pytest.mark.parametrize("field,value", [
         ("eps_tail", 0.0), ("eps_tail", -1.0), ("eps_tail", math.nan),
         ("eps_tail", 1.0), ("eps_tail", 2.0), ("eps_tail", math.inf),
-        ("t_floor", 0.0), ("t_floor", -5e-3), ("t_floor", math.nan),
         ("n_cap", 0), ("n_cap", -1)])
     def test_rejects_bad_fields_where_built(self, field, value):
         # a tail target of 1 or more would sum a handful of terms silently;
@@ -298,14 +307,14 @@ class TestTruncation:
         assert not isinstance(info.value, TruncationError)
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
-    def test_defaults_reach_their_own_floor(self, a, b, monkeypatch):
-        # the default cap covers every series the default floor allows: the
-        # plain orders 0-4, and every kernel the sweep checks build, among
-        # them the lemma ratios' partial derivatives at shifted parameters
-        cfg = TruncationConfig()
+    def test_default_cap_covers_the_sweep_kernels(self, a, b, monkeypatch):
+        # at the quick sweep's t_min the default cap covers the plain orders
+        # 0-4 and every kernel the sweep checks build, among them the lemma
+        # ratios' partial derivatives at shifted parameters
+        cfg, t_min = TruncationConfig(), verify.QUICK_SWEEP.t_min
         p = JacobiParams(a, b)
         for orders in range(5):
-            assert cfg.series_length(p, cfg.t_floor, orders) <= cfg.n_cap
+            assert cfg.series_length(p, t_min, orders) <= cfg.n_cap
 
         handles = []
 
@@ -323,7 +332,7 @@ class TestTruncation:
                  else "partial" if h.shift else h.route for h in handles}
         assert kinds == {"poisson", "ladder", "direct", "partial"}
         for h in handles:
-            assert cfg.series_length(h.table_params, cfg.t_floor, h.orders) <= cfg.n_cap
+            assert cfg.series_length(h.table_params, t_min, h.orders) <= cfg.n_cap
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_lemma_partials_hold_their_tail_without_the_shift(self, a, b):
@@ -359,10 +368,27 @@ class TestTruncation:
         b = h.eval_pairs([0.7], [1.9], [0.05], FixedLength(n=min(2 * n, 4000)))[0, 0]
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
+    @pytest.mark.parametrize("component,sign", [("even", 1.0), ("odd", -1.0)])
+    def test_below_the_sweep_grids_matches_the_closed_form(self, component, sign):
+        # at (-1/2, -1/2) the components are (P(theta - phi) +- P(theta + phi))
+        # / (4 pi) with the Poisson kernel P(x, t) = sinh t / (cosh t - cos x);
+        # below the sweeps' t_min only the term cap limits t, and the default
+        # one sums these series in full (the last pair is near the diagonal)
+        theta = np.array([0.3, 1.0, 0.05, 1.0])
+        phi = np.array([2.9, 2.0, 3.1, 1.01])
+        t = np.array([1e-3, 2e-3])
+        got = poisson_kernel(JacobiParams(-0.5, -0.5), component).eval_pairs(theta, phi, t)
+
+        def P(x):
+            return np.sinh(t) / (np.cosh(t) - np.cos(x)[:, None])
+
+        want = (P(theta - phi) + sign * P(theta + phi)) / (4.0 * math.pi)
+        assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
 
 # small-t series lengths explode like q/t, so time-integrated kernels run on
-# grids cut at 5e-3 with a raised term cap
-CFG_SWEEP = TruncationConfig(eps_tail=1e-10, n_cap=32768, t_floor=5e-3)
+# grids cut at 5e-3, where a cap of 32768 terms covers them
+CFG_SWEEP = TruncationConfig(eps_tail=1e-10, n_cap=32768)
 
 
 class TestIntegratedKernels:

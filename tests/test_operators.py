@@ -257,6 +257,20 @@ class TestMaximal:
             semi = apply_operator(OperatorSpec("semigroup", t=t), f, 10)
             assert np.all(out.values + 1e-12 >= np.abs(semi.values))
 
+    @pytest.mark.parametrize("tgrid", [None, TGrid(1e-3, 10.0)])
+    @pytest.mark.parametrize("seed", [3, 17, 31])
+    def test_never_below_the_grid_maximum(self, tgrid, seed):
+        # the sup over t reads the trajectory with the p = inf t-norm, whose
+        # interpolated peak is never below the largest sample
+        grid = gauss_jacobi_grid(PARAMS, ORDER, "mu_full")
+        f = band_limited(PARAMS, SYM_POLY, random_coefs(np.random.default_rng(seed), 16), grid)
+        spec = OperatorSpec("maximal", tgrid=tgrid)
+        E, F, z, V = spectral_table(spec, grid, (PARAMS, SYM_POLY, np.arange(17)))
+        coefs = (f.values * E) @ grid.weights
+        field = np.exp(-np.outer(spec.time_grid().nodes, z)) @ ((coefs * F)[:, None] * V)
+        out = apply_operator(spec, f, 16)
+        assert np.all(out.values >= np.max(np.abs(field), axis=0))
+
 
 class TestSquare:
     @pytest.mark.parametrize("params", [PARAMS, LEGENDRE])

@@ -114,14 +114,17 @@ class TestTGrid:
         with pytest.raises(ValueError):
             g.log_weights[0] = 1.0
 
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError):
-            TGrid(t_min=1e-4, t_max=40.0, points_per_decade=4)
+    def test_coarse_grid_doubles_its_density(self):
+        # 4 per decade misses the check on [1e-4, 40]; the one rule doubles
+        # every grid that misses, whatever density it starts from
+        g = TGrid(t_min=1e-4, t_max=40.0, points_per_decade=4)
+        assert g.points_per_decade == 8
+        assert np.array_equal(g.nodes, TGrid(1e-4, 40.0, 8).nodes)
 
     @pytest.mark.parametrize("t_min", [3.0, 4.0, 5.0])
     def test_short_range_doubles_its_density(self, t_min):
-        # on less than a decade far out in t, 32 per decade misses the check
-        # by 1.4x to 14x; 64 passes
+        # on less than a decade far out in t, 16 and 32 per decade miss the
+        # check; 64 passes
         g = TGrid(t_min, 40.0)
         assert g.points_per_decade == 64
         W = 2.0
@@ -133,13 +136,13 @@ class TestTGrid:
         assert np.array_equal(back.log_weights, g.log_weights)
 
     def test_passing_grid_keeps_its_density(self):
-        assert TGrid().points_per_decade == 32
-        assert TGrid(5e-3, 40.0).points_per_decade == 32
+        assert TGrid().points_per_decade == 16
+        assert TGrid(5e-3, 40.0).points_per_decade == 16
 
     def test_raises_once_doublings_run_out(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_DOUBLINGS", 1)
+        monkeypatch.setattr(quadrature, "_DOUBLINGS", 2)
         assert TGrid(5.0, 40.0).points_per_decade == 64
-        monkeypatch.setattr(quadrature, "_DOUBLINGS", 0)
+        monkeypatch.setattr(quadrature, "_DOUBLINGS", 1)
         with pytest.raises(ValueError, match="quadrature check"):
             TGrid(5.0, 40.0)
 

@@ -13,7 +13,7 @@ from trigjacobi.basis import JacobiParams
 from trigjacobi.kernels import (DEFAULT_TRUNCATION, eval_kernels, kernel_derivative,
                                 partial_derivative_kernel, poisson_kernel)
 from trigjacobi.measure import PowerWeight, ball_measure
-from trigjacobi.quadrature import gauss_jacobi_grid
+from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 from trigjacobi.verify import (
     FULL_SWEEP,
     LEMMA_INSTANCES,
@@ -232,12 +232,35 @@ def test_base_levels_equal_the_parent_layout(ab):
 
 class TestBallComparability:
     def test_two_sided_and_stable(self):
-        reports = check_ball_comparability(P, TEST_SWEEP, xis=(1.0,))
+        reports = check_ball_comparability(P, TEST_SWEEP, "quick")
         assert len(reports) == 2
         for r in reports:
             assert r.passed
             assert math.isfinite(r.constant)
             assert max(r.drift, 1.0 / r.drift) < 2.0
+
+    def test_the_profile_picks_the_exponents(self):
+        claims = [r.claim for r in check_ball_comparability(P, TEST_SWEEP, "full")]
+        assert claims == [f"ball-comparability-{side}/xi{tag}"
+                          for tag in ("0p5", "1", "2") for side in ("upper", "lower")]
+
+
+class TestSweepTimeGrid:
+    @pytest.mark.parametrize("spec", [QUICK_SWEEP, FULL_SWEEP])
+    def test_profiles_read_sixteen_per_decade(self, spec):
+        got, want = spec.tgrid(), TGrid(5e-3, 40.0, 16)
+        assert got.points_per_decade == 16 and got.nodes.size == 63
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.log_weights, want.log_weights)
+
+    @pytest.mark.parametrize("t_min,density", [(3.0, 64), (4.0, 64), (5.0, 64),
+                                               (10.0, 256)])
+    def test_short_ranges_refine_themselves(self, t_min, density):
+        assert SweepSpec(t_min=t_min).tgrid().points_per_decade == density
+
+    def test_truncation_is_the_default(self):
+        for t_min in (1e-3, 5e-3, 10.0):
+            assert SweepSpec(t_min=t_min).truncation() == DEFAULT_TRUNCATION
 
 
 class TestIdentitySuite:
@@ -682,7 +705,8 @@ class TestReports:
         with pytest.raises(ValueError):
             run_suite("identities", P, profile="slow")
 
-    @pytest.mark.parametrize("check", [check_standard_estimates, check_lemma_instances])
+    @pytest.mark.parametrize("check", [check_standard_estimates, check_lemma_instances,
+                                       check_ball_comparability])
     def test_sweep_checks_reject_an_unknown_profile(self, check):
         # "ful" is not read as the quick profile
         with pytest.raises(ValueError, match="profile must be 'quick' or 'full'"):
