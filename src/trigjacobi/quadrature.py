@@ -241,8 +241,8 @@ def _peak(a: np.ndarray) -> float | np.ndarray:
     k = np.argmax(a, axis=-1)[..., None]
     inner = np.clip(k, 2, a.shape[-1] - 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m2, m1, y, p1, p2 = (np.log(np.take_along_axis(a, inner + j, axis=-1))[..., 0]
-                             for j in (-2, -1, 0, 1, 2))
+        m2, m1, y, p1, p2 = np.moveaxis(
+            np.log(np.take_along_axis(a, inner + np.arange(-2, 3), axis=-1)), -1, 0)
         # the quartic's derivatives at the argmax, in units of the node step
         d1 = (8.0 * (p1 - m1) - (p2 - m2)) / 12.0
         d2 = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * y) / 12.0

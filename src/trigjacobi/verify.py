@@ -582,7 +582,8 @@ def check_spectral_identities(params: JacobiParams) -> list[EstimateReport]:
 
 def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateReport]:
     """Size of the odd component against the even one over distance bands and
-    dyadic times, plus positivity of the even component.
+    the dyadic times 0.01 * 2^k (k = 0-10) within [t_min, t_max], plus
+    positivity of the even component; `times` records how many.
 
     The gate is a finite ratio with stable refinement drift; the even kernel
     must stay nonnegative. The measured constant hovers near 1 but no unit
@@ -593,8 +594,19 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
     return _sweep_step(params, spec, [("domination", _domination(params, spec))])
 
 
-def _domination(params: JacobiParams, spec: SweepSpec):
+def _domination_times(spec: SweepSpec) -> np.ndarray:
+    """The dyadic times 0.01 * 2^k (k = 0-10) in the sweep's [t_min, t_max];
+    a range that holds none is bad configuration."""
     ts = np.array([0.01 * 2.0 ** k for k in range(11)])
+    ts = ts[(spec.t_min <= ts) & (ts <= spec.t_max)]
+    if not ts.size:
+        raise ValueError(f"no domination time 0.01 * 2^k (k = 0-10) lies in "
+                         f"[t_min, t_max] = [{spec.t_min:g}, {spec.t_max:g}]")
+    return ts
+
+
+def _domination(params: JacobiParams, spec: SweepSpec):
+    ts = _domination_times(spec)
     (e, o), _ = yield [(poisson_kernel(params, c), ts) for c in ("even", "odd")]
     neg = np.min(e, initial=0.0)
     pos = _tolerance_report("even-kernel-positive", -neg, 1e-15, times=len(ts))
@@ -617,7 +629,9 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
 
     One pass evaluates every kernel on the sweep pairs (the gradient of
     order N reads chain N+1, the smoothness ratios reuse it at the unmoved
-    points); each moved point set takes one more.
+    points); each moved point set takes one more. The single-atom kernel is
+    sampled at t = 1 whatever [t_min, t_max]: that is the multiplier's atom,
+    a point of the measure, not a sample of the time range.
     """
     suite = _standard_estimates(params, spec, _full(profile))
     return _sweep_step(params, spec, [("standard-estimates", suite)])
@@ -864,8 +878,12 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         clock[name] = time.perf_counter() - t0
         return res
 
+    # a time range the grid rejects, or that holds no domination time,
+    # fails before any work
     if suite in ("standard-estimates", "lemma-ratios", "all"):
-        spec.tgrid()  # a time range the grid rejects fails before any work
+        spec.tgrid()
+    if suite in ("domination", "all"):
+        _domination_times(spec)
     reports = []
     if suite in ("identities", "all"):
         reports += timed("identities", lambda: check_identities(params, profile))

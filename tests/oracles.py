@@ -1,7 +1,8 @@
 """High-precision reference values, independent of the package implementation.
 
 Everything here is computed with mpmath from integral or hypergeometric
-definitions, not from the recurrences and ladder identities the package uses.
+definitions, not from the recurrences and ladder identities the package uses,
+or, at half-integer parameters, from elementary closed forms in NumPy.
 Run as a script to regenerate the frozen dictionaries pasted into the tests:
 
     python tests/oracles.py
@@ -10,6 +11,7 @@ Run as a script to regenerate the frozen dictionaries pasted into the tests:
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -130,6 +132,22 @@ def mp_odd_kernel(a, b, theta, phi, t, K=140):
 
 def mp_A(a, b, theta):
     return (a + mp.mpf("0.5")) / mp.tan(theta / 2) - (b + mp.mpf("0.5")) * mp.tan(theta / 2)
+
+
+def poisson_circle(x, t):
+    """P(x, t) = sinh t / (cosh t - cos x) = 1 + 2 sum_{n>=1} e^{-nt} cos(nx),
+    with the denominator as 2 (sinh^2(t/2) + sin^2(x/2)), which keeps its
+    digits near x = 0 at small t."""
+    return np.sinh(t) / (2.0 * (np.sinh(t / 2.0) ** 2 + np.sin(x / 2.0) ** 2))
+
+
+def poisson_kernel_half(theta, phi, t):
+    """The even and the odd Poisson kernel at (-1/2, -1/2) in closed form:
+    (P(theta - phi) +- P(theta + phi)) / (4 pi). There the polynomials are
+    cosines and the odd companions sines of multiples of theta, and
+    sqrt(lam_n) = n, so both series are geometric."""
+    near, far = poisson_circle(theta - phi, t), poisson_circle(theta + phi, t)
+    return (near + far) / (4.0 * np.pi), (near - far) / (4.0 * np.pi)
 
 
 def gen_kernel_values():

@@ -286,11 +286,31 @@ class TestVerifyCommand:
                                              ("standard-estimates", "0.003")])
     def test_time_ranges_the_sweeps_sample_run(self, suite, t_min, capsys):
         # no floor above the sweep's own times: at t_min 10 the single-atom
-        # kernel at t = 1 and domination's dyadic times below 10 evaluate, and
-        # a first node that rounds below t_min (exp(log 5) < 5) evaluates too
+        # kernel at t = 1 (the multiplier's atom) evaluates, and a first node
+        # that rounds below t_min (exp(log 5) < 5) evaluates too
         rc, out = run_cli(["verify", suite, "--profile", "quick", "--t-min", t_min], capsys)
         assert rc == 0
         assert json.loads(out)["passed"]
+
+    def test_domination_samples_its_times_in_the_range(self, capsys):
+        # 0.01 * 2^k for k = 7-10: 1.28, 2.56, 5.12 and 10.24
+        rc, out = run_cli(["verify", "domination", "--t-min", "1"], capsys)
+        assert rc == 0
+        pos = next(c for c in json.loads(out)["checks"]
+                   if c["claim"] == "even-kernel-positive")
+        assert pos["details"]["times"] == 4
+
+    @pytest.mark.parametrize("suite", ["domination", "all"])
+    def test_range_without_domination_times_exits_2_before_any_check(
+            self, suite, monkeypatch, capsys):
+        # the largest domination time is 10.24
+        ran = []
+        monkeypatch.setattr(verify, "check_identities",
+                            lambda *a, **k: ran.append(a) or [])
+        monkeypatch.setattr(verify, "eval_kernels", lambda *a, **k: ran.append(a))
+        rc = cli.main(["verify", suite, "--profile", "quick", "--t-min", "11"])
+        assert rc == 2 and not ran
+        assert "no domination time" in capsys.readouterr().err
 
     def test_far_time_range_exits_2_before_any_check(self, monkeypatch, capsys):
         # from t_min of about 20 on, the log-uniform nodes cannot resolve

@@ -20,8 +20,10 @@ from scipy.special import binom, eval_jacobi, gammaln
 
 from trigjacobi import basis
 from trigjacobi.basis import JacobiParams
+from trigjacobi import kernels
 from trigjacobi.kernels import (
     _CHUNK,
+    _WINDOW_BYTES,
     KernelHandle,
     TruncationConfig,
     eval_kernels,
@@ -292,15 +294,18 @@ def test_memory_bounded_by_chunk_not_series_length():
 
 def test_memory_of_a_pass_bounded_by_its_window():
     # one pass of two runs, (alpha, beta) from degree 0 on theta and phi and
-    # (alpha+1, beta+1) from degree -1 on theta, in a window of chunk rows and
-    # 3 x pairs columns. A buffer per run beside it, or one per window, doubles
-    # the peak
+    # (alpha+1, beta+1) from degree -1 on theta, in a window of 3 x pairs
+    # columns and as many rows as the byte budget allows over the call's
+    # 2 x pairs theta and phi columns: 182 at 720 pairs. A buffer per run
+    # beside it, or one per window, doubles the peak
     p = JacobiParams(1.5, -0.7)
     rng = np.random.default_rng(5)
     theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 720))
     even = poisson_kernel(p, "even")
     jobs = [(even, [0.02]), (kernel_derivative(even, 1, 0), [0.02])]
-    window = _CHUNK * 3 * theta.size * 8
+    rows = _WINDOW_BYTES // (8 * 2 * theta.size)
+    assert rows == 182
+    window = rows * 3 * theta.size * 8
     tracemalloc.start()
     try:
         eval_kernels(jobs, theta, phi)
@@ -308,3 +313,54 @@ def test_memory_of_a_pass_bounded_by_its_window():
     finally:
         tracemalloc.stop()
     assert window < peak < 2 * window, (peak, window)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """The chunk rows of every row plan the kernels build, in order."""
+    out = []
+
+    class Recorded(basis.RowPlan):
+        def __init__(self, points, chunk):
+            out.append(chunk)
+            super().__init__(points, chunk)
+
+    monkeypatch.setattr(kernels, "RowPlan", Recorded)
+    return out
+
+
+@pytest.mark.parametrize("npairs,rows", [
+    (1, 256), (270, 256), (512, 256), (513, 255), (1000, 131), (5000, 26)])
+def test_chunk_rows_from_the_point_columns(chunks, npairs, rows):
+    # a call of 512 pairs or fewer keeps 256 rows; a wider one as many as
+    # fit 2 MiB of its theta and phi columns
+    rng = np.random.default_rng(npairs)
+    theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, npairs))
+    poisson_kernel(JacobiParams(1.5, -0.7), "even").eval_pairs(theta, phi, [2.0])
+    assert chunks == [rows]
+
+
+def test_matrix_on_one_grid_keeps_256_rows(chunks):
+    # eval_matrix on one grid of 160 nodes reads 160 columns
+    grid = np.linspace(0.01, math.pi - 0.01, 160)
+    poisson_kernel(JacobiParams(1.5, -0.7), "odd").eval_matrix(grid, grid, 0.5)
+    assert chunks == [_CHUNK]
+
+
+def test_wide_call_equals_single_handle_calls():
+    # 2000 pairs take 65-row windows (4000 columns): each job keeps its own
+    # series, times and windows, so a job in the shared call equals a call
+    # with it alone, bit for bit, and the windows still meet the reference
+    p = JacobiParams(1.5, -0.7)
+    rng = np.random.default_rng(11)
+    theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 2000))
+    handles = [KernelHandle(p, *kind) for kind in
+               [("even",), ("odd",), ("even", 1, 0), ("odd", 1, 0, "direct"),
+                ("even", 1, 0, "direct", 1, 1)]]
+    times = [TIMES, TIMES[::-1]] * 2 + [TIMES]
+    cfg = FixedLength(n=3 * 65 + 17)
+    together = eval_kernels(list(zip(handles, times)), theta, phi, cfg)
+    for h, t, got in zip(handles, times, together):
+        assert np.array_equal(got, h.eval_pairs(theta, phi, t, cfg)), h
+    want, scale = reference(handles[3], cfg.n, theta[:50], phi[:50], times[3])
+    assert np.all(np.abs(together[3][:50] - want) <= 1e-12 * scale)

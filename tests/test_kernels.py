@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from trigjacobi import verify
 from trigjacobi.basis import BasisElement, JacobiParams, SYM_POLY, eval_basis
 from trigjacobi.kernels import (
+    COMPONENTS,
     DEFAULT_TRUNCATION,
     DiscreteMeasure,
     KernelHandle,
@@ -30,6 +31,7 @@ from trigjacobi.kernels import (
 )
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 
+from oracles import poisson_circle, poisson_kernel_half
 from test_kernel_stream import FixedLength
 
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
@@ -440,3 +442,34 @@ class TestIntegratedKernels:
             DiscreteMeasure((1.0,), (math.inf,))
         with pytest.raises(ValueError):
             DiscreteMeasure((1.0, 2.0), (1.0,))
+
+
+class TestHalfIntegerClosedForm:
+    """At (-1/2, -1/2) the Poisson kernel is elementary (oracles.py), an
+    oracle that reaches the sweep region: small t, near the diagonal."""
+
+    P = JacobiParams(-0.5, -0.5)
+
+    def test_components_on_the_quick_sweep(self):
+        # errors relative to (P(theta - phi) + P(theta + phi)) / (4 pi), which
+        # bounds both components; measured 6.8e-10 (even) and 4.9e-10 (odd),
+        # both at t = 5e-3 and d = pi/2
+        _, theta, phi = verify.QUICK_SWEEP.pairs()
+        t = verify.QUICK_SWEEP.tgrid().nodes
+        got = eval_kernels([(poisson_kernel(self.P, c), t) for c in COMPONENTS],
+                           theta, phi)
+        want = poisson_kernel_half(theta[:, None], phi[:, None], t)
+        for comp, g, w in zip(COMPONENTS, got, want):
+            err = np.max(np.abs(g - w) / want[0])
+            assert err <= 1e-9, (comp, err)
+
+    def test_symmetrized_kernel_on_wide_pairs(self):
+        # even + sign(theta phi) odd is the circle's Poisson kernel
+        # P(theta - phi) / (2 pi). 2000 pairs take a reduced window (65 rows
+        # of 4000 columns); measured 1.1e-11 relative
+        rng = np.random.default_rng(0)
+        theta, phi = (rng.uniform(0.02, math.pi - 0.02, (2, 2000))
+                      * rng.choice((-1.0, 1.0), (2, 2000)))
+        got = symmetrized_kernel_pairs(self.P, theta, phi, [0.05])[:, 0]
+        want = poisson_circle(theta - phi, 0.05) / (2.0 * math.pi)
+        assert np.max(np.abs(got - want) / want) <= 5e-11
