@@ -14,16 +14,12 @@ direct route on the even component at shifted parameters, with phi order L.
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
 q covering both the polynomial sup growth and the derivative powers. They
 are streamed: the recurrences of one call's kernels (a basis.RowPlan) advance
-a chunk of terms at a time, and each chunk is added into the outputs before
-the next one is built. A chunk holds as many terms as fit a fixed byte
-budget over the call's point columns (see _plan), so each recurrence's
-window stays within that budget whatever the series length, up to 262144
-columns, and a pass's window is that times its recurrences. What does
-grow with the series length is O(series length) per job and per plan: each
-job's speeds, coefficients and weights, and the plan's gamma and norm
-scales. In the quick sweep at (0, 0) they hold 5.5 of the 8.7 MB that
-tracemalloc reads as the peak of its one call, against 0.9 MB of window.
-Nothing is cached between calls.
+a chunk of terms at a time, as many as fit a fixed byte budget (see _plan),
+and each chunk is added into the outputs before the next is built. O(series
+length) are one speed array per (parameters, component) of a call, each
+job's weights, and the plan's gamma and norm scales: 2.6 of the 6.2 MB
+tracemalloc peak of the quick sweep's one call at (0, 0), against 0.9 MB of
+window. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -77,11 +73,9 @@ class TruncationConfig:
         q = max(2.0 * max(params.alpha, params.beta) + 2.0 + orders, 0.5)
         n = max(-log_eps / t, 10.0)
         for _ in range(60):
-            n_next = (q * math.log(n + 1.0) - log_eps) / t
-            if abs(n_next - n) < 0.5:
-                n = n_next
+            n, n_prev = (q * math.log(n + 1.0) - log_eps) / t, n
+            if abs(n - n_prev) < 0.5:
                 break
-            n = n_next
         n = int(math.ceil(n)) + 1
         if n > self.n_cap:
             raise TruncationError(
@@ -141,9 +135,8 @@ class KernelHandle:
 
     def eval_matrix(self, theta, phi, t: float) -> np.ndarray:
         """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
         plan = _plan(theta, phi)
+        theta, phi = plan.points
         stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
@@ -197,24 +190,22 @@ def partial_derivative_kernel(params: JacobiParams, shift: int,
     return KernelHandle(params, "even", N, M, "direct", shift, L)
 
 
-def _series(handle: KernelHandle, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """speed sqrt(lam) and coefficient of the first n terms."""
+def _coef(handle: KernelHandle, speed: np.ndarray) -> np.ndarray:
+    """The coefficients of the first speed.size terms, at their speeds."""
     p, N, M = handle.table_params, handle.N, handle.M
-    # the odd component's term k carries eigenvalue index k + 1
-    idx = np.arange(n, dtype=float) + (handle.component == "odd")
-    speed = np.sqrt(eigenvalue(p, idx))
     if handle.route == "ladder":
         # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
-        return speed, 0.5 * (-speed) ** M * (-_ladder_root(p, idx)) ** N
+        idx = np.arange(speed.size, dtype=float) + (handle.component == "odd")
+        return 0.5 * (-speed) ** M * (-_ladder_root(p, idx)) ** N
     # direct route: (d_t^2 - lam_0)^{N//2} d_t^M with explicit binomials,
     # never collapsed to the ladder coefficient
     k0 = N // 2
     js = np.arange(k0 + 1)
     binom = comb(k0, js) * (-p.lam0) ** (k0 - js)
-    mult = np.zeros(n)
+    mult = np.zeros(speed.size)
     for j, c in zip(js, binom):
         mult += c * (-speed) ** (2 * j + M)
-    return speed, 0.5 * mult
+    return 0.5 * mult
 
 
 def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
@@ -237,19 +228,18 @@ def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
             (theta_row_terms(p, phi, {handle.L: 1.0}, odd), 0))
 
 
-# series terms evaluated together: at most _CHUNK, and as many float64 rows
-# over a call's theta and phi columns as fit _WINDOW_BYTES, but at least one.
-# Whatever the series length, each recurrence's window so stays within 2 MiB
-# while one row fits it (up to 262144 columns), and a pass's window is that
-# times its number of recurrences; a call on up to 512 pairs (1024 columns)
-# keeps all 256 rows
+# series terms evaluated together: at most _CHUNK, and as many float64 rows as
+# fit _WINDOW_BYTES over a call's theta and phi columns and the pair columns of
+# its factor product (at least one), so a lone kernel on raw rows keeps window
+# and product within 2 MiB; a call on up to 341 pairs keeps all 256 rows
 _CHUNK = 256
 _WINDOW_BYTES = 2 ** 21
 
 
-def _plan(theta: np.ndarray, phi: np.ndarray) -> RowPlan:
-    """The row plan of a call on (theta, phi), in chunks sized by its columns."""
-    rows = _WINDOW_BYTES // (8 * (theta.size + phi.size))
+def _plan(theta, phi) -> RowPlan:
+    """The row plan of theta and phi as float arrays, in chunks sized by their columns."""
+    theta, phi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (theta, phi))
+    rows = _WINDOW_BYTES // (8 * (theta.size + phi.size + theta.size))
     return RowPlan((theta, phi), max(1, min(_CHUNK, rows)))
 
 
@@ -262,7 +252,8 @@ class _Stream:
     single-term factor is handed out as the plan's raw rows, its scale folded
     into `weight` and its pi into `theta_scale` / `phi_scale`; the plan sums a
     factor of several terms into the stream's buffer per chunk; `rows_key`
-    names the raw rows of a stream whose factors are both single terms.
+    names the raw rows of a stream whose factors are both single terms, and
+    `key`, its (table parameters, component), its speeds.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
@@ -287,25 +278,31 @@ class _Stream:
             (id(runs[0]), where) for runs, where, *_ in self._factors)
         self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
                                             for terms, _ in sides)
-        self.speed, self._coef = _series(handle, n)
+        self.handle, self.key = handle, (handle.table_params, handle.component)
         self.out = np.zeros((t.size, plan.points[0].size))
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        """sqrt(lam) of its n terms, the odd component's term k at index k + 1;
+        eval_kernels sets a prefix of its key's longest job's speeds instead."""
+        p, component = self.key
+        return np.sqrt(eigenvalue(p, np.arange(self.n, dtype=float) + (component == "odd")))
 
     @cached_property
     def weight(self) -> np.ndarray:
         """The series coefficients times the single-term factors' scales; read
-        once the plan holds every stream's factors."""
+        once the plan holds every stream's factors and `speed` is set."""
         weight = np.ones(self.n)
         for factor, buf in zip(self._factors, self._sums):
             if buf is None:
                 weight *= self._plan.scales(factor, 0, self.n)[0]
-        return self._coef * weight
+        return np.multiply(weight, _coef(self.handle, self.speed), out=weight)
 
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The first m rows of the theta and the phi factor in the plan's window."""
-        th, ph = (self._plan.rows(factor, m)[0] if buf is None
-                  else self._plan.sum(factor, m, buf)
-                  for factor, buf in zip(self._factors, self._sums))
-        return th, ph
+        return tuple(self._plan.rows(factor, m)[0] if buf is None
+                     else self._plan.sum(factor, m, buf)
+                     for factor, buf in zip(self._factors, self._sums))
 
     def add(self, k0: int, k1: int, A: np.ndarray) -> None:
         """Add terms k0..k1-1 to the samples on the pairs; A is the product
@@ -324,17 +321,17 @@ class _Stream:
 
 
 class _Decay:
-    """exp(-t speed) of a stream, a block per chunk, which the streams with the
-    same sorted times and speeds and no longer series at any time read too."""
+    """exp(-t speed) of a stream, a block per chunk, which the streams of its
+    key and sorted times and no longer series at any time read too."""
 
     def __init__(self, s: _Stream):
         self.t, self.speed, self.lengths, self.k0 = s.t, s.speed, s.lengths, -1
-        self.chunk = s._plan.chunk
+        self.key, self.chunk = s.key, s._plan.chunk
         self.buf, self.scratch = np.empty((2, s.t.size * self.chunk))
 
     def takes(self, s: _Stream) -> bool:
-        return (np.array_equal(self.t, s.t) and bool(np.all(self.lengths >= s.lengths))
-                and np.array_equal(self.speed[:s.n], s.speed))
+        return (self.key == s.key and np.array_equal(self.t, s.t)
+                and bool(np.all(self.lengths >= s.lengths)))
 
     def block(self, k0: int) -> np.ndarray:
         if self.k0 != k0:
@@ -353,31 +350,34 @@ def eval_kernels(jobs, theta, phi,
 
     The jobs read one basis.RowPlan, so each recurrence runs once; jobs that
     share recurrences take one pass of chunks together, the others a pass
-    each, which keeps a pass's rows in cache. In a chunk, jobs with the same
-    sorted times and speeds share one exp(-t speed) block, and jobs on the
-    same raw rows one product of their factors. Each job keeps its own series,
-    times and chunk windows: its samples equal a call with it alone, bit for bit.
+    each, which keeps a pass's rows in cache. In a chunk, jobs of one key
+    and sorted times share one exp(-t speed) block, and jobs on the same raw
+    rows one product of their factors, which a pass of one such job writes
+    over its window's theta rows. Each job keeps its own series, times and
+    chunk windows: its samples equal a call with it alone, bit for bit.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    plan, known = _plan(theta, phi), {}
+    theta, phi = plan.points
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must pair up")
-    plan, known = _plan(theta, phi), {}
     streams = [_Stream(plan, handle, t, cfg, known) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
         link = [p for p in passes if p[0] & s.runs]
         passes = [p for p in passes if not p[0] & s.runs]
         passes.append((s.runs.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
-    decays = []
+    decays, speeds = [], {}
     for s in sorted(streams, key=lambda s: -s.n):
-        s.decay = next((g for g in decays if g.takes(s)), None)
-        if s.decay is None:
-            s.decay = _Decay(s)
-            decays.append(s.decay)
+        if s.key not in speeds:  # the longest job of each key first
+            speeds[s.key] = s.speed
+        s.speed = speeds[s.key][:s.n]
+        if not any(g.takes(s) for g in decays):
+            decays.append(_Decay(s))
+        s.decay = next(g for g in decays if g.takes(s))
     chunk = plan.chunk
-    prod = np.empty((chunk, theta.size))
-    for runs, group in passes:
+    alone = [len(group) == 1 and group[0].rows_key is not None for _, group in passes]
+    prod = None if all(alone) else np.empty((chunk, theta.size))
+    for (runs, group), in_place in zip(passes, alone):
         # jobs on the same rows next to each other, the longest first
         group.sort(key=lambda s: (s.rows_key is None, s.rows_key or (), -s.n))
         n_max = max(s.n for s in group)
@@ -387,8 +387,11 @@ def eval_kernels(jobs, theta, phi,
             for s in (s for s in group if s.n > k0):
                 k1 = min(k0 + chunk, s.n)
                 if s.rows_key is None or s.rows_key != last:
-                    A, last = np.multiply(*s.factors(k1 - k0), out=prod[:k1 - k0]), s.rows_key
+                    th, ph = s.factors(k1 - k0)
+                    A = np.multiply(th, ph, out=th if in_place else prod[:k1 - k0])
+                    last = s.rows_key
                 s.add(k0, k1, A[:k1 - k0])
+        th = ph = A = None  # so the next pass's window replaces this one's
     return [s.result() for s in streams]
 
 
@@ -396,10 +399,6 @@ def symmetrized_kernel_pairs(params: JacobiParams, theta, phi, t,
                              cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
     """The full symmetrized kernel on (-pi,pi)^2 through its parity parts:
     even in each variable plus sign(theta phi) times the odd part."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    at, ap = np.abs(theta), np.abs(phi)
-    sign = np.sign(theta) * np.sign(phi)
     even, odd = eval_kernels([(poisson_kernel(params, c), t) for c in COMPONENTS],
-                             at, ap, cfg)
-    return even + sign[:, None] * odd
+                             np.abs(theta), np.abs(phi), cfg)
+    return even + np.reshape(np.sign(theta) * np.sign(phi), (-1, 1)) * odd

@@ -150,6 +150,42 @@ def poisson_kernel_half(theta, phi, t):
     return (near + far) / (4.0 * np.pi), (near - far) / (4.0 * np.pi)
 
 
+def cosine_series(c, x, t):
+    """S_c(x, t) = sum_{n>=0} e^{-t(n+c)} cos((n+c)x) = Re(e^{c(-t+ix)} /
+    (1 - e^{-t+ix})), with |1 - e^{-t+ix}|^2 as expm1(-t)^2 + 4 e^{-t}
+    sin^2(x/2), which keeps its digits near x = 0 at small t."""
+    num = np.exp(-c * t) * np.cos(c * x) - np.exp(-(c + 1.0) * t) * np.cos((c - 1.0) * x)
+    return num / (np.expm1(-t) ** 2 + 4.0 * np.exp(-t) * np.sin(x / 2.0) ** 2)
+
+
+def even_kernel_half(a, b, theta, phi, t):
+    """The even Poisson kernel at (a, b) = (1/2, 1/2), (1/2, -1/2) or
+    (-1/2, 1/2) in closed form. There c_n P_n(cos theta) is a multiple of
+    sin((n+1) theta) / sin(theta), sin((n+1/2) theta) / sin(theta/2) or
+    cos((n+1/2) theta) / cos(theta/2), and sqrt(lam_n) = n + (a+b+1)/2, so
+    the series is S_c of theta - phi and theta + phi: (2/pi) (S_1(theta-phi)
+    - S_1(theta+phi)) / (sin theta sin phi) at (1/2, 1/2), and (S_1/2(theta-phi)
+    -+ S_1/2(theta+phi)) / (2 pi w(theta/2) w(phi/2)) with w = sin, cos."""
+    near, far = theta - phi, theta + phi
+    if a == b == 0.5:
+        return (2.0 / np.pi * (cosine_series(1.0, near, t) - cosine_series(1.0, far, t))
+                / (np.sin(theta) * np.sin(phi)))
+    sign, w = {(0.5, -0.5): (-1.0, np.sin), (-0.5, 0.5): (1.0, np.cos)}[a, b]
+    return ((cosine_series(0.5, near, t) + sign * cosine_series(0.5, far, t))
+            / (2.0 * np.pi * w(theta / 2.0) * w(phi / 2.0)))
+
+
+def riesz_growth_half(theta, phi, t_min, t_max):
+    """|int_{t_min}^{t_max} of the odd chain of order 1| at (-1/2, -1/2):
+    the odd kernel is (P(theta-phi) - P(theta+phi)) / (4 pi), the chain is
+    -d_theta of it (A = 0 there) and int P dt = log(cosh t - cos x), so the
+    integral is (1/(4 pi)) |G(theta-phi) - G(theta+phi)| with
+    G(x) = sin x / (cosh t_min - cos x) - sin x / (cosh t_max - cos x)."""
+    def G(x):
+        return np.sin(x) / (np.cosh(t_min) - np.cos(x)) - np.sin(x) / (np.cosh(t_max) - np.cos(x))
+    return np.abs(G(theta - phi) - G(theta + phi)) / (4.0 * np.pi)
+
+
 def gen_kernel_values():
     """Kernel components and chain derivatives at spot points.
 

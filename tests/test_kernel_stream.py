@@ -29,6 +29,7 @@ from trigjacobi.kernels import (
     eval_kernels,
     kernel_derivative,
     poisson_kernel,
+    symmetrized_kernel_pairs,
 )
 
 PARAMS = [(0.0, 0.0), (1.5, -0.7), (-0.7, -0.6)]
@@ -296,15 +297,17 @@ def test_memory_of_a_pass_bounded_by_its_window():
     # one pass of two runs, (alpha, beta) from degree 0 on theta and phi and
     # (alpha+1, beta+1) from degree -1 on theta, in a window of 3 x pairs
     # columns and as many rows as the byte budget allows over the call's
-    # 2 x pairs theta and phi columns: 182 at 720 pairs. A buffer per run
-    # beside it, or one per window, doubles the peak
+    # theta, phi and product columns: 121 at 720 pairs. Its two jobs read
+    # different rows, so their product has a buffer of its own, a third of
+    # the window. A buffer per run beside it, or one per window, doubles
+    # the peak
     p = JacobiParams(1.5, -0.7)
     rng = np.random.default_rng(5)
     theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 720))
     even = poisson_kernel(p, "even")
     jobs = [(even, [0.02]), (kernel_derivative(even, 1, 0), [0.02])]
-    rows = _WINDOW_BYTES // (8 * 2 * theta.size)
-    assert rows == 182
+    rows = _WINDOW_BYTES // (8 * 3 * theta.size)
+    assert rows == 121
     window = rows * 3 * theta.size * 8
     tracemalloc.start()
     try:
@@ -313,6 +316,59 @@ def test_memory_of_a_pass_bounded_by_its_window():
     finally:
         tracemalloc.stop()
     assert window < peak < 2 * window, (peak, window)
+
+
+@pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.7, -0.6)])
+def test_lone_job_forms_its_product_in_the_window(ab):
+    # each component of the symmetrized kernel is a lone job on raw rows, a
+    # pass of its own, so the product of its factors is written over its
+    # window's theta rows: the peak stays below window plus a product buffer,
+    # 87 rows over the 3 x 1000 columns the budget counts. A product buffer
+    # beside the window, or the even pass's window still alive in the odd
+    # pass, lifts the peak above it
+    rng = np.random.default_rng(7)
+    theta, phi = (rng.uniform(0.02, math.pi - 0.02, (2, 1000))
+                  * rng.choice((-1.0, 1.0), (2, 1000)))
+    rows = _WINDOW_BYTES // (8 * 3 * theta.size)
+    assert rows == 87
+    budget = rows * 3 * theta.size * 8
+    tracemalloc.start()
+    try:
+        symmetrized_kernel_pairs(JacobiParams(*ab), theta, phi, [0.05])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, (peak, budget)
+
+
+def test_jobs_of_one_component_share_their_speeds():
+    # eight kernels of the even component at (1.5, -0.7), each at its own
+    # times, so with its own series length: they read prefixes of one speed
+    # array and each keeps one array of its length, its weights, so
+    # together they equal each alone, bit for bit, and the call's peak stays
+    # below their weights and 12 arrays of the longest length (measured 9.3;
+    # a speed array per job or its coefficients kept beside its weights
+    # adds about 6 or 7 more)
+    p = JacobiParams(1.5, -0.7)
+    even = poisson_kernel(p, "even")
+    handles = [even] + [kernel_derivative(even, N, M, route) for N, M, route in
+                        [(1, 0, "ladder"), (0, 1, "ladder"), (2, 0, "ladder"),
+                         (2, 0, "direct"), (1, 1, "ladder"), (0, 2, "ladder"),
+                         (3, 0, "ladder")]]
+    jobs = [(h, [5e-3 * (1.0 + 0.1 * i), 0.5]) for i, h in enumerate(handles)]
+    cfg = TruncationConfig()
+    lengths = [max(cfg.series_length(h.table_params, t, h.orders) for t in ts)
+               for h, ts in jobs]
+    assert len(set(lengths)) == len(jobs)
+    tracemalloc.start()
+    try:
+        together = eval_kernels(jobs, THETA, PHI)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for (h, ts), got in zip(jobs, together):
+        assert np.array_equal(got, h.eval_pairs(THETA, PHI, ts)), h
+    assert peak < 8 * (sum(lengths) + 12 * max(lengths)), (peak, lengths)
 
 
 @pytest.fixture
@@ -330,10 +386,11 @@ def chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("npairs,rows", [
-    (1, 256), (270, 256), (512, 256), (513, 255), (1000, 131), (5000, 26)])
+    (1, 256), (270, 256), (341, 256), (342, 255), (500, 174), (1000, 87),
+    (5000, 17)])
 def test_chunk_rows_from_the_point_columns(chunks, npairs, rows):
-    # a call of 512 pairs or fewer keeps 256 rows; a wider one as many as
-    # fit 2 MiB of its theta and phi columns
+    # a call of 341 pairs or fewer keeps 256 rows; a wider one as many as
+    # fit 2 MiB of its theta and phi columns and the product's pair columns
     rng = np.random.default_rng(npairs)
     theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, npairs))
     poisson_kernel(JacobiParams(1.5, -0.7), "even").eval_pairs(theta, phi, [2.0])
@@ -348,7 +405,7 @@ def test_matrix_on_one_grid_keeps_256_rows(chunks):
 
 
 def test_wide_call_equals_single_handle_calls():
-    # 2000 pairs take 65-row windows (4000 columns): each job keeps its own
+    # 2000 pairs take 43-row windows (4000 columns): each job keeps its own
     # series, times and windows, so a job in the shared call equals a call
     # with it alone, bit for bit, and the windows still meet the reference
     p = JacobiParams(1.5, -0.7)
@@ -358,7 +415,7 @@ def test_wide_call_equals_single_handle_calls():
                [("even",), ("odd",), ("even", 1, 0), ("odd", 1, 0, "direct"),
                 ("even", 1, 0, "direct", 1, 1)]]
     times = [TIMES, TIMES[::-1]] * 2 + [TIMES]
-    cfg = FixedLength(n=3 * 65 + 17)
+    cfg = FixedLength(n=3 * 43 + 17)
     together = eval_kernels(list(zip(handles, times)), theta, phi, cfg)
     for h, t, got in zip(handles, times, together):
         assert np.array_equal(got, h.eval_pairs(theta, phi, t, cfg)), h

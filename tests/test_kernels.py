@@ -29,9 +29,11 @@ from trigjacobi.kernels import (
     poisson_kernel,
     symmetrized_kernel_pairs,
 )
+from trigjacobi.measure import ball_measure
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 
-from oracles import poisson_circle, poisson_kernel_half
+from oracles import (even_kernel_half, poisson_circle, poisson_kernel_half,
+                     riesz_growth_half)
 from test_kernel_stream import FixedLength
 
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
@@ -445,8 +447,9 @@ class TestIntegratedKernels:
 
 
 class TestHalfIntegerClosedForm:
-    """At (-1/2, -1/2) the Poisson kernel is elementary (oracles.py), an
-    oracle that reaches the sweep region: small t, near the diagonal."""
+    """At alpha, beta in {-1/2, 1/2} the Poisson kernel is elementary
+    (oracles.py), an oracle that reaches the sweep region: small t, near the
+    diagonal."""
 
     P = JacobiParams(-0.5, -0.5)
 
@@ -465,7 +468,7 @@ class TestHalfIntegerClosedForm:
 
     def test_symmetrized_kernel_on_wide_pairs(self):
         # even + sign(theta phi) odd is the circle's Poisson kernel
-        # P(theta - phi) / (2 pi). 2000 pairs take a reduced window (65 rows
+        # P(theta - phi) / (2 pi). 2000 pairs take a reduced window (43 rows
         # of 4000 columns); measured 1.1e-11 relative
         rng = np.random.default_rng(0)
         theta, phi = (rng.uniform(0.02, math.pi - 0.02, (2, 2000))
@@ -473,3 +476,27 @@ class TestHalfIntegerClosedForm:
         got = symmetrized_kernel_pairs(self.P, theta, phi, [0.05])[:, 0]
         want = poisson_circle(theta - phi, 0.05) / (2.0 * math.pi)
         assert np.max(np.abs(got - want) / want) <= 5e-11
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5)])
+    def test_even_component_on_the_quick_sweep(self, a, b):
+        # S_c closed forms, c = 1 and 1/2; measured at most 2.2e-8 relative
+        # at (1/2, 1/2) and 1.3e-8 at the other two, all at t = 5e-3 and a
+        # pair next to an end of (0, pi), where the closed form divides by
+        # sin theta or cos(theta/2)
+        _, theta, phi = verify.QUICK_SWEEP.pairs()
+        t = verify.QUICK_SWEEP.tgrid().nodes
+        got = poisson_kernel(JacobiParams(a, b), "even").eval_pairs(theta, phi, t)
+        want = even_kernel_half(a, b, theta[:, None], phi[:, None], t)
+        assert np.max(np.abs(got - want) / want) <= 5e-8
+
+    def test_riesz_growth_constant_of_the_quick_profile(self):
+        # the quick report integrates the odd chain of order 1 over its time
+        # grid; the closed form integrates it exactly over [t_min, t_max]:
+        # 0.4182861241 against 0.41828612547, 3.2e-9 relative
+        spec = verify.QUICK_SWEEP
+        d, theta, phi = spec.pairs()
+        want = np.max(riesz_growth_half(theta, phi, spec.t_min, spec.t_max)
+                      * ball_measure(self.P, theta, d))
+        reports = verify.check_standard_estimates(self.P, spec, "quick")
+        got = next(r.constant for r in reports if r.claim == "riesz-kernel-odd-N1/growth")
+        assert abs(got / want - 1.0) <= 1e-8, (got, want)
