@@ -17,7 +17,7 @@ are streamed: the recurrences of one call's kernels (a basis.RowPlan) advance
 a chunk of terms at a time, as many as fit a fixed byte budget (see _plan),
 and each chunk is added into the outputs before the next is built. O(series
 length) are one speed array per (parameters, component) of a call, each
-job's weights, and the plan's gamma and norm scales: 2.6 of the 6.2 MB
+job's weights, and the plan's gamma and norm scales: 2.6 of the 6.0 MB
 tracemalloc peak of the quick sweep's one call at (0, 0), against 0.9 MB of
 window. Nothing is cached between calls.
 """
@@ -137,7 +137,7 @@ class KernelHandle:
         """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
         plan = _plan(theta, phi)
         theta, phi = plan.points
-        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {})
+        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {}, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
         for k0 in range(0, stream.n, plan.chunk):
@@ -251,15 +251,17 @@ class _Stream:
     sorted longest series first, so those still summing form a prefix. A
     single-term factor is handed out as the plan's raw rows, its scale folded
     into `weight` and its pi into `theta_scale` / `phi_scale`; the plan sums a
-    factor of several terms into the stream's buffer per chunk; `rows_key`
+    factor of several terms per chunk into the call's buffer for its side,
+    which the next job's sum reuses once the product is formed; `rows_key`
     names the raw rows of a stream whose factors are both single terms, and
     `key`, its (table parameters, component), its speeds.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
-                 known: dict):
+                 known: dict, sums: dict):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        # `known` holds a call's series lengths by (parameters, t, orders)
+        # `known` holds a call's series lengths by (parameters, t, orders),
+        # `sums` its sum buffer by side (0 theta, 1 phi)
         keys = [(handle.table_params, ti, handle.orders) for ti in t]
         for key in keys:
             if key not in known:
@@ -272,8 +274,10 @@ class _Stream:
         self._factors = [plan.add(terms, n, s, offset)
                          for s, (terms, offset) in enumerate(sides)]
         self.runs = {run for runs, *_ in self._factors for run in runs}
-        self._sums = [None if len(terms) == 1 else np.empty((plan.chunk, plan.points[s].size))
-                      for s, (terms, _) in enumerate(sides)]
+        for s, (terms, _) in enumerate(sides):
+            if len(terms) > 1 and s not in sums:
+                sums[s] = np.empty((plan.chunk, plan.points[s].size))
+        self._sums = [None if len(terms) == 1 else sums[s] for s, (terms, _) in enumerate(sides)]
         self.rows_key = None if any(b is not None for b in self._sums) else tuple(
             (id(runs[0]), where) for runs, where, *_ in self._factors)
         self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
@@ -356,11 +360,11 @@ def eval_kernels(jobs, theta, phi,
     over its window's theta rows. Each job keeps its own series, times and
     chunk windows: its samples equal a call with it alone, bit for bit.
     """
-    plan, known = _plan(theta, phi), {}
+    plan, known, sums = _plan(theta, phi), {}, {}
     theta, phi = plan.points
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must pair up")
-    streams = [_Stream(plan, handle, t, cfg, known) for handle, t in jobs]
+    streams = [_Stream(plan, handle, t, cfg, known, sums) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
         link = [p for p in passes if p[0] & s.runs]

@@ -13,12 +13,13 @@ constant NaN and fails the claim.
 
 Size and smoothness estimates are swept over dyadic bands of the distance
 |theta - phi|, with log-spaced centers accumulating at both endpoints where
-the measure degenerates. A check computes its ratios as arrays on
-SweepSpec.pairs(), each pair of the refined sweep once; the kernel sweeps of
-a run evaluate every kernel family they need in one call. Time integrals run
-over a validated log grid (quadrature.TGrid); the truncation to
-[t_min, t_max] only underestimates left-hand sides, so upper bound claims
-are never helped by it.
+the measure degenerates. The kernel sweeps are one table of claims, a row
+each (_sweep_claims), that one loop (_sweep) samples and reduces: one
+eval_kernels call takes each distinct kernel job on SweepSpec.pairs(), each
+pair of the refined sweep once, and one more call each moved point set.
+Time integrals run over a validated log grid (quadrature.TGrid); the
+truncation to [t_min, t_max] only underestimates left-hand sides, so upper
+bound claims are never helped by it.
 
 Reports serialize to a versioned JSON document. Wall-clock data stays out of
 the payload unless explicitly requested, keeping reruns byte-identical.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import binom, eval_jacobi, gamma, gammaln
@@ -120,17 +122,19 @@ class SweepSpec:
         return np.geomspace(min(_GUARD, 0.2 * (math.pi - d)), 0.5 * (math.pi - d),
                             self.n_theta)
 
-    def bands(self):
-        """Yields (distance, theta, phi) per usable dyadic band, theta ascending."""
+    def bands(self) -> list[tuple]:
+        """(distance, theta, phi) per usable dyadic band, theta ascending."""
+        out = []
         for d in self.distances():
             half = self._half_band(d)
             theta = np.clip(_mirror(half, (math.pi - d) - half), 1e-12, math.pi - d - 1e-12)
-            yield d, theta, theta + d
+            out.append((d, theta, theta + d))
+        return out
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(distance, theta, phi) per pair of the refined sweep, band after
         band; the base sweep's pairs are among them (see _base_mask)."""
-        bands = list(self.refined().bands())
+        bands = self.refined().bands()
         return (np.concatenate([np.full(th.size, d) for d, th, _ in bands]),
                 np.concatenate([th for _, th, _ in bands]),
                 np.concatenate([ph for _, _, ph in bands]))
@@ -264,26 +268,6 @@ def _tolerance_report(claim: str, errors, tol: float, **details) -> EstimateRepo
     constant = float(np.max(errors))
     return EstimateReport(claim=claim, passed=constant <= tol, constant=constant,
                           tolerance=tol, details=details)
-
-
-def _sweep_step(params: JacobiParams, spec: SweepSpec, suites: list,
-                timed=lambda name, fn: fn()) -> list[EstimateReport]:
-    """The reports of sweep suites, (name, generator) each, in order.
-
-    A suite's generator yields its kernel jobs on spec.pairs(), is sent
-    their samples and the pairs' ball measures, and yields its reports.
-    One eval_kernels call runs the jobs of all suites, in the order given.
-    """
-    d, theta, phi = spec.pairs()
-    jobs = [next(suite) for _, suite in suites]
-    samples = timed("sweep-kernels", lambda: eval_kernels(
-        sum(jobs, []), theta, phi, spec.truncation()))
-    mb = ball_measure(params, theta, d)
-    out, lo = [], 0
-    for (name, suite), part in zip(suites, jobs):
-        out += timed(name, lambda: suite.send((samples[lo:lo + len(part)], mb)))
-        lo += len(part)
-    return out
 
 
 # --- sharp constants ----------------------------------------------------------
@@ -578,7 +562,7 @@ def check_spectral_identities(params: JacobiParams) -> list[EstimateReport]:
     return out
 
 
-# --- domination -----------------------------------------------------------------
+# --- kernel sweep claims: domination, standard estimates, size lemmas -------------
 
 def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateReport]:
     """Size of the odd component against the even one over distance bands and
@@ -591,34 +575,8 @@ def check_domination(params: JacobiParams, spec: SweepSpec) -> list[EstimateRepo
     above 1 for some parameters (0.1% at (1.5,-0.7) near the diagonal, 0.7%
     at (-0.7,-0.6)), so whether it stays within 1 is only recorded.
     """
-    return _sweep_step(params, spec, [("domination", _domination(params, spec))])
+    return _sweep(_sweep_claims("domination", params, spec, "quick"), params, spec)
 
-
-def _domination_times(spec: SweepSpec) -> np.ndarray:
-    """The dyadic times 0.01 * 2^k (k = 0-10) in the sweep's [t_min, t_max];
-    a range that holds none is bad configuration."""
-    ts = np.array([0.01 * 2.0 ** k for k in range(11)])
-    ts = ts[(spec.t_min <= ts) & (ts <= spec.t_max)]
-    if not ts.size:
-        raise ValueError(f"no domination time 0.01 * 2^k (k = 0-10) lies in "
-                         f"[t_min, t_max] = [{spec.t_min:g}, {spec.t_max:g}]")
-    return ts
-
-
-def _domination(params: JacobiParams, spec: SweepSpec):
-    ts = _domination_times(spec)
-    (e, o), _ = yield [(poisson_kernel(params, c), ts) for c in ("even", "odd")]
-    neg = np.min(e, initial=0.0)
-    pos = _tolerance_report("even-kernel-positive", -neg, 1e-15, times=len(ts))
-    rep = ratio_sweep_report("odd-dominated-by-even",
-                             np.max(np.abs(o) / e, axis=-1), spec)
-    rep.details["min_even_value"] = float(neg)
-    rep.details["within_unit_constant"] = bool(rep.constant <= 1.0 + 1e-10)
-    rep.passed = rep.passed and pos.passed
-    yield [rep, pos]
-
-
-# --- standard Calderon-Zygmund style estimates -----------------------------------
 
 def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
                              profile: str = "quick") -> list[EstimateReport]:
@@ -633,64 +591,8 @@ def check_standard_estimates(params: JacobiParams, spec: SweepSpec,
     sampled at t = 1 whatever [t_min, t_max]: that is the multiplier's atom,
     a point of the measure, not a sample of the time range.
     """
-    suite = _standard_estimates(params, spec, _full(profile))
-    return _sweep_step(params, spec, [("standard-estimates", suite)])
+    return _sweep(_sweep_claims("standard-estimates", params, spec, profile), params, spec)
 
-
-def _standard_estimates(params: JacobiParams, spec: SweepSpec, full: bool):
-    tg, cfg = spec.tgrid(), spec.truncation()
-    d, theta, phi = spec.pairs()
-    odd = poisson_kernel(params, "odd")
-    vectors = [(N, M, route) for M, N in ((1, 0), (0, 1), (1, 1))
-               for route in ("ladder", "direct")]
-    keys = list(dict.fromkeys([(N, 0, "ladder") for N in (1, 2, 3)]
-                              + [(N + j, M, route) for N, M, route in vectors
-                                 for j in (0, 1)]))
-    atom = np.array([1.0])
-    (*samples, size, slope), mb = yield (
-        [(kernel_derivative(odd, *key), tg.nodes) for key in keys]
-        + [(odd, atom), (kernel_derivative(odd, 1, 0), atom)])
-    chains = dict(zip(keys, samples))
-
-    def riesz(s, N):
-        return np.abs(tg.integrate(s, float(N))) * (1.0 / gamma(N))
-
-    out = []
-    for N in (1, 2):
-        out.append(ratio_sweep_report(f"riesz-kernel-odd-N{N}/growth",
-                                      riesz(chains[N, 0, "ladder"], N) * mb, spec))
-        out.append(ratio_sweep_report(f"riesz-kernel-odd-N{N}/gradient",
-                                      riesz(chains[N + 1, 0, "ladder"], N) * mb * d, spec))
-
-    out.append(ratio_sweep_report("multiplier-kernel-single-atom/growth",
-                                  np.abs(size[:, 0]) * mb, spec))
-    out.append(ratio_sweep_report("multiplier-kernel-single-atom/gradient",
-                                  np.abs(slope[:, 0]) * mb * d, spec))
-
-    # the smoothness moves: (claim, fraction of the distance, moved theta, phi)
-    moves = (("smooth-first-quarter", 0.25, theta + 0.25 * d, phi),
-             ("smooth-first-eighth", 0.125, theta + 0.125 * d, phi),
-             ("smooth-second-quarter", 0.25, theta, phi - 0.25 * d),
-             ) if full else ()
-    moved = [eval_kernels([(kernel_derivative(odd, *key), tg.nodes) for key in vectors],
-                          th, ph, cfg) for _, _, th, ph in moves]
-    for i, (N, M, route) in enumerate(vectors):
-        W = 2.0 * M + 2.0 * N
-        name = f"vector-kernel-M{M}-N{N}-{route}"
-        base = chains[N, M, route]
-        out.append(ratio_sweep_report(f"{name}/growth",
-                                      t_norm(tg, base, 2, W=W) * mb, spec))
-        for (claim, frac, _, _), at_moved in zip(moves, moved):
-            out.append(ratio_sweep_report(
-                f"{name}/{claim}", t_norm(tg, base - at_moved[i], 2, W=W) * mb / frac,
-                spec))
-        out.append(ratio_sweep_report(
-            f"{name}/gradient", t_norm(tg, chains[N + 1, M, route], 2, W=W) * mb * d,
-            spec))
-    yield out
-
-
-# --- size-lemma instances --------------------------------------------------------
 
 # (group, family, L, N, M, W, gamma1, gamma2, p); family "growth" bounds by
 # the inverse ball measure, "gain" adds a 1/distance factor.
@@ -750,34 +652,123 @@ def check_lemma_instances(params: JacobiParams, spec: SweepSpec,
     inverse ball measure, optionally with a distance gain: every instance in
     the full profile, the first of each group in the quick one. One pass
     evaluates the distinct partial derivatives on the sweep."""
-    suite = _lemma_instances(params, spec, _full(profile))
-    return _sweep_step(params, spec, [("lemma-ratios", suite)])
+    return _sweep(_sweep_claims("lemma-ratios", params, spec, profile), params, spec)
 
 
-def _lemma_instances(params: JacobiParams, spec: SweepSpec, full: bool):
-    instances = LEMMA_INSTANCES
-    if not full:
-        first = {}
-        for inst in LEMMA_INSTANCES:
-            first.setdefault(inst[0], inst)
-        instances = tuple(first.values())
-    tg = spec.tgrid()
-    d, theta, phi = spec.pairs()
-    keys = list(dict.fromkeys(inst[2:5] for inst in instances))
-    samples, mb = yield [(partial_derivative_kernel(params, 1, *key), tg.nodes)
-                         for key in keys]
-    samples = dict(zip(keys, samples))
-    out = []
-    for inst in instances:
+@dataclass(frozen=True)
+class _Claim:
+    """A sweep claim: its ratios on spec.pairs() are sin(theta)^g1 sin(phi)^g2
+    times `norm` of the kernel's samples at `times` (less those at the pairs
+    moved by `move`, fractions of the distance on theta and phi), times the
+    ball measures, then times the distance (gain "d") or over `gain`, a
+    fraction or 1. Domination (`norm` None) is the odd kernel over the even."""
+
+    suite: str
+    claim: str
+    kernel: KernelHandle
+    times: tuple
+    norm: object
+    g: tuple = (0, 0)
+    gain: str | float = 1.0
+    move: tuple = (0.0, 0.0)
+    details: dict = field(default_factory=dict)
+
+
+def _time_functional(tg: TGrid, p, W: float, samples) -> np.ndarray:
+    """A sweep claim's functional of samples in t: |int K t^{W-1} dt| / Gamma(W)
+    for p "riesz", |K| at the one time sampled for p "atom", else t_norm."""
+    if p == "riesz":
+        return np.abs(tg.integrate(samples, W)) * (1.0 / gamma(W))
+    return np.abs(samples[:, 0]) if p == "atom" else t_norm(tg, samples, p, W=W)
+
+
+def _sweep_claims(suite: str, params: JacobiParams, spec: SweepSpec,
+                  profile: str) -> list[_Claim]:
+    """The sweep claims of a suite ("all": of every sweep suite), in claim
+    order; the full profile adds the smoothness moves and the lemma instances
+    past the first of each group. Builds the time grid and the domination
+    times, so a time range without them raises before any kernel is sampled."""
+    full, rows, odd = _full(profile), [], poisson_kernel(params, "odd")
+    standard, lemma = (suite in (s, "all") for s in ("standard-estimates", "lemma-ratios"))
+    if standard or lemma:
+        tg = spec.tgrid()
+        nodes = tuple(tg.nodes)
+    if standard:
+        moves = (("smooth-first-quarter", 0.25, (0.25, 0.0)),
+                 ("smooth-first-eighth", 0.125, (0.125, 0.0)),
+                 ("smooth-second-quarter", 0.25, (0.0, -0.25))) if full else ()
+        # (name, kernel, times, time functional, moves); a gradient reads chain N+1
+        families = [(f"riesz-kernel-odd-N{N}", kernel_derivative(odd, N, 0), nodes,
+                     partial(_time_functional, tg, "riesz", float(N)), ()) for N in (1, 2)]
+        families.append(("multiplier-kernel-single-atom", odd, (1.0,),
+                         partial(_time_functional, tg, "atom", None), ()))
+        families += [(f"vector-kernel-M{M}-N{N}-{route}", kernel_derivative(odd, N, M, route),
+                      nodes, partial(_time_functional, tg, 2, 2.0 * M + 2.0 * N), moves)
+                     for M, N in ((1, 0), (0, 1), (1, 1)) for route in ("ladder", "direct")]
+        add = partial(_Claim, "standard-estimates")
+        for name, kernel, times, norm, moved in families:
+            rows.append(add(f"{name}/growth", kernel, times, norm))
+            rows += [add(f"{name}/{claim}", kernel, times, norm, gain=frac, move=move)
+                     for claim, frac, move in moved]
+            gradient = kernel_derivative(odd, kernel.N + 1, kernel.M, kernel.route)
+            rows.append(add(f"{name}/gradient", gradient, times, norm, gain="d"))
+    if suite in ("domination", "all"):  # a range that holds no time is bad configuration
+        ts = tuple(t for t in 0.01 * 2.0 ** np.arange(11) if spec.t_min <= t <= spec.t_max)
+        if not ts:
+            raise ValueError(f"no domination time 0.01 * 2^k (k = 0-10) lies in "
+                             f"[t_min, t_max] = [{spec.t_min:g}, {spec.t_max:g}]")
+        rows.append(_Claim("domination", "odd-dominated-by-even", odd, ts, None))
+    for i, inst in enumerate(LEMMA_INSTANCES if lemma else ()):
         group, family, L, N, M, W, g1, g2, p = inst
-        lhs = (np.sin(theta) ** g1 * np.sin(phi) ** g2
-               * t_norm(tg, samples[L, N, M], p, W=float(W)))
-        r = lhs * mb
-        out.append(ratio_sweep_report(lemma_claim_id(inst),
-                                      r * d if family == "gain" else r, spec,
-                                      details={"group": group, "p_norm": str(p),
-                                               "time_weight": W}))
-    yield out
+        if full or i == 0 or LEMMA_INSTANCES[i - 1][0] != group:  # quick: a group's first
+            rows.append(_Claim("lemma-ratios", lemma_claim_id(inst),
+                               partial_derivative_kernel(params, 1, L, N, M), nodes,
+                               partial(_time_functional, tg, p, float(W)), (g1, g2),
+                               "d" if family == "gain" else 1.0,
+                               details={"group": group, "p_norm": str(p),
+                                        "time_weight": W}))
+    return rows
+
+
+def _sweep(rows: list[_Claim], params: JacobiParams, spec: SweepSpec,
+           timed=lambda name, fn: fn()) -> list[EstimateReport]:
+    """The reports of sweep claims, in the order of their rows. The pairs and
+    each move of them take one eval_kernels call on the distinct (kernel,
+    times) jobs of the rows reading them, timed as "sweep-kernels"; the ball
+    measures are computed once, and each row's reduction is timed by suite."""
+    d, theta, phi = spec.pairs()
+    even = poisson_kernel(params, "even")  # the bound of the domination claim
+    sets = {}  # move -> the jobs on the pairs moved by it
+    for row in rows:
+        jobs = [(row.kernel, row.times)]
+        if row.suite == "domination":
+            jobs.append((even, row.times))
+        for move in ((0.0, 0.0), row.move):
+            sets.setdefault(move, {}).update(dict.fromkeys(jobs))
+    samples = timed("sweep-kernels", lambda: {
+        move: dict(zip(jobs, eval_kernels(list(jobs), theta + move[0] * d,
+                                          phi + move[1] * d, spec.truncation())))
+        for move, jobs in sets.items()})
+    mb, sin_theta, sin_phi = ball_measure(params, theta, d), np.sin(theta), np.sin(phi)
+
+    def reduce(row):
+        s = samples[0.0, 0.0][row.kernel, row.times]
+        if row.suite == "domination":
+            e = samples[0.0, 0.0][even, row.times]
+            neg = np.min(e, initial=0.0)
+            pos = _tolerance_report("even-kernel-positive", -neg, 1e-15, times=len(row.times))
+            rep = ratio_sweep_report(row.claim, np.max(np.abs(s) / e, axis=-1), spec)
+            rep.details["min_even_value"] = float(neg)
+            rep.details["within_unit_constant"] = bool(rep.constant <= 1.0 + 1e-10)
+            rep.passed = rep.passed and pos.passed
+            return [rep, pos]
+        if any(row.move):
+            s = s - samples[row.move][row.kernel, row.times]
+        r = sin_theta ** row.g[0] * sin_phi ** row.g[1] * row.norm(s) * mb
+        r = r * d if row.gain == "d" else r / row.gain
+        return [ratio_sweep_report(row.claim, r, spec, details=dict(row.details))]
+
+    return [rep for row in rows for rep in timed(row.suite, lambda: reduce(row))]
 
 
 # --- empirical operator norms ----------------------------------------------------
@@ -875,15 +866,12 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         import time
         t0 = time.perf_counter()
         res = fn()
-        clock[name] = time.perf_counter() - t0
+        clock[name] = clock.get(name, 0.0) + time.perf_counter() - t0
         return res
 
-    # a time range the grid rejects, or that holds no domination time,
-    # fails before any work
-    if suite in ("standard-estimates", "lemma-ratios", "all"):
-        spec.tgrid()
-    if suite in ("domination", "all"):
-        _domination_times(spec)
+    # the claim table takes the time grid and the domination times first:
+    # a time range without them fails before any work
+    claims = _sweep_claims(suite, params, spec, profile)
     reports = []
     if suite in ("identities", "all"):
         reports += timed("identities", lambda: check_identities(params, profile))
@@ -891,14 +879,8 @@ def run_suite(suite: str, params: JacobiParams, profile: str = "quick",
         reports += timed("sharp-constants", lambda: check_sharp_constants(ngrid))
         reports += timed("ball-comparability",
                          lambda: check_ball_comparability(params, spec, profile))
-    # the sweep suites share one kernel call; their entries time their reductions
-    sweeps = [(name, gen) for name, gen in (
-        ("standard-estimates", _standard_estimates(params, spec, full)),
-        ("domination", _domination(params, spec)),
-        ("lemma-ratios", _lemma_instances(params, spec, full)),
-    ) if suite in (name, "all")]
-    if sweeps:
-        reports += _sweep_step(params, spec, sweeps, timed)
+    if claims:  # the sweep suites share one kernel call on the pairs
+        reports += _sweep(claims, params, spec, timed)
     if suite in ("lp-sweep", "all"):
         reports += timed("lp-sweep", lambda: empirical_lp_sweep(
             params, p, weights=weights, seed=seed))

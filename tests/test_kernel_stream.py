@@ -318,6 +318,31 @@ def test_memory_of_a_pass_bounded_by_its_window():
     assert window < peak < 2 * window, (peak, window)
 
 
+def test_summed_factors_share_one_buffer_per_side():
+    # six direct-route odd chains, whose theta factors sum two terms each,
+    # read one pass of three runs ((alpha+1, beta+1) from degree 0 on theta
+    # and phi, (alpha+2, beta+2) from degree -1 on theta): a window of 3 x
+    # pairs columns, and a third of it each for the product, the call's one
+    # theta sum and the plan's scratch, two windows in all; measured 2.22. A
+    # sum buffer per job adds a third of a window per job, 3.89 windows
+    p = JacobiParams(1.5, -0.7)
+    rng = np.random.default_rng(5)
+    theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 720))
+    odd = poisson_kernel(p, "odd")
+    handles = [kernel_derivative(odd, N, M, "direct") for N in (1, 3) for M in (0, 1, 2)]
+    window = _WINDOW_BYTES // (8 * 3 * theta.size) * 3 * theta.size * 8
+    tracemalloc.start()
+    try:
+        together = eval_kernels([(h, [0.1]) for h in handles], theta, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 2 * window < peak < 2.5 * window, (peak, window)
+    # the shared buffers keep every job's samples bit for bit
+    for h, got in zip(handles, together):
+        assert np.array_equal(got, h.eval_pairs(theta, phi, [0.1]))
+
+
 @pytest.mark.parametrize("ab", [(1.5, -0.7), (-0.7, -0.6)])
 def test_lone_job_forms_its_product_in_the_window(ab):
     # each component of the symmetrized kernel is a lone job on raw rows, a

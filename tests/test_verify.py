@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -582,9 +583,40 @@ class TestSharedSweepStep:
         (jobs, calls), = merged
         assert len(calls) == len(set(calls)) < jobs
 
-    def test_timings_split_kernels_from_reductions(self):
-        doc = run_suite("domination", P, "quick", spec=TEST_SWEEP, timings=True)
-        assert set(doc["timings"]) == {"sweep-kernels", "domination"}
+    @pytest.mark.parametrize("suite,profile,calls", [("domination", "quick", 1),
+                                                     ("standard-estimates", "full", 4)])
+    def test_timings_split_kernels_from_reductions(self, suite, profile, calls,
+                                                   monkeypatch):
+        # a clock that only the kernel calls advance: the calls on the pairs
+        # and on the three moved point sets of the full profile all count
+        # under sweep-kernels, and the suite's entry times its reductions
+        now = [0.0]
+        original = verify.eval_kernels
+
+        def ticking(*args, **kwargs):
+            now[0] += 1.0
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "eval_kernels", ticking)
+        monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+        doc = run_suite(suite, P, profile, spec=TEST_SWEEP, timings=True)
+        assert doc["timings"] == {"sweep-kernels": calls, suite: 0.0}
+
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (1.5, -0.7)])
+    def test_reports_do_not_depend_on_row_order(self, ab):
+        # the job dedup and the reductions read no row's neighbours: the full
+        # profile's table for "all", run backwards, reports every claim as
+        # it does forwards
+        params = JacobiParams(*ab)
+        rows = verify._sweep_claims("all", params, TEST_SWEEP, "full")
+
+        def by_claim(reports):
+            return {r.claim: report_json(r.to_dict()) for r in reports}
+
+        forward = verify._sweep(rows, params, TEST_SWEEP)
+        backward = verify._sweep(rows[::-1], params, TEST_SWEEP)
+        assert len(forward) == len(backward) == len(by_claim(forward)) == 36 + 2 + 39
+        assert by_claim(backward) == by_claim(forward)
 
 
 class TestLemmaInstances:
