@@ -144,59 +144,23 @@ def _steps(a: float, b: float, gamma: np.ndarray, k: int, m: int) -> np.ndarray:
     return out
 
 
-class JacobiRecurrence:
-    """Q_n(x) = P_n(x) / gamma_n for n = d0, d0+1, ... by the three-term
-    recurrence rescaled to C_n = 1 (see _gamma), resumable.
+def _fill(runs, ends, out: np.ndarray, carry: np.ndarray) -> None:
+    """Write the next len(out) degrees of each run of runs (see _Run) into out.
 
-    Each `fill(out)` writes the next len(out) degrees of Q_n into the rows of
-    `out` and carries the last two rows, so a long series is produced in
-    windows of any size with memory bounded by the window; `gamma[n]` takes
-    row n back to P_n. Degrees below zero are zero rows, and Q_0 = P_0 and
-    Q_1 = P_1 are written explicitly, so the degenerate combination
-    alpha+beta = -1 is safe. `gamma` (see _gamma) must reach as far as the
-    recurrence will be read.
-    """
-
-    def __init__(self, params: JacobiParams, x, degree: int, gamma: np.ndarray):
-        self.params = params
-        self.x = np.asarray(x, dtype=float)
-        self.x1 = np.empty((2,) + self.x.shape)  # x and 1, for A'_n x + B'_n * 1
-        self.x1[0], self.x1[1] = self.x, 1.0
-        self.gamma = gamma
-        self.degree = min(degree, 0)
-        # rows degree-2 and degree-1 (zero below degree 0)
-        self.carry = np.zeros((2,) + self.x.shape)
-        if degree > 0:
-            self.fill(np.empty((degree,) + self.x.shape))
-
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the next out.shape[0] degrees of Q_n into out, row by row."""
-        _fill((self,), (0, len(self.x)), out, self.carry)
-        return out
-
-    def steps(self, m: int) -> np.ndarray:
-        """(A'_n, B'_n) of the next m degrees, each at least 2."""
-        return _steps(self.params.alpha, self.params.beta, self.gamma, self.degree, m)
-
-
-def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
-    """Write the next len(out) degrees of each recurrence of recs into out.
-
-    Recurrence j owns columns ends[j]..ends[j+1]-1 of out and of carry (rows
-    n-2 and n-1; its own `carry` is a view of them). Once every recurrence
-    has reached degree 2, a row is one step of two in-place calls over all
-    the columns, as C_n = 1 for every recurrence; the rows before that are
-    each recurrence's own fill.
+    Run j owns columns ends[j]..ends[j+1]-1 of out and of carry, which holds
+    the rows n-2 and n-1 of every run. Once every run has reached degree 2,
+    a row is one step of two in-place calls over all the columns, as C_n = 1
+    for every run; the rows before that are each run's own fill.
     """
     m, (p2, p1) = len(out), carry
-    i = min(m, max(0, *(2 - r.degree for r in recs)))
-    if len(recs) > 1 and i:
-        for r, lo, hi in zip(recs, ends, ends[1:]):
-            _fill((r,), (0, hi - lo), out[:i, lo:hi], r.carry)
+    i = min(m, max(0, *(2 - r.degree for r in runs)))
+    if len(runs) > 1 and i:
+        for r, lo, hi in zip(runs, ends, ends[1:]):
+            _fill((r,), (0, hi - lo), out[:i, lo:hi], carry[:, lo:hi])
     elif i:
-        rec = recs[0]
-        a, b, x = rec.params.alpha, rec.params.beta, rec.x
-        for n, row in enumerate(out[:i], rec.degree):
+        run = runs[0]
+        a, b, x = run.params.alpha, run.params.beta, run.x1[0]
+        for n, row in enumerate(out[:i], run.degree):
             if n < 0:
                 row.fill(0.0)
             elif n == 0:
@@ -206,12 +170,13 @@ def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
                 row *= (a + b + 2.0) / 2.0
                 row += a + 1.0
             p2, p1 = p1, row
-        rec.degree += i
+        run.degree += i
     if i < m:
         # Q_n = (A'_n x + B'_n) Q_{n-1} - Q_{n-2}, the window's A'_n x + B'_n first:
         # einsum adds B'_n * 1 to the rounded A'_n x, as two ufuncs would, in one pass
-        for r, lo, hi in zip(recs, ends, ends[1:]):
-            np.einsum("ki,k...->i...", r.steps(m - i), r.x1, out=out[i:, lo:hi])
+        for r, lo, hi in zip(runs, ends, ends[1:]):
+            steps = _steps(r.params.alpha, r.params.beta, r.gamma, r.degree, m - i)
+            np.einsum("ki,k...->i...", steps, r.x1, out=out[i:, lo:hi])
             r.degree += m - i
         for row in out[i:]:
             row *= p1
@@ -226,9 +191,10 @@ def _fill(recs: tuple, ends, out: np.ndarray, carry: np.ndarray) -> None:
 def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     """Values P_n(x) for 0 <= n <= nmax; shape (nmax+1,) + x.shape."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    rec = JacobiRecurrence(params, x, 0, _gamma(params.alpha, params.beta, nmax + 1))
-    out = rec.fill(np.empty((nmax + 1,) + x.shape))
-    out[2:] *= rec.gamma[2:nmax + 1].reshape((-1,) + (1,) * x.ndim)  # P_n = gamma_n Q_n
+    run, gamma = _Run(params, 0), _gamma(params.alpha, params.beta, nmax + 1)
+    out = np.empty((nmax + 1,) + x.shape)
+    _fill((run,), (0, len(x)), out, run.begin(x, gamma))
+    out[2:] *= gamma[2:nmax + 1].reshape((-1,) + (1,) * x.ndim)  # P_n = gamma_n Q_n
     return out
 
 
@@ -266,7 +232,7 @@ class RowTerm:
 
         row n  +=  pi * scale(n) * Q_{n - lag}^{(params)}(cos theta)
 
-    with params = source shifted by lag and Q the rows of JacobiRecurrence.
+    with params = source shifted by lag and Q the rows of a _Run.
     """
 
     def __init__(self, source: JacobiParams, lag: int, pi):
@@ -276,7 +242,7 @@ class RowTerm:
     def scale(self, lo: int, hi: int, gamma: np.ndarray) -> np.ndarray:
         """kappa(n) gamma[n - lag] at n = lo..hi-1, with d^lag/dx^lag (c_n P_n)
         = kappa(n) P_{n-lag}^{(params)}: c_n times the parameter-shift Gamma
-        ratio, and gamma (see JacobiRecurrence, at params) taking row n - lag
+        ratio, and gamma (see _gamma, at params) taking row n - lag
         of the recurrence to P_{n-lag}; zero for n < lag, where the
         derivative vanishes (n may be negative there)."""
         j = self.lag
@@ -316,50 +282,64 @@ def theta_row_terms(params: JacobiParams, theta, weights: dict,
 
 
 class _Run:
-    """One recurrence of a RowPlan: what reads it, then its window columns."""
+    """One recurrence of a RowPlan: Q_n(x) = P_n(x) / gamma_n for n = start,
+    start+1, ... by the three-term recurrence rescaled to C_n = 1 (see
+    _gamma), over the union of the point sets that read it (`sets`) and as
+    far as the longest factor reading it (`length`).
+
+    begin starts it; each _fill then writes its next rows into a window and
+    carries the last two in rows the caller owns, so a long series is made
+    in windows of any size with memory bounded by the window; `gamma[n]`
+    takes row n back to P_n and must reach as far as the run is read.
+    Degrees below zero are zero rows, and Q_0 = P_0 and Q_1 = P_1 are written
+    explicitly, so the degenerate combination alpha+beta = -1 is safe.
+    """
 
     def __init__(self, params: JacobiParams, start: int):
         self.params, self.start, self.sets, self.length = params, start, set(), 0
 
-    def begin(self, points: tuple, lo: int, gamma: np.ndarray) -> JacobiRecurrence:
-        """Its recurrence over the union of its point sets, whose rows are
-        the window's columns lo.. on."""
-        sets, self.cols, end = sorted(self.sets), {}, lo
-        for i in sets:
-            self.cols[i], end = slice(end, end + points[i].size), end + points[i].size
-        x = np.cos(points[sets[0]] if len(sets) == 1
-                   else np.concatenate([points[i] for i in sets]))
-        return JacobiRecurrence(self.params, x, self.start, gamma)
+    def begin(self, x: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """Start at the points x and step to degree `start`: the carried rows
+        start-2 and start-1 (zero below degree 0), shape (2,) + x.shape."""
+        self.x1 = np.empty((2,) + x.shape)  # x and 1, for A'_n x + B'_n * 1
+        self.x1[0], self.x1[1] = x, 1.0
+        self.gamma, self.degree = gamma, min(self.start, 0)
+        carry = np.zeros((2,) + x.shape)
+        if self.start > 0:
+            _fill((self,), (0, len(x)), np.empty((self.start,) + x.shape), carry)
+        return carry
 
 
 class RowPlan:
     """The recurrences behind sums of RowTerm rows, each run once, and the sums.
 
     A factor (see add) reads RowTerms on one of the plan's point sets: its
-    row k is row k + offset of each term. One JacobiRecurrence runs per
-    distinct (parameters, start degree) of all factors' terms, over the
-    union of the point sets reading it (equal sets count once) and as far as
-    the longest factor reading it. advance(k0, k1, runs) fills rows k0..k1-1
-    of the runs that one pass of windows reads, stepped together as one
-    array (see _fill), and rows() reads them: rows of Q_n = P_n / gamma_n.
+    row k is row k + offset of each term. One _Run runs per distinct
+    (parameters, start degree) of all factors' terms, over the union of the
+    point sets reading it (equal sets count once) and as far as the longest
+    factor reading it. advance(k0, k1, runs) fills rows k0..k1-1 of the runs
+    that one pass of windows reads, stepped together as one array with one
+    carry (see _fill), and rows() reads them: rows of Q_n = P_n / gamma_n.
     gamma is computed once per parameters, as far as any run is stepped, and
     RowTerm.scale, which folds it in, once per (source, lag), over every
     degree a factor reads; each factor reads a slice, bitwise the values of
     a call on its own degrees, as both are elementwise. All factors are
-    added before either is read.
+    added before either is read. The plan owns every buffer it hands out:
+    the window and carry of a pass, and one factor-sum buffer per point set.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
         self._runs, self._degrees, self._scales = {}, {}, {}
-        self._tops, self._gammas = {}, {}
+        self._gammas, self._sums = {}, {}
         self._k0, self._tmp = 0, None
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
         """The factor of `terms` on point set `where`, read below row `length`."""
         if self._gammas:
             raise ValueError("a factor added after the plan's gamma was read")
-        if where:  # a point set equal to an earlier one reads that one's columns
+        side = where  # its sums' buffer; a set equal to an earlier one reads its columns
+        if where:
             p = self.points[where]
             where = next(j for j, q in enumerate(self.points)
                          if q is p or q.shape == p.shape and np.array_equal(q, p))
@@ -374,46 +354,45 @@ class RowPlan:
             runs.append(run)
             lo, hi = self._degrees.get((term.source, term.lag), (offset, offset + length))
             self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
-            # a pass steps a run it still reads to the end of the chunk
-            top = run.start + -(-length // self.chunk) * self.chunk
-            self._tops[term.params] = max(self._tops.get(term.params, 0), top)
-        return runs, where, terms, offset
+        return runs, where, terms, offset, side
 
     def gamma(self, params: JacobiParams) -> np.ndarray:
         """gamma_n of params (see _gamma), up to the highest degree any of the
-        plan's runs at params is stepped to."""
+        plan's runs at params is stepped to: a pass steps a run it still
+        reads to the end of the chunk."""
         gamma = self._gammas.get(params)
         if gamma is None:
-            gamma = self._gammas[params] = _gamma(params.alpha, params.beta,
-                                                  self._tops[params])
+            top = max(r.start + -(-r.length // self.chunk) * self.chunk
+                      for r in self._runs.values() if r.params == params)
+            gamma = self._gammas[params] = _gamma(params.alpha, params.beta, top)
         return gamma
 
     def advance(self, k0: int, k1: int, runs=None) -> None:
         """Fill rows k0..k1-1 of `runs` (every run of the plan by default),
         which one pass of windows reads; a pass begins at k0 = 0 and keeps
-        its buffers to its end."""
+        its window and carry to its end."""
         if k0 == 0:
             self._pass = self._window = None  # the last pass's buffers go first
             # longest first, so the runs still going are a prefix of the columns
             order = [r for r in self._runs.values() if runs is None or r in runs]
             order.sort(key=lambda r: -r.length)
-            recs, ends = [], [0]
-            for run in order:
-                recs.append(run.begin(self.points, ends[-1], self.gamma(run.params)))
-                ends.append(ends[-1] + recs[-1].x.size)
-            carry = recs[0].carry
-            if len(recs) > 1:  # the carried rows side by side, as the window's
-                carry = np.empty((2, ends[-1]))
-                for rec, lo, hi in zip(recs, ends, ends[1:]):
-                    carry[:, lo:hi] = rec.carry
-                    rec.carry = carry[:, lo:hi]
+            carries, ends = [], [0]
+            for run in order:  # its point sets side by side, from the pass's next column
+                sets, run.cols, end = sorted(run.sets), {}, ends[-1]
+                for i in sets:
+                    run.cols[i] = slice(end, end + self.points[i].size)
+                    end = run.cols[i].stop
+                x = np.cos(self.points[sets[0]] if len(sets) == 1
+                           else np.concatenate([self.points[i] for i in sets]))
+                carries.append(run.begin(x, self.gamma(run.params)))
+                ends.append(end)
             self._window = np.empty((min(self.chunk, order[0].length), ends[-1]))
-            self._pass = order, recs, ends, carry
-        order, recs, ends, carry = self._pass
+            self._pass = order, ends, np.concatenate(carries, axis=1)
+        order, ends, carry = self._pass
         live = sum(r.length > k0 for r in order) if k0 else len(order)  # all read at 0
-        if live < len(recs):
-            recs, ends, carry = recs[:live], ends[:live + 1], carry[:, :ends[live]]
-        _fill(recs, ends, self._window[:k1 - k0, :ends[-1]], carry)
+        if live < len(order):
+            order, ends, carry = order[:live], ends[:live + 1], carry[:, :ends[live]]
+        _fill(order, ends, self._window[:k1 - k0, :ends[-1]], carry)
         self._k0 = k0
 
     def rows(self, factor: tuple, m: int) -> list[np.ndarray]:
@@ -423,7 +402,7 @@ class RowPlan:
 
     def scales(self, factor: tuple, k0: int, k1: int) -> list[np.ndarray]:
         """RowTerm.scale of each term of a factor at its rows k0..k1-1."""
-        _, _, terms, offset = factor
+        terms, offset = factor[2:4]
         out = []
         for term in terms:
             key = term.source, term.lag
@@ -433,13 +412,20 @@ class RowPlan:
             out.append(self._scales[key][k0 + offset - lo:k1 + offset - lo])
         return out
 
-    def sum(self, factor: tuple, m: int, out: np.ndarray) -> np.ndarray:
-        """The first m rows of a factor in the current window, written to
-        out[:m]: pi * scale * raw row, added over the terms in lag order."""
-        out = out[:m]
-        out.fill(0.0)
+    def sum(self, factor: tuple, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The first m rows of a factor in the current window: pi * scale *
+        raw row, added over the terms in lag order, written to out[:m] or,
+        without out, to the plan's one buffer for the factor's point set,
+        which the next sum on that set overwrites."""
         if self._tmp is None:  # one scratch for every sum, sized for the largest
             self._tmp = np.empty(self.chunk * max(p.size for p in self.points))
+        if out is None:
+            side = factor[4]
+            if side not in self._sums:
+                self._sums[side] = np.empty((self.chunk, self.points[side].size))
+            out = self._sums[side]
+        out = out[:m]
+        out.fill(0.0)
         tmp = self._tmp[:out.size].reshape(out.shape)
         for term, raw, scale in zip(factor[2], self.rows(factor, m),
                                     self.scales(factor, self._k0, self._k0 + m)):

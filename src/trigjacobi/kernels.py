@@ -13,9 +13,10 @@ direct route on the even component at shifted parameters, with phi order L.
 
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
 q covering both the polynomial sup growth and the derivative powers. They
-are streamed: the recurrences of one call's kernels (a basis.RowPlan) advance
-a chunk of terms at a time, as many as fit a fixed byte budget (see _plan),
-and each chunk is added into the outputs before the next is built. O(series
+are streamed: the recurrences of one call's kernels (a basis.RowPlan, which
+owns the window of rows and the factor sums it hands out) advance a chunk of
+terms at a time, as many as fit a fixed byte budget (see _plan), and each
+chunk is added into the outputs before the next is built. O(series
 length) are one speed array per (parameters, component) of a call, each
 job's weights, and the plan's gamma and norm scales: 2.6 of the 6.0 MB
 tracemalloc peak of the quick sweep's one call at (0, 0), against 0.9 MB of
@@ -137,7 +138,7 @@ class KernelHandle:
         """Full kernel matrix K_t(theta_i, phi_j) at a single time."""
         plan = _plan(theta, phi)
         theta, phi = plan.points
-        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {}, {})
+        stream = _Stream(plan, self, t, DEFAULT_TRUNCATION, {})
         d = stream.weight * np.exp(-float(t) * stream.speed)
         out = np.zeros((theta.size, phi.size))
         for k0 in range(0, stream.n, plan.chunk):
@@ -239,7 +240,7 @@ _WINDOW_BYTES = 2 ** 21
 def _plan(theta, phi) -> RowPlan:
     """The row plan of theta and phi as float arrays, in chunks sized by their columns."""
     theta, phi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (theta, phi))
-    rows = _WINDOW_BYTES // (8 * (theta.size + phi.size + theta.size))
+    rows = _WINDOW_BYTES // (8 * max(1, theta.size + phi.size + theta.size))
     return RowPlan((theta, phi), max(1, min(_CHUNK, rows)))
 
 
@@ -251,17 +252,18 @@ class _Stream:
     sorted longest series first, so those still summing form a prefix. A
     single-term factor is handed out as the plan's raw rows, its scale folded
     into `weight` and its pi into `theta_scale` / `phi_scale`; the plan sums a
-    factor of several terms per chunk into the call's buffer for its side,
-    which the next job's sum reuses once the product is formed; `rows_key`
-    names the raw rows of a stream whose factors are both single terms, and
-    `key`, its (table parameters, component), its speeds.
+    factor of several terms per chunk into its buffer for the factor's side
+    (`_summed`), which the next job's sum reuses once the product is formed;
+    `rows_key` names the raw rows of a stream whose factors are both single
+    terms, and `key`, its (table parameters, component), its speeds.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
-                 known: dict, sums: dict):
+                 known: dict):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        # `known` holds a call's series lengths by (parameters, t, orders),
-        # `sums` its sum buffer by side (0 theta, 1 phi)
+        if not t.size:
+            raise ValueError("a kernel needs at least one time t")
+        # `known` holds a call's series lengths by (parameters, t, orders)
         keys = [(handle.table_params, ti, handle.orders) for ti in t]
         for key in keys:
             if key not in known:
@@ -274,11 +276,8 @@ class _Stream:
         self._factors = [plan.add(terms, n, s, offset)
                          for s, (terms, offset) in enumerate(sides)]
         self.runs = {run for runs, *_ in self._factors for run in runs}
-        for s, (terms, _) in enumerate(sides):
-            if len(terms) > 1 and s not in sums:
-                sums[s] = np.empty((plan.chunk, plan.points[s].size))
-        self._sums = [None if len(terms) == 1 else sums[s] for s, (terms, _) in enumerate(sides)]
-        self.rows_key = None if any(b is not None for b in self._sums) else tuple(
+        self._summed = [len(terms) > 1 for terms, _ in sides]
+        self.rows_key = None if any(self._summed) else tuple(
             (id(runs[0]), where) for runs, where, *_ in self._factors)
         self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
                                             for terms, _ in sides)
@@ -297,16 +296,15 @@ class _Stream:
         """The series coefficients times the single-term factors' scales; read
         once the plan holds every stream's factors and `speed` is set."""
         weight = np.ones(self.n)
-        for factor, buf in zip(self._factors, self._sums):
-            if buf is None:
+        for factor, summed in zip(self._factors, self._summed):
+            if not summed:
                 weight *= self._plan.scales(factor, 0, self.n)[0]
         return np.multiply(weight, _coef(self.handle, self.speed), out=weight)
 
     def factors(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The first m rows of the theta and the phi factor in the plan's window."""
-        return tuple(self._plan.rows(factor, m)[0] if buf is None
-                     else self._plan.sum(factor, m, buf)
-                     for factor, buf in zip(self._factors, self._sums))
+        return tuple(self._plan.sum(factor, m) if summed else self._plan.rows(factor, m)[0]
+                     for factor, summed in zip(self._factors, self._summed))
 
     def add(self, k0: int, k1: int, A: np.ndarray) -> None:
         """Add terms k0..k1-1 to the samples on the pairs; A is the product
@@ -360,11 +358,11 @@ def eval_kernels(jobs, theta, phi,
     over its window's theta rows. Each job keeps its own series, times and
     chunk windows: its samples equal a call with it alone, bit for bit.
     """
-    plan, known, sums = _plan(theta, phi), {}, {}
+    plan, known = _plan(theta, phi), {}
     theta, phi = plan.points
     if theta.shape != phi.shape:
         raise ValueError("theta and phi must pair up")
-    streams = [_Stream(plan, handle, t, cfg, known, sums) for handle, t in jobs]
+    streams = [_Stream(plan, handle, t, cfg, known) for handle, t in jobs]
     passes = []  # (recurrences, jobs reading them)
     for s in streams:
         link = [p for p in passes if p[0] & s.runs]

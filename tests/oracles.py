@@ -150,6 +150,34 @@ def poisson_kernel_half(theta, phi, t):
     return (near + far) / (4.0 * np.pi), (near - far) / (4.0 * np.pi)
 
 
+def poisson_circle_derivatives(x, t):
+    """d/dt and d/dx of P(x, t): (1 - cosh t cos x) / (cosh t - cos x)^2 and
+    -sinh t sin x / (cosh t - cos x)^2, with cosh t - cos x as in
+    poisson_circle and 1 - cosh t cos x as 2 (cosh t sin^2(x/2) - sinh^2(t/2)),
+    which keep their digits near x = 0 at small t."""
+    h, s = np.sinh(t / 2.0) ** 2, np.sin(x / 2.0) ** 2
+    den = 4.0 * (h + s) ** 2
+    return 2.0 * (np.cosh(t) * s - h) / den, -np.sinh(t) * np.sin(x) / den
+
+
+def poisson_derivatives_half(theta, phi, t):
+    """d_t and the chain of order 1 of the even and the odd Poisson kernel at
+    (-1/2, -1/2) in closed form (see poisson_kernel_half), as
+    {(component, N, M): (kernel, scale)}. d_t of a component is
+    (d_t P(theta - phi) +- d_t P(theta + phi)) / (4 pi); the chain is
+    +d_theta of the even form and -d_theta of the odd form (A = 0 there).
+    The scale, the two terms' absolute values added, bounds the kernel."""
+    (t_near, x_near), (t_far, x_far) = (poisson_circle_derivatives(x, t)
+                                        for x in (theta - phi, theta + phi))
+    out = {}
+    for component, sign in (("even", 1.0), ("odd", -1.0)):
+        out[component, 0, 1] = ((t_near + sign * t_far) / (4.0 * np.pi),
+                                (np.abs(t_near) + np.abs(t_far)) / (4.0 * np.pi))
+        out[component, 1, 0] = (sign * (x_near + sign * x_far) / (4.0 * np.pi),
+                                (np.abs(x_near) + np.abs(x_far)) / (4.0 * np.pi))
+    return out
+
+
 def cosine_series(c, x, t):
     """S_c(x, t) = sum_{n>=0} e^{-t(n+c)} cos((n+c)x) = Re(e^{c(-t+ix)} /
     (1 - e^{-t+ix})), with |1 - e^{-t+ix}|^2 as expm1(-t)^2 + 4 e^{-t}

@@ -22,7 +22,6 @@ from trigjacobi.basis import (
     JACOBI_FN,
     BasisElement,
     JacobiParams,
-    JacobiRecurrence,
     basis_matrix,
     coeff_A,
     coeff_A_prime,
@@ -236,6 +235,18 @@ class TestTrigPoly:
             assert_allclose(table[n], jacobi_table(p, n, x)[n], rtol=1e-13)
 
 
+def run_rows(p, x, degree, gamma, windows):
+    """Rows degree, degree+1, ... of Q_n = P_n / gamma_n from one run of the
+    recurrence at the points x, filled window by window with the sizes given,
+    each window resuming from the rows the last one carried."""
+    run = basis._Run(p, degree)
+    carry = run.begin(x, gamma)
+    out = [np.empty((m, x.size)) for m in windows]
+    for window in out:
+        basis._fill((run,), (0, x.size), window, carry)
+    return np.concatenate(out)
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_windows_resume_where_they_stopped(self, a, b):
@@ -243,11 +254,10 @@ class TestRecurrence:
 
         p = params_of(a, b)
         x = np.cos(np.array([0.02, 0.8, 1.9, 3.1]))
-        rec = JacobiRecurrence(p, x, -2, basis._gamma(a, b, 60))
-        rows = np.concatenate([rec.fill(np.empty((m, x.size)))
-                               for m in (1, 1, 1, 2, 5, 1, 3, 40, 1)])
+        gamma = basis._gamma(a, b, 60)
+        rows = run_rows(p, x, -2, gamma, (1, 1, 1, 2, 5, 1, 3, 40, 1))
         assert np.all(rows[:2] == 0.0)
-        rows[2:] *= rec.gamma[:rows.shape[0] - 2, None]  # P_n = gamma_n Q_n
+        rows[2:] *= gamma[:rows.shape[0] - 2, None]  # P_n = gamma_n Q_n
         assert_allclose(rows[2:], jacobi_table(p, rows.shape[0] - 3, x),
                         rtol=1e-13, atol=1e-13)
         want = eval_jacobi(np.arange(rows.shape[0] - 2)[:, None], a, b, x[None, :])
@@ -287,17 +297,15 @@ class TestRecurrence:
             want = self.two_call_rows(p, x, degree, 512)
             for m in list(range(1, 41)) + [256]:
                 # two windows: the second resumes from the carried rows
-                rec = JacobiRecurrence(p, x, degree, basis._gamma(*ab, degree + 2 * m))
-                got = np.concatenate([rec.fill(np.empty((m, npts))),
-                                      rec.fill(np.empty((m, npts)))])
+                got = run_rows(p, x, degree, basis._gamma(*ab, degree + 2 * m), (m, m))
                 assert np.array_equal(got, want[:2 * m]), (degree, m)
 
     def test_starts_at_a_positive_degree(self):
         p = params_of(1.5, -0.7)
         x = np.linspace(-0.9, 0.9, 5)
         for degree in (1, 2, 3, 8):
-            rec = JacobiRecurrence(p, x, degree, basis._gamma(1.5, -0.7, degree + 2))
-            rows = rec.fill(np.empty((2, 5))) * rec.gamma[degree:degree + 2, None]
+            gamma = basis._gamma(1.5, -0.7, degree + 2)
+            rows = run_rows(p, x, degree, gamma, (2,)) * gamma[degree:degree + 2, None]
             assert_allclose(rows, jacobi_table(p, degree + 1, x)[degree:], rtol=1e-14)
 
     @staticmethod
@@ -500,10 +508,9 @@ class TestThetaTable:
             want = np.zeros((nmax + 1, theta.size))
             for term in theta_row_terms(p, theta, {d: 1.0}, odd):
                 q = term.params
-                rec = JacobiRecurrence(q, np.cos(theta), -term.lag,
-                                       basis._gamma(q.alpha, q.beta, nmax + 1))
-                rows = rec.fill(np.empty((nmax + 1, theta.size)))
-                want += rows * term.scale(0, nmax + 1, rec.gamma)[:, None] * term.pi
+                gamma = basis._gamma(q.alpha, q.beta, nmax + 1)
+                rows = run_rows(q, np.cos(theta), -term.lag, gamma, (nmax + 1,))
+                want += rows * term.scale(0, nmax + 1, gamma)[:, None] * term.pi
             assert np.array_equal(got[d], want), d
 
 

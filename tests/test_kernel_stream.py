@@ -257,14 +257,13 @@ def test_one_recurrence_per_parameters_and_start_degree(monkeypatch):
     # beta+1, from degree 0) on both sides; the odd ladder orders read the
     # polynomials from degree 1, and the direct ones' first-order tail the
     # derivative at alpha+2, beta+2 from degree -1
-    built = []
+    built, begin = [], basis._Run.begin
 
-    class Counted(basis.JacobiRecurrence):
-        def __init__(self, params, x, degree, gamma):
-            built.append((params, degree))
-            super().__init__(params, x, degree, gamma)
+    def counted(run, x, gamma):
+        built.append((run.params, run.start))
+        return begin(run, x, gamma)
 
-    monkeypatch.setattr(basis, "JacobiRecurrence", Counted)
+    monkeypatch.setattr(basis._Run, "begin", counted)
     p = JacobiParams(1.5, -0.7)
     odd = poisson_kernel(p, "odd")
     jobs = [(kernel_derivative(odd, N, 0, route=route), TIMES)

@@ -32,8 +32,8 @@ from trigjacobi.kernels import (
 from trigjacobi.measure import ball_measure
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 
-from oracles import (even_kernel_half, poisson_circle, poisson_kernel_half,
-                     riesz_growth_half)
+from oracles import (even_kernel_half, poisson_circle, poisson_derivatives_half,
+                     poisson_kernel_half, riesz_growth_half)
 from test_kernel_stream import FixedLength
 
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
@@ -274,6 +274,20 @@ class TestKernelDescription:
             with pytest.raises(ValueError, match="semigroup kernel"):
                 kernel_derivative(h, 1, 0)
 
+    def test_empty_pair_set_gives_no_rows(self):
+        # no rows, one column per time, as basis_matrix and eval_matrix give
+        # no rows on no points; the direct odd chain sums a factor of two terms
+        p = JacobiParams(1.5, -0.7)
+        chain = kernel_derivative(poisson_kernel(p, "odd"), 1, 0, route="direct")
+        assert poisson_kernel(p, "even").eval_pairs([], [], 0.5).shape == (0, 1)
+        assert chain.eval_pairs([], [], [0.5, 2.0]).shape == (0, 2)
+        assert symmetrized_kernel_pairs(p, [], [], [0.5, 2.0]).shape == (0, 2)
+
+    def test_empty_time_set_is_rejected(self):
+        h = poisson_kernel(JacobiParams(1.5, -0.7), "even")
+        with pytest.raises(ValueError, match="at least one time"):
+            h.eval_pairs([1.0], [2.0], [])
+
 
 class TestTruncation:
     def test_monotone_in_t(self):
@@ -465,6 +479,23 @@ class TestHalfIntegerClosedForm:
         for comp, g, w in zip(COMPONENTS, got, want):
             err = np.max(np.abs(g - w) / want[0])
             assert err <= 1e-9, (comp, err)
+
+    @pytest.mark.parametrize("route", ["ladder", "direct"])
+    @pytest.mark.parametrize("component", COMPONENTS)
+    def test_dt_and_chain_on_the_quick_sweep(self, component, route):
+        # errors relative to the closed forms' scales (oracles.py); measured
+        # at most 1.4e-9 (d_t) and 3.5e-7 (the chain), all at t = 5e-3 and
+        # d = pi/2. A flipped chain sign reads about 2
+        _, theta, phi = verify.QUICK_SWEEP.pairs()
+        t = verify.QUICK_SWEEP.tgrid().nodes
+        want = poisson_derivatives_half(theta[:, None], phi[:, None], t)
+        handle, orders = poisson_kernel(self.P, component), ((0, 1), (1, 0))
+        got = eval_kernels([(kernel_derivative(handle, N, M, route), t) for N, M in orders],
+                           theta, phi)
+        for (N, M), g, tol in zip(orders, got, (2e-9, 5e-7)):
+            value, scale = want[component, N, M]
+            err = np.max(np.abs(g - value) / scale)
+            assert err <= tol, (N, M, err)
 
     def test_symmetrized_kernel_on_wide_pairs(self):
         # even + sign(theta phi) odd is the circle's Poisson kernel
