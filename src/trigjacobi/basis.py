@@ -321,17 +321,16 @@ class RowPlan:
     that one pass of windows reads, stepped together as one array with one
     carry (see _fill), and rows() reads them: rows of Q_n = P_n / gamma_n.
     gamma is computed once per parameters, as far as any run is stepped, and
-    RowTerm.scale, which folds it in, once per (source, lag), over every
-    degree a factor reads; each factor reads a slice, bitwise the values of
-    a call on its own degrees, as both are elementwise. All factors are
-    added before either is read. The plan owns every buffer it hands out:
-    the window and carry of a pass, and one factor-sum buffer per point set.
+    RowTerm.scale, which folds it in, once per (source, lag), from degree -1
+    as far as that gamma reaches; a factor reads a slice, bitwise a call on
+    its own degrees, as both are elementwise. All factors are added before
+    either is read. The plan owns every buffer it hands out: the window and
+    carry of a pass, and one factor-sum buffer per point set.
     """
 
     def __init__(self, points: tuple, chunk: int):
         self.points, self.chunk = points, chunk
-        self._runs, self._degrees, self._scales = {}, {}, {}
-        self._gammas, self._sums = {}, {}
+        self._runs, self._scales, self._gammas, self._sums = {}, {}, {}, {}
         self._k0, self._tmp = 0, None
 
     def add(self, terms: list, length: int, where: int = 0, offset: int = 0) -> tuple:
@@ -352,8 +351,6 @@ class RowPlan:
             run.sets.add(where)
             run.length = max(run.length, length)
             runs.append(run)
-            lo, hi = self._degrees.get((term.source, term.lag), (offset, offset + length))
-            self._degrees[term.source, term.lag] = min(lo, offset), max(hi, offset + length)
         return runs, where, terms, offset, side
 
     def gamma(self, params: JacobiParams) -> np.ndarray:
@@ -406,10 +403,11 @@ class RowPlan:
         out = []
         for term in terms:
             key = term.source, term.lag
-            lo, hi = self._degrees[key]
             if key not in self._scales:
-                self._scales[key] = term.scale(lo, hi, self.gamma(term.params))
-            out.append(self._scales[key][k0 + offset - lo:k1 + offset - lo])
+                # from -1, the lowest offset, to gamma's end past lag: all a factor reads
+                gamma = self.gamma(term.params)
+                self._scales[key] = term.scale(-1, gamma.size + term.lag, gamma)
+            out.append(self._scales[key][k0 + offset + 1:k1 + offset + 1])
         return out
 
     def sum(self, factor: tuple, m: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -435,16 +433,19 @@ class RowPlan:
         return out
 
 
-def _theta_table(params: JacobiParams, nmax: int, theta, dmax: int,
-                 odd: bool) -> np.ndarray:
+def _theta_table(params: JacobiParams, theta, tables: list) -> np.ndarray:
+    """Each (odd, order, rows) of tables as rows n < rows of the order-th theta
+    derivative of the polynomials c_n P_n(cos theta) (odd False) or the odd
+    factors, out[i, :rows] of one (len(tables), most rows, npts) array, summed
+    from one RowPlan over theta that steps each recurrence once."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    plan = RowPlan((theta,), nmax + 1)
-    orders = [plan.add(theta_row_terms(params, theta, {d: 1.0}, odd), nmax + 1)
-              for d in range(dmax + 1)]
-    plan.advance(0, nmax + 1)
-    out = np.empty((dmax + 1, nmax + 1, theta.size))
-    for d, factor in enumerate(orders):
-        plan.sum(factor, nmax + 1, out[d])
+    plan = RowPlan((theta,), max(rows for *_, rows in tables))
+    factors = [plan.add(theta_row_terms(params, theta, {order: 1.0}, odd), rows)
+               for odd, order, rows in tables]
+    plan.advance(0, plan.chunk)
+    out = np.empty((len(tables), plan.chunk, theta.size))
+    for factor, (*_, rows), table in zip(factors, tables, out):
+        plan.sum(factor, rows, table)
     return out
 
 
@@ -454,7 +455,7 @@ def trig_poly_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np
     Returns T with shape (dmax+1, nmax+1, npts): T[d, n] is the d-th theta
     derivative of c_n P_n(cos theta). Supports dmax <= 2.
     """
-    return _theta_table(params, nmax, theta, dmax, False)
+    return _theta_table(params, theta, [(False, d, nmax + 1) for d in range(dmax + 1)])
 
 
 def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> np.ndarray:
@@ -463,7 +464,7 @@ def odd_factor_table(params: JacobiParams, nmax: int, theta, dmax: int = 0) -> n
     s_n = sqrt(2) * Phi_{2n+1} restricted to its natural formula; odd about 0.
     Shape (dmax+1, nmax+1, npts), dmax <= 2.
     """
-    return _theta_table(params, nmax, theta, dmax, True)
+    return _theta_table(params, theta, [(True, d, nmax + 1) for d in range(dmax + 1)])
 
 
 @dataclass(frozen=True)
@@ -511,11 +512,11 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     order; shape (len(n), npts).
 
     n is a 1-D index array, in any order and with repeats. The symmetrized
-    kinds read Phi_2k and Phi_2k+1 from the polynomials and the odd factors,
-    one table for each parity some index has. Polynomial kinds support
-    order <= 2; the psi-weighted kinds support order = 0 only (their
-    derivatives are reached through the conjugation identities rather than
-    pointwise formulas).
+    kinds read Phi_2k and Phi_2k+1 from row k of the polynomials and the odd
+    factors; one _theta_table builds a table per parity present, at the order
+    asked. Polynomial kinds support order <= 2; the psi-weighted kinds
+    support order = 0 only (their derivatives are reached through the
+    conjugation identities rather than pointwise formulas).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -525,25 +526,19 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     if (n < 0).any():
         raise ValueError("index must be nonnegative")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if kind in (TRIG_POLY, JACOBI_FN):
-        if (theta <= 0.0).any() or (theta >= np.pi).any():
-            raise ValueError("element is defined on (0,pi)")
-    elif (np.abs(theta) >= np.pi).any():
-        raise ValueError("element is defined on (-pi,pi)")
+    sym = kind in (SYM_POLY, SYM_FN)
+    if (np.abs(theta) >= np.pi).any() or not sym and (theta <= 0.0).any():
+        raise ValueError(f"element is defined on {'(-pi,pi)' if sym else '(0,pi)'}")
     weighted = kind in (JACOBI_FN, SYM_FN)
     if weighted and order != 0:
         raise ValueError("psi-weighted elements are evaluated at order 0 only")
     if n.size == 0:
         return np.empty((0, theta.size))
-    if kind in (TRIG_POLY, JACOBI_FN):
-        out = trig_poly_table(params, int(n.max()), theta, order)[order, n]
-    else:
-        out = np.empty((n.size, theta.size))
-        for parity, table in enumerate((trig_poly_table, odd_factor_table)):
-            rows = n % 2 == parity
-            if rows.any():
-                k = n[rows] // 2
-                out[rows] = table(params, int(k.max()), theta, order)[order, k]
+    k, odd = np.divmod(n, 2 if sym else 1)  # n = 2k + odd on the symmetrized kinds
+    rows = [int(k[odd == p].max(initial=-1)) + 1 for p in (0, 1)]  # 0 if absent
+    tables = [(bool(p), order, m) for p, m in enumerate(rows) if m]
+    out = _theta_table(params, theta, tables)[odd if len(tables) == 2 else 0, k]
+    if sym:
         out *= 1.0 / math.sqrt(2.0)
     # phi_n = psi P_n; Theta_n = psi Phi_n exactly, both parities (the odd index's
     # sign(theta) is absorbed by sin(theta/2) > 0 <=> theta > 0)

@@ -324,7 +324,10 @@ class _Stream:
 
 class _Decay:
     """exp(-t speed) of a stream, a block per chunk, which the streams of its
-    key and sorted times and no longer series at any time read too."""
+    key and sorted times and no longer series at any time read too. A block
+    holds the times its own series still sums, and series_length is not
+    monotone in orders: at (2.5, 3.5) the odd chains of orders 1 and 2 need
+    66 and 71 terms at t = 1 but 3 and 2 at t = 31.53."""
 
     def __init__(self, s: _Stream):
         self.t, self.speed, self.lengths, self.k0 = s.t, s.speed, s.lengths, -1

@@ -48,6 +48,7 @@ from .basis import (
 from .kernels import (
     DEFAULT_TRUNCATION,
     DiscreteMeasure,
+    KernelHandle,
     TruncationConfig,
     eval_kernels,
     kernel_derivative,

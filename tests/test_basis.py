@@ -383,7 +383,7 @@ class TestRecurrence:
         # going, each from the degree where the last window left it
         from trigjacobi import verify
 
-        fill, advance, depth, steps, widths = basis._fill, basis.RowPlan.advance, [0], [], []
+        fill, advance, depth, steps, widths = basis._fill, basis.RowPlan.advance, [0], [], {}
 
         def counted_fill(recs, ends, out, *args):
             if not depth[0]:
@@ -403,13 +403,26 @@ class TestRecurrence:
                           if (runs is None or r in runs) and r.length > k0)
             # a recurrence that starts above degree 0 steps there first
             assert steps[-1] == (live, k1 - k0)
-            widths.append(len(live))
+            widths.setdefault(len(plan.points), []).append(len(live))
 
         monkeypatch.setattr(basis, "_fill", counted_fill)
         monkeypatch.setattr(basis.RowPlan, "advance", counted_advance)
         verify.run_suite("all", params_of(0.0, 0.0), "quick")
-        # the sweep's pass of (0, 0) on theta, (1, 1) on theta and phi, (2, 2) on theta
-        assert max(widths) == 3
+        # the sweep's kernel call, on theta and phi: its pass of (0, 0) on
+        # theta, (1, 1) on theta and phi, (2, 2) on theta
+        assert max(widths[2]) == 3
+        # the basis tables, on theta: order 2 of jacobi_operator_rows steps
+        # (1, 1) and (2, 2) for the polynomials and (1, 1) to (3, 3) for the
+        # odd factors in one plan
+        assert max(widths[1]) == 5
+
+    def test_a_factor_added_after_gamma_is_read_raises(self):
+        p, theta = params_of(1.5, -0.7), np.linspace(0.1, 3.0, 5)
+        plan = basis.RowPlan((theta,), 8)
+        plan.add(theta_row_terms(p, theta, {0: 1.0}), 8)
+        plan.gamma(p)
+        with pytest.raises(ValueError, match="after the plan's gamma was read"):
+            plan.add(theta_row_terms(p, theta, {1: 1.0}), 8)
 
 
 def element_row(p, kind, n, theta, order=0):
@@ -422,6 +435,25 @@ def element_row(p, kind, n, theta, order=0):
         table = trig_poly_table if n % 2 == 0 else odd_factor_table
         row = (1.0 / math.sqrt(2.0)) * table(p, n // 2, theta, order)[order, n // 2]
     return psi(p, theta) * row if kind in (JACOBI_FN, SYM_FN) else row
+
+
+def record_plans(monkeypatch):
+    """Every RowPlan built from here on, as the list of its factors' (source,
+    order): the polynomials' source is the parameters, the odd factors' the
+    parameters shifted by 1, and a factor of order d has terms up to lag d."""
+    plans = []
+
+    class Recorded(basis.RowPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append([])
+
+        def add(self, terms, *args):
+            plans[-1].append((terms[0].source, max(term.lag for term in terms)))
+            return super().add(terms, *args)
+
+    monkeypatch.setattr(basis, "RowPlan", Recorded)
+    return plans
 
 
 def nodes_for(kind):
@@ -459,17 +491,17 @@ class TestBasisMatrix:
         for row, k in zip(table, n):
             assert np.array_equal(row, element_row(p, kind, k, theta, order))
 
-    @pytest.mark.parametrize("n,built", [([6, 2, 2, 0], ["even"]), ([7, 1], ["odd"]),
-                                         ([3, 0, 1], ["even", "odd"])])
-    def test_one_table_per_parity_present(self, monkeypatch, n, built):
-        calls = []
-        for name, parity in (("trig_poly_table", "even"), ("odd_factor_table", "odd")):
-            def counted(*args, _table=getattr(basis, name), _parity=parity, **kwargs):
-                calls.append(_parity)
-                return _table(*args, **kwargs)
-            monkeypatch.setattr(basis, name, counted)
-        basis_matrix(params_of(1.5, -0.7), SYM_POLY, np.array(n), nodes_for(SYM_POLY))
-        assert calls == built
+    @pytest.mark.parametrize("n,parities", [([6, 2, 2, 0], [0]), ([7, 1], [1]),
+                                            ([3, 0, 1], [0, 1])])
+    @pytest.mark.parametrize("kind,order", [(SYM_POLY, 0), (SYM_POLY, 1), (SYM_POLY, 2),
+                                            (SYM_FN, 0), (TRIG_POLY, 2), (JACOBI_FN, 0)])
+    def test_one_plan_per_call_with_a_factor_per_parity_present(self, monkeypatch, kind,
+                                                                order, n, parities):
+        p, plans = params_of(1.5, -0.7), record_plans(monkeypatch)
+        basis_matrix(p, kind, np.array(n), nodes_for(kind), order)
+        if kind in (TRIG_POLY, JACOBI_FN):
+            parities = [0]
+        assert plans == [[(p.shifted(odd), order) for odd in parities]]
 
     @pytest.mark.parametrize("n", [[], np.zeros(0, dtype=int)], ids=["list", "int-array"])
     @pytest.mark.parametrize("kind", [TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN])
@@ -819,6 +851,13 @@ class TestSecondOrderOperator:
             elem = BasisElement(p, int(k), SYM_POLY)
             assert np.array_equal(jrow, basis.jacobi_operator_rows(p, [k], t)[0][0])
             assert np.array_equal(row, eval_basis(elem, t))
+
+    def test_one_plan_per_order_with_a_factor_per_parity(self, monkeypatch):
+        # 3 plans and 6 factors, where a table per (order, parity) that
+        # summed every order up to its own took 6 and 12
+        p, plans = params_of(1.5, -0.7), record_plans(monkeypatch)
+        basis.jacobi_operator_rows(p, np.arange(9), np.linspace(-3.0, 3.0, 13))
+        assert plans == [[(p, d), (p.shifted(1), d)] for d in range(3)]
 
     @pytest.mark.parametrize("ab", PARAM_PAIRS)
     def test_eigen_relation_through_zero(self, ab):

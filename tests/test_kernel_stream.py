@@ -445,3 +445,20 @@ def test_wide_call_equals_single_handle_calls():
         assert np.array_equal(got, h.eval_pairs(theta, phi, t, cfg)), h
     want, scale = reference(handles[3], cfg.n, theta[:50], phi[:50], times[3])
     assert np.all(np.abs(together[3][:50] - want) <= 1e-12 * scale)
+
+
+def test_a_decay_block_serves_no_job_of_a_longer_series(monkeypatch):
+    # series_length is not monotone in orders: at (2.5, 3.5) the odd chains
+    # of orders 1 and 2 need 66 and 71 terms at t = 1 but 3 and 2 at the
+    # time below. With 2-row chunks, the longer job's exp(-t speed) block at
+    # terms 2-3 holds t = 1 alone, so the other job, still summing both
+    # times there, must not read it: each equals itself alone, bit for bit
+    monkeypatch.setattr(kernels, "_CHUNK", 2)
+    odd = poisson_kernel(JacobiParams(2.5, 3.5), "odd")
+    jobs = [(kernel_derivative(odd, N, 0), [1.0, 31.528680147034354]) for N in (1, 2)]
+    cfg = TruncationConfig()
+    assert [[cfg.series_length(h.table_params, t, h.orders) for t in ts]
+            for h, ts in jobs] == [[66, 3], [71, 2]]
+    together = eval_kernels(jobs, THETA, PHI)
+    for (h, ts), got in zip(jobs, together):
+        assert np.array_equal(got, h.eval_pairs(THETA, PHI, ts)), h

@@ -1,13 +1,18 @@
 """Harness tests: sharp constants, sweeps, reports, determinism."""
 
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import time
+import typing
 
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
+import trigjacobi
 import trigjacobi.cli as cli
 from trigjacobi import basis, kernels, verify
 from trigjacobi.basis import JacobiParams
@@ -373,17 +378,18 @@ class TestIdentitySuite:
         assert len(reads) == 1
 
     def test_a_nan_basis_row_fails_the_claims_that_read_it(self, monkeypatch):
-        # degree 4 of the polynomial table is row 8 of both symmetrized
+        # degree 4 of the polynomial tables is row 8 of both symmetrized
         # families, which every check below reads
-        original = basis.trig_poly_table
+        original = basis._theta_table
 
-        def poisoned(params, nmax, theta, dmax=0):
-            table = original(params, nmax, theta, dmax)
-            if nmax >= 4:
-                table[:, 4, 0] = np.nan
-            return table
+        def poisoned(params, theta, tables):
+            out = original(params, theta, tables)
+            for (odd, _, rows), table in zip(tables, out):
+                if not odd and rows > 4:
+                    table[4, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(basis, "trig_poly_table", poisoned)
+        monkeypatch.setattr(basis, "_theta_table", poisoned)
         reports = ([check_eigen_residuals(P), check_conjugation(P)]
                    + check_spectral_identities(P)[:2])
         assert [r.claim for r in reports] == [
@@ -745,3 +751,13 @@ class TestReports:
             check(P, TEST_SWEEP, "ful")
         with pytest.raises(ValueError, match="profile must be 'quick' or 'full'"):
             run_suite("all", P, profile="ful")
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(trigjacobi.__path__)])
+def test_every_dataclass_annotation_resolves(module):
+    # a name used in an annotation but never imported only fails here
+    mod = importlib.import_module(f"trigjacobi.{module}")
+    classes = [c for c in vars(mod).values() if isinstance(c, type)
+               and dataclasses.is_dataclass(c) and c.__module__ == mod.__name__]
+    for cls in classes:
+        assert typing.get_type_hints(cls), cls
