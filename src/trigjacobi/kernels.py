@@ -18,7 +18,7 @@ owns the window of rows and the factor sums it hands out) advance a chunk of
 terms at a time, as many as fit a fixed byte budget (see _plan), and each
 chunk is added into the outputs before the next is built. O(series
 length) are one speed array per (parameters, component) of a call, each
-job's weights, and the plan's gamma and norm scales: 2.6 of the 6.0 MB
+job's weights, and the plan's gamma and norm scales: 2.6 of the 5.8 MB
 tracemalloc peak of the quick sweep's one call at (0, 0), against 0.9 MB of
 window. Nothing is cached between calls.
 """
@@ -55,11 +55,16 @@ class TruncationConfig:
             raise ValueError(f"need n_cap >= 1, got {self.n_cap!r}")
 
     def series_length(self, params: JacobiParams, t: float, orders: int) -> int:
-        """Smallest n with e^{-tn} (n+1)^q below eps_tail.
+        """A series length n with e^{-tn} (n+1)^q below eps_tail.
 
         q = 2 max(alpha,beta) + 2 + orders majorizes the sup growth of the
         summands including norm constants and the derivative powers of the
-        eigenvalues. Solved by a fixed point of n = (q log n - log eps)/t.
+        eigenvalues. n is the ceiling of the fixed point of
+        n = (q log(n+1) - log eps)/t, iterated from max(-log eps / t, 10)
+        until a step moves it less than 1/2, plus one. It meets the bound
+        but is neither the smallest such n nor monotone in orders or t: at
+        (2.5, 3.5) and t = 31.528680147034354, orders 0 to 4 read 2, 3, 2,
+        3, 3, where n = 1 meets the bound for orders 0 to 3.
         n_cap is the only limit on t: a series that needs more terms raises
         TruncationError, before the iteration already where t n_cap <= -log
         eps, as e^{-tn} alone stays above eps_tail through n_cap there.
@@ -70,7 +75,7 @@ class TruncationConfig:
         if t * self.n_cap <= -log_eps:
             raise TruncationError(
                 f"series needs more than n_cap={self.n_cap} terms at t={t}; "
-                "raise n_cap or t")
+                "raise t, eps_tail or n_cap")
         q = max(2.0 * max(params.alpha, params.beta) + 2.0 + orders, 0.5)
         n = max(-log_eps / t, 10.0)
         for _ in range(60):
@@ -81,7 +86,7 @@ class TruncationConfig:
         if n > self.n_cap:
             raise TruncationError(
                 f"series needs {n} terms at t={t}, more than "
-                f"n_cap={self.n_cap}; raise n_cap or t")
+                f"n_cap={self.n_cap}; raise t, eps_tail or n_cap")
         return n
 
 
@@ -255,7 +260,8 @@ class _Stream:
     factor of several terms per chunk into its buffer for the factor's side
     (`_summed`), which the next job's sum reuses once the product is formed;
     `rows_key` names the raw rows of a stream whose factors are both single
-    terms, and `key`, its (table parameters, component), its speeds.
+    terms, `key`, its (table parameters, component), its speeds, and
+    `times_key`, that key and its sorted times, its exp(-t speed) blocks.
     """
 
     def __init__(self, plan: RowPlan, handle: KernelHandle, t, cfg: TruncationConfig,
@@ -282,6 +288,7 @@ class _Stream:
         self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
                                             for terms, _ in sides)
         self.handle, self.key = handle, (handle.table_params, handle.component)
+        self.times_key = (self.key, self.t.tobytes())
         self.out = np.zeros((t.size, plan.points[0].size))
 
     @cached_property
@@ -306,12 +313,21 @@ class _Stream:
         return tuple(self._plan.sum(factor, m) if summed else self._plan.rows(factor, m)[0]
                      for factor, summed in zip(self._factors, self._summed))
 
-    def add(self, k0: int, k1: int, A: np.ndarray) -> None:
+    def add(self, k0: int, k1: int, A: np.ndarray, blocks: dict,
+            scratch: np.ndarray) -> None:
         """Add terms k0..k1-1 to the samples on the pairs; A is the product
-        of their factors, self.decay (see _Decay) holds their exp(-t speed)."""
+        of their factors. `blocks` holds the chunk's exp(-t speed) by
+        times_key; one with fewer live times or terms than this job sums is
+        made again, as series_length is not monotone in orders (at (2.5, 3.5)
+        the odd chains of orders 1 and 2 need 66 and 71 terms at t = 1 but 3
+        and 2 at t = 31.53). The weighted block is formed in `scratch`."""
         live, m = int(np.count_nonzero(self.lengths > k0)), k1 - k0
-        E = self.decay.scratch[:live * m].reshape(live, m)
-        np.multiply(self.decay.block(k0)[:live, :m], self.weight[k0:k1], out=E)
+        X = blocks.get(self.times_key)
+        if X is None or X.shape[0] < live or X.shape[1] < m:
+            X = blocks[self.times_key] = np.exp(np.multiply(self.t[:live, None],
+                                                            -self.speed[k0:k1]))
+        E = scratch[:live * m].reshape(live, m)
+        np.multiply(X[:live, :m], self.weight[k0:k1], out=E)
         for i in np.nonzero(self.lengths[:live] < k1)[0]:
             E[i, self.lengths[i] - k0:] = 0.0
         self.out[:live] += E @ A
@@ -322,32 +338,6 @@ class _Stream:
         return out[np.argsort(self.order)].T
 
 
-class _Decay:
-    """exp(-t speed) of a stream, a block per chunk, which the streams of its
-    key and sorted times and no longer series at any time read too. A block
-    holds the times its own series still sums, and series_length is not
-    monotone in orders: at (2.5, 3.5) the odd chains of orders 1 and 2 need
-    66 and 71 terms at t = 1 but 3 and 2 at t = 31.53."""
-
-    def __init__(self, s: _Stream):
-        self.t, self.speed, self.lengths, self.k0 = s.t, s.speed, s.lengths, -1
-        self.key, self.chunk = s.key, s._plan.chunk
-        self.buf, self.scratch = np.empty((2, s.t.size * self.chunk))
-
-    def takes(self, s: _Stream) -> bool:
-        return (self.key == s.key and np.array_equal(self.t, s.t)
-                and bool(np.all(self.lengths >= s.lengths)))
-
-    def block(self, k0: int) -> np.ndarray:
-        if self.k0 != k0:
-            live = int(np.count_nonzero(self.lengths > k0))
-            m = min(k0 + self.chunk, self.speed.size) - k0
-            self.k0, self.X = k0, self.buf[:live * m].reshape(live, m)
-            np.exp(np.multiply(self.t[:live, None], -self.speed[k0:k0 + m], out=self.X),
-                   out=self.X)
-        return self.X
-
-
 def eval_kernels(jobs, theta, phi,
                  cfg: TruncationConfig = DEFAULT_TRUNCATION) -> list[np.ndarray]:
     """Samples K_t(theta_i, phi_i) of several kernels on the same pairs: one
@@ -356,10 +346,12 @@ def eval_kernels(jobs, theta, phi,
     The jobs read one basis.RowPlan, so each recurrence runs once; jobs that
     share recurrences take one pass of chunks together, the others a pass
     each, which keeps a pass's rows in cache. In a chunk, jobs of one key
-    and sorted times share one exp(-t speed) block, and jobs on the same raw
-    rows one product of their factors, which a pass of one such job writes
-    over its window's theta rows. Each job keeps its own series, times and
-    chunk windows: its samples equal a call with it alone, bit for bit.
+    and sorted times share one exp(-t speed) block through the chunk's dict
+    of blocks, and jobs on the same raw rows one product of their factors,
+    which a pass of one such job writes over its window's theta rows; each
+    job weights its block into the call's one scratch. Each job keeps its
+    own series, times and chunk windows: its samples equal a call with it
+    alone, bit for bit.
     """
     plan, known = _plan(theta, phi), {}
     theta, phi = plan.points
@@ -371,15 +363,13 @@ def eval_kernels(jobs, theta, phi,
         link = [p for p in passes if p[0] & s.runs]
         passes = [p for p in passes if not p[0] & s.runs]
         passes.append((s.runs.union(*(p[0] for p in link)), sum((p[1] for p in link), [s])))
-    decays, speeds = [], {}
+    speeds = {}
     for s in sorted(streams, key=lambda s: -s.n):
         if s.key not in speeds:  # the longest job of each key first
             speeds[s.key] = s.speed
         s.speed = speeds[s.key][:s.n]
-        if not any(g.takes(s) for g in decays):
-            decays.append(_Decay(s))
-        s.decay = next(g for g in decays if g.takes(s))
     chunk = plan.chunk
+    scratch = np.empty(max((s.t.size for s in streams), default=0) * chunk)
     alone = [len(group) == 1 and group[0].rows_key is not None for _, group in passes]
     prod = None if all(alone) else np.empty((chunk, theta.size))
     for (runs, group), in_place in zip(passes, alone):
@@ -388,14 +378,14 @@ def eval_kernels(jobs, theta, phi,
         n_max = max(s.n for s in group)
         for k0 in range(0, n_max, chunk):
             plan.advance(k0, min(k0 + chunk, n_max), runs)
-            last = None
+            last, blocks = None, {}
             for s in (s for s in group if s.n > k0):
                 k1 = min(k0 + chunk, s.n)
                 if s.rows_key is None or s.rows_key != last:
                     th, ph = s.factors(k1 - k0)
                     A = np.multiply(th, ph, out=th if in_place else prod[:k1 - k0])
                     last = s.rows_key
-                s.add(k0, k1, A[:k1 - k0])
+                s.add(k0, k1, A[:k1 - k0], blocks, scratch)
         th = ph = A = None  # so the next pass's window replaces this one's
     return [s.result() for s in streams]
 

@@ -757,7 +757,9 @@ def _sweep(rows: list[_Claim], params: JacobiParams, spec: SweepSpec,
         if row.suite == "domination":
             e = samples[0.0, 0.0][even, row.times]
             neg = np.min(e, initial=0.0)
-            pos = _tolerance_report("even-kernel-positive", -neg, 1e-15, times=len(row.times))
+            # 0.0 - neg, not -neg, which reads -0.0 when no sample is negative
+            pos = _tolerance_report("even-kernel-positive", 0.0 - neg, 1e-15,
+                                    times=len(row.times))
             rep = ratio_sweep_report(row.claim, np.max(np.abs(s) / e, axis=-1), spec)
             rep.details["min_even_value"] = float(neg)
             rep.details["within_unit_constant"] = bool(rep.constant <= 1.0 + 1e-10)

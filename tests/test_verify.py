@@ -432,6 +432,33 @@ class TestDomination:
         rep = check_domination(JacobiParams(0.0, 0.0), TEST_SWEEP)[0]
         assert rep.details["within_unit_constant"]
 
+    def test_even_positivity_reads_the_most_negative_sample(self, monkeypatch):
+        # no negative even sample reads 0.0, its sign bit clear (the report
+        # reads "-0.0" otherwise); one even sample at -1e-12 fails the claim
+        # with that magnitude
+        params = JacobiParams(0.0, 0.0)
+
+        def positivity():
+            reports = check_domination(params, TEST_SWEEP)
+            [pos] = [r for r in reports if r.claim == "even-kernel-positive"]
+            return pos
+
+        pos = positivity()
+        assert pos.passed and pos.constant == 0.0
+        assert math.copysign(1.0, pos.constant) == 1.0
+        even, original = poisson_kernel(params, "even"), verify.eval_kernels
+
+        def negative(jobs, *args, **kwargs):
+            samples = original(jobs, *args, **kwargs)
+            for (h, _), s in zip(jobs, samples):
+                if h == even:
+                    s[0, 0] = -1e-12
+            return samples
+
+        monkeypatch.setattr(verify, "eval_kernels", negative)
+        pos = positivity()
+        assert not pos.passed and pos.constant == 1e-12
+
 
 def count_kernel_evaluations(monkeypatch):
     """Patch eval_kernels, which every kernel evaluation on pairs goes
