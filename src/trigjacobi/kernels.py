@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import comb
 
 from .basis import (JacobiParams, RowPlan, _ladder_root, coeff_A, eigenvalue,
                     theta_row_terms)
@@ -207,7 +206,7 @@ def _coef(handle: KernelHandle, speed: np.ndarray) -> np.ndarray:
     # never collapsed to the ladder coefficient
     k0 = N // 2
     js = np.arange(k0 + 1)
-    binom = comb(k0, js) * (-p.lam0) ** (k0 - js)
+    binom = [math.comb(k0, j) for j in js] * (-p.lam0) ** (k0 - js)
     mult = np.zeros(speed.size)
     for j, c in zip(js, binom):
         mult += c * (-speed) ** (2 * j + M)
@@ -237,7 +236,7 @@ def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
 # series terms evaluated together: at most _CHUNK, and as many float64 rows as
 # fit _WINDOW_BYTES over a call's theta and phi columns and the pair columns of
 # its factor product (at least one), so a lone kernel on raw rows keeps window
-# and product within 2 MiB; a call on up to 341 pairs keeps all 256 rows
+# and product within 2 MiB up to 87381 pairs; up to 341 pairs keep 256 rows
 _CHUNK = 256
 _WINDOW_BYTES = 2 ** 21
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import binom, eval_jacobi, gamma, gammaln
+from scipy.special import binom, eval_jacobi, gammaln
 
 from .basis import (
     SYM_FN,
@@ -93,7 +93,8 @@ class SweepSpec:
     points each, accumulating at both interval endpoints; the two share the
     band's midpoint, so a band holds 2 * n_theta - 1 pairs. The refined
     sweep puts the geometric midpoint between each two adjacent points of a
-    half band, so it holds every base pair, bit for bit. Bands finer than
+    half band: 4 * n_theta - 3 pairs, every base pair among them bit for bit
+    (pairs() holds 105 in QUICK_SWEEP, 270 in FULL_SWEEP). Bands finer than
     1.5e-2 are skipped: there the truncated time integral no longer resolves
     the near-diagonal kernel.
     """
@@ -527,7 +528,7 @@ def check_spectral_identities(params: JacobiParams) -> list[EstimateReport]:
         for n in (3, 8):
             f = grid_function(grid, V[n])
             got = apply_operator(OperatorSpec("square", M=M), f, n + 1).values
-            want = math.sqrt(gamma(2.0 * M) / 4.0 ** M) * np.abs(f.values)
+            want = math.sqrt(math.gamma(2.0 * M) / 4.0 ** M) * np.abs(f.values)
             errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
     out.append(_tolerance_report("square-function-time-norm", errors, 1e-4,
                                  orders=[1, 2]))
@@ -679,7 +680,7 @@ def _time_functional(tg: TGrid, p, W: float, samples) -> np.ndarray:
     """A sweep claim's functional of samples in t: |int K t^{W-1} dt| / Gamma(W)
     for p "riesz", |K| at the one time sampled for p "atom", else t_norm."""
     if p == "riesz":
-        return np.abs(tg.integrate(samples, W)) * (1.0 / gamma(W))
+        return np.abs(tg.integrate(samples, W)) * (1.0 / math.gamma(W))
     return np.abs(samples[:, 0]) if p == "atom" else t_norm(tg, samples, p, W=W)
 
 

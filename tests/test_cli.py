@@ -1,11 +1,17 @@
 """End-to-end tests of the command line front end."""
 
+import importlib
 import json
 import math
+import pkgutil
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trigjacobi
 import trigjacobi.cli as cli
 from trigjacobi import verify
 from trigjacobi.basis import BasisElement, JacobiParams, eval_basis
@@ -386,3 +392,30 @@ class TestParser:
         on_disk = out_file.read_bytes().decode()
         # the header records the output path, the body must agree
         assert on_disk.splitlines()[1:] == streamed.splitlines()[1:]
+
+
+class TestReadme:
+    """The README's commands and the package names it cites still exist."""
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_every_command_line_example_parses(self):
+        blocks = re.findall(r"^```sh\n(.*?)^```", self.text, re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("trigjacobi ")]
+        assert lines
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_every_dotted_package_name_resolves(self):
+        heads = {m.name for m in pkgutil.iter_modules(trigjacobi.__path__)}
+        names = [m for m in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", self.text)
+                 if m.split(".")[0] in heads | set(trigjacobi.__all__)]
+        assert names
+        for name in names:
+            head, *rest = name.split(".")
+            obj = (importlib.import_module(f"trigjacobi.{head}") if head in heads
+                   else getattr(trigjacobi, head))
+            for attr in rest:
+                assert hasattr(obj, attr), f"README cites `{name}`, which does not resolve"
+                obj = getattr(obj, attr)
