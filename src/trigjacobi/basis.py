@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 TRIG_POLY = "trig_poly"
 JACOBI_FN = "jacobi_fn"
@@ -75,24 +74,27 @@ def _half_angle_power(theta, r, s) -> np.ndarray:
 
 
 def log_norm_constant(params: JacobiParams, n) -> np.ndarray:
-    """log of c_n normalizing c_n P_n(cos .) in L2(dmu+).
+    """log of c_n normalizing c_n P_n(cos .) in L2(dmu+), at integers n >= 0."""
+    n = np.asarray(n)
+    return _log_norms(params, np.empty(int(n.max(initial=0)) + 1))[n]
 
-    The n = 0 branch uses Gamma(alpha+beta+2) directly, which stays finite in
-    the degenerate case alpha+beta = -1 where the generic formula has a 0*inf
-    ambiguity; the generic formula is read at n >= 1 only.
-    """
+
+def _log_norms(params: JacobiParams, out: np.ndarray) -> np.ndarray:
+    """out[n] = log c_n for n < len(out), in place, from exact step ratios:
+    c_0^2 = Gamma(a+b+2) / (Gamma(a+1) Gamma(b+1)) and a running sum of
+    log1p(c_k^2/c_{k-1}^2 - 1) / 2, where c_k^2/c_{k-1}^2 - 1 = (2q - ab s)
+    / (s (q + ab)) with s = 2k+a+b-1, q = k(k+a+b) and q + ab = (k+a)(k+b).
+    At k = 1 it is (2 - ab) / ((1+a)(1+b)) for every a, b > -1, a+b = -1
+    (s = 0) included; s > 1 for k >= 2. No log-Gamma value of size n log n
+    is differenced, so each log scale keeps its own few roundings."""
     a, b = params.alpha, params.beta
-    n = np.asarray(n, dtype=float)
-    m = np.maximum(n, 1.0)
-    generic = 0.5 * (
-        np.log(2.0 * m + a + b + 1.0)
-        + gammaln(m + 1.0)
-        + gammaln(m + a + b + 1.0)
-        - gammaln(m + a + 1.0)
-        - gammaln(m + b + 1.0)
-    )
-    g = gammaln([a + b + 2.0, a + 1.0, b + 1.0])
-    return np.where(n == 0, 0.5 * (g[0] - g[1] - g[2]), generic)
+    out[:1] = 0.5 * (math.lgamma(a + b + 2.0) - math.lgamma(a + 1.0) - math.lgamma(b + 1.0))
+    out[1:2] = 0.5 * math.log1p((2.0 - a * b) / ((1.0 + a) * (1.0 + b)))
+    k = np.arange(2.0, out.size)
+    q, s = k * (k + (a + b)), 2.0 * k + (a + b - 1.0)
+    np.log1p((2.0 * q - a * b * s) / (s * (q + a * b)), out=out[2:])
+    out[2:] *= 0.5
+    return np.cumsum(out, out=out)
 
 
 def _gamma(a: float, b: float, m: int) -> np.ndarray:
@@ -198,12 +200,6 @@ def jacobi_table(params: JacobiParams, nmax: int, x) -> np.ndarray:
     return out
 
 
-def _deriv_gamma_ratio(params: JacobiParams, n: np.ndarray, k: int) -> np.ndarray:
-    # d^k/dx^k P_n = Gamma(n+a+b+1+k) / (2^k Gamma(n+a+b+1)) * P_{n-k}^{a+k,b+k}
-    s = n + params.alpha + params.beta + 1.0
-    return np.exp(gammaln(s + k) - gammaln(s) - k * math.log(2.0))
-
-
 def _poly_order_terms(s, c, order: int) -> dict:
     # d^order/dtheta^order of f(cos theta) = sum_j pi_j(theta) f^(j)(cos theta)
     if order == 0:
@@ -241,18 +237,21 @@ class RowTerm:
 
     def scale(self, lo: int, hi: int, gamma: np.ndarray) -> np.ndarray:
         """kappa(n) gamma[n - lag] at n = lo..hi-1, with d^lag/dx^lag (c_n P_n)
-        = kappa(n) P_{n-lag}^{(params)}: c_n times the parameter-shift Gamma
-        ratio, and gamma (see _gamma, at params) taking row n - lag
-        of the recurrence to P_{n-lag}; zero for n < lag, where the
-        derivative vanishes (n may be negative there)."""
-        j = self.lag
-        out = np.zeros(hi - lo)
-        live = out[max(j - lo, 0):]
-        n = np.arange(hi - live.size, hi)
-        np.exp(log_norm_constant(self.source, n), out=live)
-        if j > 0:
-            live *= _deriv_gamma_ratio(self.source, n, j)
-        live *= gamma[hi - live.size - j:hi - j]
+        = kappa(n) P_{n-lag}^{(params)}: c_n times Gamma(s+lag) / (2^lag
+        Gamma(s)), s = n+a+b+1, as the product of its factors (s+i)/2, and
+        gamma (see _gamma, at params) taking row n - lag of the recurrence to
+        P_{n-lag}; zero for n < lag, where the derivative vanishes (n may be
+        negative there)."""
+        j, a, b = self.lag, self.source.alpha, self.source.beta
+        out, n0 = np.empty(hi - lo), max(j, lo)  # n0: the first live degree
+        live = out[n0 - lo:]
+        logs = _log_norms(self.source, out[-lo:] if lo <= 0 else np.empty(hi))
+        np.exp(logs[n0:], out=live)  # in place when lo <= 0, from n = 0
+        out[:n0 - lo] = 0.0
+        for i in range(j):
+            live *= np.arange(n0, hi) + (a + b + 1.0 + i)
+            live *= 0.5
+        live *= gamma[n0 - j:n0 - j + live.size]
         return out
 
 

@@ -82,15 +82,15 @@ def _float_list(text: str | None) -> tuple[float, ...] | None:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="trigjacobi",
+        prog="trigjacobi", allow_abbrev=False,
         description="Evaluate trigonometric Jacobi objects and run the "
                     "verification suites.")
     top.add_argument("--version", action="version",
                      version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    # each command takes only the flags it reads
-    common = argparse.ArgumentParser(add_help=False)
+    # each command takes only the flags it reads, each only as spelled
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--alpha", type=float, default=0.0,
                         help="first type parameter (default 0)")
     common.add_argument("--beta", type=float, default=0.0,
@@ -100,22 +100,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "grid size, depending on the command")
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")
-    times = argparse.ArgumentParser(add_help=False)
+    times = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     times.add_argument("--t-min", type=float, default=None, dest="t_min",
                        help="lower end of the time grid")
     times.add_argument("--t-max", type=float, default=None, dest="t_max",
                        help="upper end of the time grid")
 
-    ev = sub.add_parser("eval", help="write CSV tables of computed values")
+    ev = sub.add_parser("eval", allow_abbrev=False, help="write CSV tables of computed values")
     targets = ev.add_subparsers(dest="target", required=True)
 
-    b = targets.add_parser("basis", parents=[common],
+    b = targets.add_parser("basis", parents=[common], allow_abbrev=False,
                            help="sample one basis element")
     b.add_argument("--kind", choices=(TRIG_POLY, JACOBI_FN, SYM_POLY, SYM_FN),
                    default=SYM_POLY)
     b.add_argument("--n", type=int, default=0, help="element index")
 
-    k = targets.add_parser("kernel", parents=[common],
+    k = targets.add_parser("kernel", parents=[common], allow_abbrev=False,
                            help="sample a semigroup kernel")
     k.add_argument("--kind", choices=("even", "odd", "sym"), default="sym")
     k.add_argument("--t", type=float, required=True, help="time parameter")
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--eps-tail", type=float, default=1e-10,
                    dest="eps_tail", help="series tail target")
 
-    o = targets.add_parser("operator", parents=[common, times],
+    o = targets.add_parser("operator", parents=[common, times], allow_abbrev=False,
                            help="apply an operator to a bundled basis element")
     o.add_argument("--kind", choices=OPERATOR_KINDS, required=True)
     o.add_argument("--setting", choices=tuple(SETTING_MAP), default="poly-sym")
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--atom-w", default=None, dest="atom_w",
                    help="matching atom weights (default: all ones)")
 
-    v = sub.add_parser("verify", parents=[common, times],
+    v = sub.add_parser("verify", parents=[common, times], allow_abbrev=False,
                        help="run a check suite and write its JSON report")
     v.add_argument("suite", choices=SUITES)
     v.add_argument("--seed", type=int, default=0,

@@ -145,16 +145,16 @@ class TGrid:
         w.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "log_weights", w)
-        # int t^{W-1} e^{-2t} dt over [a, b] = [t_min, t_max] in closed form,
-        # with E = e^{-2a} and D = 1 - e^{-2(b-a)}, so that neither end cancels
-        # the other; a t^W that overflows makes the sum NaN, which fails the
-        # comparison
+        # int t^{W-1} e^{-2(t-a)} dt over [a, b] = [t_min, t_max] in closed
+        # form, with D = 1 - e^{-2(b-a)}, so that neither end cancels the
+        # other and nothing underflows at a large t_min; a t^W that overflows
+        # makes the sum NaN, which fails the comparison
         a, b = self.t_min, self.t_max
-        E, D = math.exp(-2.0 * a), -math.expm1(-2.0 * (b - a))
-        for W, want in ((1.0, E * D / 2.0),
-                        (2.0, E * ((1.0 + 2.0 * a) * D - 2.0 * (b - a) * (1.0 - D)) / 4.0)):
+        D = -math.expm1(-2.0 * (b - a))
+        for W, want in ((1.0, D / 2.0),
+                        (2.0, ((1.0 + 2.0 * a) * D - 2.0 * (b - a) * (1.0 - D)) / 4.0)):
             with np.errstate(over="ignore", invalid="ignore"):
-                got = self.integrate(np.exp(-2.0 * self.nodes), W)
+                got = self.integrate(np.exp(-2.0 * (self.nodes - a)), W)
             if not abs(got - want) <= 1e-6 * abs(want):
                 return (f"time grid on [{self.t_min:g}, {self.t_max:g}] fails its "
                         f"quadrature check at W={W} with {self.points_per_decade} "

@@ -453,10 +453,11 @@ def check_shift_identity(params: JacobiParams) -> EstimateReport:
     """Odd component against (1/4) sin(theta) sin(phi) times the shifted even
     kernel. The shifted kernel is summed here from Jacobi polynomials at
     (alpha+1, beta+1) by scipy's recurrence kept at every degree and
-    anchored to scipy.special.eval_jacobi at the top one, their closed-form
-    L2(dmu+) norms and the speeds k + (alpha+beta+3)/2, to the series length
-    the shifted handle asks for, so the check does not share the recurrence
-    it certifies."""
+    anchored to scipy.special.eval_jacobi at the top one, their L2(dmu+)
+    norms as log-Gamma differences, which share nothing with the engine's
+    step ratios (their rounding reads 2.6e-9 at (2.5, 3.5)), and the speeds
+    k + (alpha+beta+3)/2, to the series length the shifted handle asks for,
+    so the check does not share the recurrence it certifies."""
     theta = np.array([0.4, 0.9, 1.7, 2.6, 3.0])
     phi = np.array([0.3, 1.2, 2.1, 0.8, 2.9])
     ts = np.array([0.05, 0.3, 1.5])

@@ -2,13 +2,17 @@
 
 Everything here is computed with mpmath from integral or hypergeometric
 definitions, not from the recurrences and ladder identities the package uses,
-or, at half-integer parameters, from elementary closed forms in NumPy.
+or, at half-integer parameters, from elementary closed forms in NumPy, or, at
+every parameter, from Bailey's closed form for the Poisson kernel as a
+float64 sum of positive terms.
 Run as a script to regenerate the frozen dictionaries pasted into the tests:
 
     python tests/oracles.py
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -45,6 +49,17 @@ def mp_h_n(n, a, b):
 
 def mp_norm_constant(n, a, b):
     return 1 / mp.sqrt(mp_h_n(n, a, b))
+
+
+def mp_log_norm_constant(n, a, b):
+    """log c_n in closed form: c_n^2 = (2n+a+b+1) n! Gamma(n+a+b+1)
+    / (Gamma(n+a+1) Gamma(n+b+1)), and c_0^2 = Gamma(a+b+2) / (Gamma(a+1)
+    Gamma(b+1)), which stays finite at a+b = -1."""
+    a, b, g = mp.mpf(a), mp.mpf(b), mp.loggamma
+    if n == 0:
+        return (g(a + b + 2) - g(a + 1) - g(b + 1)) / 2
+    return (mp.log(2 * n + a + b + 1) + g(n + 1) + g(n + a + b + 1)
+            - g(n + a + 1) - g(n + b + 1)) / 2
 
 
 def mp_trig_poly(n, a, b, theta):
@@ -212,6 +227,62 @@ def riesz_growth_half(theta, phi, t_min, t_max):
     def G(x):
         return np.sin(x) / (np.cosh(t_min) - np.cos(x)) - np.sin(x) / (np.cosh(t_max) - np.cos(x))
     return np.abs(G(theta - phi) - G(theta + phi)) / (4.0 * np.pi)
+
+
+def appell_f4(a, b, c, cc, x, y):
+    """F4(a, b; c, c'; x, y) = sum over m, n of (a)_{m+n} (b)_{m+n} x^m y^n
+    / ((c)_m (c')_n m! n!) in float64, elementwise over arrays x, y of one
+    shape, for a, b, c, c' > 0 and rho = sqrt(x) + sqrt(y) < 1.
+
+    Summed by levels N = m + n, each from the last by one step in n and,
+    for its last term, in m. Every term is positive, and the level sums
+    S_N fall at a ratio that tends to rho^2 from above (S_N ~ N^2 rho^{2N}),
+    so once q = max(S_N / S_{N-1}, rho^2) < 1 the tail after level N is at
+    most S_N q / (1 - q); the sum stops when that is below 2^-53 of it."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    rho2 = (np.sqrt(x) + np.sqrt(y)) ** 2
+    if not (rho2 < 1.0).all():
+        raise ValueError("F4 needs sqrt(x) + sqrt(y) < 1")
+    level, total, last = np.ones((1,) + x.shape), np.ones(x.shape), np.ones(x.shape)
+    for N in range(1, 100_000):
+        n = np.arange(N, 0, -1.0).reshape((-1,) + (1,) * x.ndim)  # n = N - m at m < N
+        grow = (a + N - 1) * (b + N - 1)
+        level = np.concatenate([level * (grow * y / ((cc + n - 1) * n)),
+                                level[-1:] * (grow * x / ((c + N - 1) * N))])
+        S = level.sum(axis=0)
+        total += S
+        q = np.maximum(rho2, np.divide(S, last, out=np.zeros_like(S), where=last > 0))
+        if (q < 1.0).all() and (S * q <= 2.0 ** -53 * (1.0 - q) * total).all():
+            return total
+        last = S
+    raise RuntimeError("F4 sum did not converge")
+
+
+def bailey_kernel(a, b, component, theta, phi, t):
+    """The even or odd Poisson kernel at (a, b) in closed form, by Bailey's
+    bilinear generating function for Jacobi polynomials (W. N. Bailey,
+    J. London Math. Soc. 13, 1938). With c = (a+b+1)/2, A = (a+b+2)/2,
+    r = e^{-t}, c_0^2 = Gamma(a+b+2) / (Gamma(a+1) Gamma(b+1)),
+    X = (sin(theta/2) sin(phi/2) / cosh(t/2))^2 and Y the same with cosines:
+
+        even = (c_0^2/2) e^{-tc} (1-r) / (1+r)^{a+b+2} F4(A, A+1/2; a+1, b+1; X, Y)
+
+    plus (c_0^2/2) (e^{-t|c|} - e^{-tc}) when c < 0, as the series' first
+    term decays at the speed |c|. The odd kernel is sin(theta) sin(phi) / 4
+    times the even one at (a+1, b+1). sqrt(X) + sqrt(Y) = cos((theta-phi)/2)
+    / cosh(t/2) < 1, and F4's terms are all positive, so nothing cancels."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if component == "odd":
+        return np.sin(theta) * np.sin(phi) / 4.0 * bailey_kernel(
+            a + 1.0, b + 1.0, "even", theta, phi, t)
+    c, A = (a + b + 1.0) / 2.0, (a + b + 2.0) / 2.0
+    c02 = math.exp(math.lgamma(a + b + 2.0) - math.lgamma(a + 1.0) - math.lgamma(b + 1.0))
+    h = math.cosh(t / 2.0)
+    X = (np.sin(theta / 2.0) * np.sin(phi / 2.0) / h) ** 2
+    Y = (np.cos(theta / 2.0) * np.cos(phi / 2.0) / h) ** 2
+    front = c02 / 2.0 * math.exp(-t * c) * -math.expm1(-t) / (1.0 + math.exp(-t)) ** (a + b + 2.0)
+    first = c02 / 2.0 * (math.exp(-t * abs(c)) - math.exp(-t * c))
+    return front * appell_f4(A, A + 0.5, a + 1.0, b + 1.0, X, Y) + first
 
 
 def gen_kernel_values():

@@ -38,6 +38,8 @@ from trigjacobi.basis import (
     trig_poly_table,
 )
 
+from oracles import mp_log_norm_constant
+
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
 
 # (alpha, beta, n) -> c_n, frozen from tests/oracles.py
@@ -203,8 +205,17 @@ class TestNormConstant:
         assert_allclose(np.exp(log_norm_constant(params_of(a, b), n)),
                         NORM_CONSTANTS[key], rtol=1e-13)
 
+    @pytest.mark.parametrize("ab", PARAM_PAIRS)
+    def test_log_against_mpmath_to_high_degree(self, ab):
+        # the running sum of exact step ratios, against 40-digit log-Gamma
+        # values; measured at most 1.9e-13, where differences of float64
+        # log-Gamma values read up to 1.8e-10
+        n = np.unique(np.concatenate([np.arange(20), np.rint(np.geomspace(20, 65536, 60)).astype(int)]))
+        want = [float(mp_log_norm_constant(int(k), *ab)) for k in n]
+        assert np.max(np.abs(log_norm_constant(params_of(*ab), n) - want)) <= 5e-13
+
     def test_degenerate_zero_index(self):
-        # alpha + beta = -1 exercises the n = 0 branch
+        # alpha + beta = -1, where the step ratio to n = 1 divides 0 by 0
         c = np.exp(log_norm_constant(params_of(-0.5, -0.5), 0))
         assert_allclose(c, 1.0 / math.sqrt(math.pi), rtol=1e-14)
 

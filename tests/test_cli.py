@@ -330,6 +330,14 @@ class TestVerifyCommand:
         assert "quadrature check" in err
         assert "np.float64" not in err and "points_per_decade" not in err
 
+    def test_time_range_past_the_grid_check_exits_2(self, capsys):
+        # e^{-2 t_min} underflows from t_min of about 372 on; the grid's
+        # check integrates e^{-2(t - t_min)}, which does not
+        rc = cli.main(["verify", "standard-estimates", "--profile", "quick",
+                       "--t-min", "400", "--t-max", "500"])
+        assert rc == 2
+        assert "quadrature check" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t_max", ["inf", "1e308", "1e200"])
     def test_unverifiable_time_range_exit_2(self, t_max, capsys):
         rc = cli.main(["verify", "all", "--profile", "quick", "--t-max", t_max])
@@ -364,6 +372,18 @@ class TestParser:
         value = "quick" if flag == "--profile" else "1"
         with pytest.raises(SystemExit) as err:
             cli.main([*command, flag, value])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "sharp-constants", "--profil", "quick"),
+        ("verify", "sharp-constants", "--prof", "quick"),
+        ("eval", "kernel", "--t", "0.5", "--theta", "1", "--phi", "2", "--eps", "1e-9"),
+    ], ids=lambda v: v[-2])
+    def test_abbreviated_flag_exit_2(self, args, capsys):
+        # a flag is read only as spelled, so a rename cannot leave a prefix working
+        with pytest.raises(SystemExit) as err:
+            cli.main(list(args))
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

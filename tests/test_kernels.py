@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,8 +33,8 @@ from trigjacobi.kernels import (
 from trigjacobi.measure import ball_measure
 from trigjacobi.quadrature import TGrid, gauss_jacobi_grid
 
-from oracles import (even_kernel_half, poisson_circle, poisson_derivatives_half,
-                     poisson_kernel_half, riesz_growth_half)
+from oracles import (appell_f4, bailey_kernel, even_kernel_half, poisson_circle,
+                     poisson_derivatives_half, poisson_kernel_half, riesz_growth_half)
 from test_kernel_stream import FixedLength
 
 PARAM_PAIRS = [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.7), (-0.7, -0.6), (2.5, 3.5)]
@@ -531,3 +532,44 @@ class TestHalfIntegerClosedForm:
         reports = verify.check_standard_estimates(self.P, spec, "quick")
         got = next(r.constant for r in reports if r.claim == "riesz-kernel-odd-N1/growth")
         assert abs(got / want - 1.0) <= 1e-8, (got, want)
+
+
+class TestBaileyClosedForm:
+    """Bailey's bilinear generating function (oracles.bailey_kernel): both
+    components in closed form at every (alpha, beta), as a sum of positive
+    terms, so it reaches the sweep's far pairs at small t, where the
+    series cancels."""
+
+    # (alpha, beta, t) -> the worst relative error allowed, (even, odd), on
+    # the quick sweep's pairs with d >= pi/4: ten times the error measured,
+    # the float64 series' rounding. Norm constants taken as differences of
+    # log-Gamma values read 3.0e-2 and 6.8e-1 at (2.5, 3.5), t = 5e-3, and
+    # 1.9e-6 and 1.9e-4 at (1.5, -0.7)
+    TOLERANCES = {
+        (0.0, 0.0, 5e-3): (4e-11, 5e-9), (0.0, 0.0, 2e-2): (4e-12, 1.2e-10),
+        (-0.5, -0.5, 5e-3): (3.5e-11, 1.5e-9), (-0.5, -0.5, 2e-2): (3.7e-11, 2.2e-9),
+        (1.5, -0.7, 5e-3): (1e-8, 1.2e-6), (1.5, -0.7, 2e-2): (3.1e-10, 2.9e-8),
+        (-0.7, -0.6, 5e-3): (2.1e-10, 4.5e-9), (-0.7, -0.6, 2e-2): (3.1e-10, 2.3e-9),
+        (2.5, 3.5, 5e-3): (2.5e-4, 8.6e-3), (2.5, 3.5, 2e-2): (1.2e-6, 1.1e-4),
+    }
+
+    def test_f4_sum_matches_mpmath(self):
+        # the F4 of the even kernel at (2.5, 3.5) and the odd one at
+        # (1.5, -0.7), at rho = 0.86 and 0.83; measured 2.2e-16 both
+        for args in [(4.0, 4.5, 3.5, 4.5, 0.1, 0.3), (2.4, 2.9, 3.5, 1.3, 0.2, 0.15)]:
+            with mp.workdps(30):
+                want = float(mp.appellf4(*args, maxterms=10**6))
+            assert_allclose(appell_f4(*args[:4], *np.array([args[4:]]).T), [want], rtol=1e-14)
+
+    @pytest.mark.parametrize("a,b,t", sorted(TOLERANCES))
+    def test_components_on_the_far_sweep_pairs(self, a, b, t):
+        d, theta, phi = verify.QUICK_SWEEP.pairs()
+        far = d >= math.pi / 4.0
+        assert far.sum() == 42
+        theta, phi = theta[far], phi[far]
+        got = eval_kernels([(poisson_kernel(JacobiParams(a, b), c), [t]) for c in COMPONENTS],
+                           theta, phi)
+        for comp, g, tol in zip(COMPONENTS, got, self.TOLERANCES[a, b, t]):
+            want = bailey_kernel(a, b, comp, theta, phi, t)
+            err = np.max(np.abs(g[:, 0] / want - 1.0))
+            assert err <= tol, (comp, err)

@@ -147,14 +147,21 @@ class TestTGrid:
             TGrid(5.0, 40.0)
 
     def test_far_range_checks_against_its_closed_form(self):
-        # both lower incomplete Gammas round to 1 out here; the check's
-        # closed form must still read 1/2 (e^-60 - e^-80), not 0
+        # both lower incomplete Gammas round to 1 out here; the check
+        # integrates e^{-2(t - t_min)}, whose closed form reads
+        # 1/2 (1 - e^-20), not 0
         with pytest.raises(ValueError, match="quadrature check") as info:
             TGrid(30.0, 40.0)
         quoted = re.search(r"vs (?:np\.float64\()?([-+.\deE]+)", str(info.value))
         want = float(quoted.group(1))
-        assert want == pytest.approx(0.5 * (math.exp(-60.0) - math.exp(-80.0)),
-                                     rel=1e-6)
+        assert want == pytest.approx(0.5 * -math.expm1(-20.0), rel=1e-6)
+
+    def test_range_where_e_to_the_minus_2t_underflows_is_checked(self):
+        # e^{-2 t} underflows to 0 from t of about 372 on, so a check on it
+        # compares 0 with 0; nine nodes on [400, 500] cannot resolve
+        # e^{-2(t - 400)}, nor can the doublings
+        with pytest.raises(ValueError, match="quadrature check"):
+            TGrid(400.0, 500.0)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
