@@ -235,23 +235,21 @@ class RowTerm:
         self.source, self.lag, self.pi = source, lag, pi
         self.params = source.shifted(lag)
 
-    def scale(self, lo: int, hi: int, gamma: np.ndarray) -> np.ndarray:
-        """kappa(n) gamma[n - lag] at n = lo..hi-1, with d^lag/dx^lag (c_n P_n)
+    def scale(self, hi: int, gamma: np.ndarray) -> np.ndarray:
+        """kappa(n) gamma[n - lag] at n = -1..hi-1, with d^lag/dx^lag (c_n P_n)
         = kappa(n) P_{n-lag}^{(params)}: c_n times Gamma(s+lag) / (2^lag
         Gamma(s)), s = n+a+b+1, as the product of its factors (s+i)/2, and
         gamma (see _gamma, at params) taking row n - lag of the recurrence to
-        P_{n-lag}; zero for n < lag, where the derivative vanishes (n may be
-        negative there)."""
+        P_{n-lag}; zero for n < lag, where the derivative vanishes."""
         j, a, b = self.lag, self.source.alpha, self.source.beta
-        out, n0 = np.empty(hi - lo), max(j, lo)  # n0: the first live degree
-        live = out[n0 - lo:]
-        logs = _log_norms(self.source, out[-lo:] if lo <= 0 else np.empty(hi))
-        np.exp(logs[n0:], out=live)  # in place when lo <= 0, from n = 0
-        out[:n0 - lo] = 0.0
+        out = np.empty(hi + 1)
+        live = out[j + 1:]
+        np.exp(_log_norms(self.source, out[1:])[j:], out=live)  # in place, from n = 0
+        out[:j + 1] = 0.0
         for i in range(j):
-            live *= np.arange(n0, hi) + (a + b + 1.0 + i)
+            live *= np.arange(j, hi) + (a + b + 1.0 + i)
             live *= 0.5
-        live *= gamma[n0 - j:n0 - j + live.size]
+        live *= gamma[:live.size]
         return out
 
 
@@ -405,7 +403,7 @@ class RowPlan:
             if key not in self._scales:
                 # from -1, the lowest offset, to gamma's end past lag: all a factor reads
                 gamma = self.gamma(term.params)
-                self._scales[key] = term.scale(-1, gamma.size + term.lag, gamma)
+                self._scales[key] = term.scale(gamma.size + term.lag, gamma)
             out.append(self._scales[key][k0 + offset + 1:k1 + offset + 1])
         return out
 

@@ -262,8 +262,9 @@ def _eval_operator(cfg: RunConfig) -> str:
     bounds = _time_bounds(cfg)
     multiplier = None
     if cfg.atom_t is not None:
-        weights = cfg.atom_w if cfg.atom_w else (1.0,) * len(cfg.atom_t)
-        multiplier = DiscreteMeasure(cfg.atom_t, tuple(weights))
+        multiplier = DiscreteMeasure(cfg.atom_t, cfg.atom_w or (1.0,) * len(cfg.atom_t))
+    elif cfg.atom_w is not None:
+        raise ValueError("--atom-w weighs the atoms of --atom-t")
     spec = OperatorSpec(cfg.kind, t=cfg.t, N=cfg.N, M=cfg.M,
                         multiplier=multiplier, tgrid=TGrid(**bounds) if bounds else None)
 

@@ -4,11 +4,11 @@ Every kernel here is a spectral series sum_k coef(k) e^{-t speed(k)}
 thetafac_k(theta) phifac_k(phi). The even component pairs the trigonometric
 polynomials with weights e^{-t sqrt(lam_k)}; the odd component pairs the
 sine-carrying companions s_k with e^{-t sqrt(lam_{k+1})}. A KernelHandle
-describes every kernel by one set of fields: component, chain order N,
-t-order M, phi order L, parameter shift and route. It has two genuinely
-different evaluation routes (term-wise ladder factors vs t-derivatives with
-a pointwise first-order tail), which the tests compare. The Poisson kernel
-is the ladder chain of order 0; a size-lemma partial derivative is the
+describes every kernel by one set of fields: parameters, component, chain
+order N, t-order M, phi order L and route. It has two genuinely different
+evaluation routes (term-wise ladder factors vs t-derivatives with a
+pointwise first-order tail), which the tests compare from N = 1. The Poisson
+kernel is the chain of order 0; a size-lemma partial derivative is the
 direct route on the even component at shifted parameters, with phi order L.
 
 Series are truncated adaptively: the tail bound e^{-tn} n^q < eps_tail with
@@ -113,26 +113,29 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class KernelHandle:
     """One kernel: d_phi^L, a chain of order N in theta and M t-derivatives of
-    a semigroup kernel component at parameters shifted by `shift`, by one of
-    two routes. Evaluated by eval_pairs/eval_matrix/eval_kernels."""
+    a semigroup kernel component at params by a route, "ladder" at N = 0,
+    where both routes sum one series. Evaluated by eval_pairs/eval_matrix/eval_kernels."""
 
     params: JacobiParams
     component: str
     N: int = 0
     M: int = 0
     route: str = "ladder"
-    shift: int = 0
     L: int = 0
+
+    def __post_init__(self):
+        if (self.component not in COMPONENTS or self.route not in ("ladder", "direct")
+                or not all(isinstance(k, int) and k >= 0 for k in (self.N, self.M, self.L))):
+            raise ValueError(f"not a kernel: {self!r}; need a component in {COMPONENTS}, "
+                             "route 'ladder' or 'direct' and integer N, M, L >= 0")
+        if self.N == 0:
+            object.__setattr__(self, "route", "ladder")
 
     @property
     def orders(self) -> int:
-        """Total derivative order, used in the truncation exponent; the shift
-        enters it through table_params."""
+        """Total derivative order, used in the truncation exponent; a
+        parameter shift enters it through params."""
         return self.L + self.N + self.M
-
-    @property
-    def table_params(self) -> JacobiParams:
-        return self.params.shifted(self.shift)
 
     def eval_pairs(self, theta, phi, t, cfg: TruncationConfig = DEFAULT_TRUNCATION) -> np.ndarray:
         """Kernel samples K_t(theta_i, phi_i): shape (npairs, nt)."""
@@ -158,8 +161,6 @@ class KernelHandle:
 def poisson_kernel(params: JacobiParams, component: str) -> KernelHandle:
     """The even or odd component of the symmetrized semigroup kernel,
     as a function on (0,pi)^2: the chain of order 0."""
-    if component not in COMPONENTS:
-        raise ValueError(f"component must be one of {COMPONENTS}")
     return KernelHandle(params, component)
 
 
@@ -175,29 +176,25 @@ def kernel_derivative(handle: KernelHandle, N: int, M: int,
     """
     if handle != KernelHandle(handle.params, handle.component):
         raise ValueError("derivatives start from a semigroup kernel")
-    if N < 0 or M < 0 or (N == 0 and M == 0):
-        raise ValueError("need N, M >= 0 with N + M > 0")
-    if route not in ("ladder", "direct"):
-        raise ValueError("route must be 'ladder' or 'direct'")
+    if N == 0 and M == 0:
+        raise ValueError("need N + M > 0")
     return KernelHandle(handle.params, handle.component, N, M, route)
 
 
 def partial_derivative_kernel(params: JacobiParams, shift: int,
                               L: int, N: int, M: int) -> KernelHandle:
     """Plain partial derivatives d_phi^L d_theta^N d_t^M of the even semigroup
-    kernel with parameters shifted by `shift`. This is the exact shape of the
-    size-lemma left-hand sides: the direct route, which for N <= 1 is d_theta^N
-    on the polynomials, at the shifted parameters."""
-    if shift < 0 or L < 0 or N < 0 or M < 0:
-        raise ValueError("orders must be nonnegative")
+    kernel at params.shifted(shift), the exact shape of the size-lemma
+    left-hand sides: the direct route, which for N <= 1 is d_theta^N on the
+    polynomials. With no orders it is poisson_kernel(params.shifted(shift), "even")."""
     if L > 1 or N > 1:
         raise ValueError("spatial orders above 1 are not needed and not built")
-    return KernelHandle(params, "even", N, M, "direct", shift, L)
+    return KernelHandle(params.shifted(shift), "even", N, M, "direct", L)
 
 
 def _coef(handle: KernelHandle, speed: np.ndarray) -> np.ndarray:
     """The coefficients of the first speed.size terms, at their speeds."""
-    p, N, M = handle.table_params, handle.N, handle.M
+    p, N, M = handle.params, handle.N, handle.M
     if handle.route == "ladder":
         # sqrt(lam_k - lam_0) = sqrt(k (k + alpha + beta + 1))
         idx = np.arange(speed.size, dtype=float) + (handle.component == "odd")
@@ -217,7 +214,7 @@ def _sides(handle: KernelHandle, theta: np.ndarray, phi: np.ndarray) -> tuple:
     """The theta and the phi factor of the series, each (RowTerms, offset):
     term k is row k + offset of the sum of the RowTerms (see
     basis.theta_row_terms)."""
-    p, odd = handle.table_params, handle.component == "odd"
+    p, odd = handle.params, handle.component == "odd"
     if handle.N % 2 == 0:
         weights, theta_odd, offset = {0: 1.0}, odd, 0
     elif handle.route == "ladder":
@@ -259,7 +256,7 @@ class _Stream:
     factor of several terms per chunk into its buffer for the factor's side
     (`_summed`), which the next job's sum reuses once the product is formed;
     `rows_key` names the raw rows of a stream whose factors are both single
-    terms, `key`, its (table parameters, component), its speeds, and
+    terms, `key`, its (parameters, component), its speeds, and
     `times_key`, that key and its sorted times, its exp(-t speed) blocks.
     """
 
@@ -269,7 +266,7 @@ class _Stream:
         if not t.size:
             raise ValueError("a kernel needs at least one time t")
         # `known` holds a call's series lengths by (parameters, t, orders)
-        keys = [(handle.table_params, ti, handle.orders) for ti in t]
+        keys = [(handle.params, ti, handle.orders) for ti in t]
         for key in keys:
             if key not in known:
                 known[key] = cfg.series_length(*key)
@@ -286,7 +283,7 @@ class _Stream:
             (id(runs[0]), where) for runs, where, *_ in self._factors)
         self.theta_scale, self.phi_scale = (terms[0].pi if len(terms) == 1 else 1.0
                                             for terms, _ in sides)
-        self.handle, self.key = handle, (handle.table_params, handle.component)
+        self.handle, self.key = handle, (handle.params, handle.component)
         self.times_key = (self.key, self.t.tobytes())
         self.out = np.zeros((t.size, plan.points[0].size))
 

@@ -19,7 +19,7 @@ TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,11 +45,15 @@ _SYM_KINDS = ("semigroup", "riesz", "multiplier", "maximal", "square")
 SETTINGS = {"sym_poly": _SYM_KINDS, "sym_fn": _SYM_KINDS, "nonsym": OPERATOR_KINDS,
             "restricted": ("semigroup", "riesz_interlaced", "multiplier",
                            "maximal", "square_interlaced")}
+# the fields besides kind an OperatorSpec of each kind reads; it takes no other
+_READS = {"semigroup": ("t",), "riesz": ("N",), "riesz_interlaced": ("N",),
+          "multiplier": ("multiplier", "tgrid"), "maximal": ("tgrid",),
+          "square": ("N", "M", "tgrid"), "square_interlaced": ("N", "M", "tgrid")}
 # the time grid of a spec that names none; its arrays are read-only, so shared
 DEFAULT_TGRID = TGrid()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Samples of a function on a quadrature grid."""
 
@@ -70,10 +74,9 @@ def grid_function(grid: ThetaGrid, f) -> GridFunction:
 class OperatorSpec:
     """What to apply to an expansion.
 
-    kind: semigroup (needs t), riesz, riesz_interlaced, multiplier (needs
-    multiplier), maximal, square, square_interlaced. N is the chain order of
-    the Riesz and square kinds, M the time-derivative order of the square
-    kinds. Time-dependent kinds read their trajectory from tgrid.
+    kind: one of OPERATOR_KINDS, which reads the fields _READS names (t the
+    semigroup time, N the chain order, M the time-derivative order, tgrid the
+    time trajectory); a field its kind does not read keeps its default.
     """
 
     kind: str
@@ -86,6 +89,9 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"kind must be one of {OPERATOR_KINDS}")
+        for f in fields(self)[1:]:
+            if f.name not in _READS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} reads no {f.name}")
         if self.kind == "semigroup" and (self.t is None or not self.t >= 0):
             raise ValueError("semigroup needs t >= 0")
         if self.kind in ("riesz", "riesz_interlaced") and self.N < 1:
@@ -158,9 +164,9 @@ def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
 
 def _chain(kind: str, N: int, params: JacobiParams, family: str, n: np.ndarray) -> tuple:
     """(factors, image params, image indices) of the order-N chain of an
-    operator kind on the indices n of one family; the identity for the kinds
-    without a chain."""
-    if N == 0 or kind not in ("riesz", "square", "riesz_interlaced", "square_interlaced"):
+    operator kind on the indices n of one family; the identity at N = 0, the
+    order of the kinds without a chain."""
+    if N == 0:
         return np.ones(n.shape), params, n
     return ladder_images(N, params, family, n, kind.endswith("_interlaced"))
 
@@ -194,7 +200,7 @@ def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
         F = np.array([lk ** (-spec.N / 2.0) * c if c else 0.0
                       for c, lk in zip(chain.tolist(), lam.tolist())])
     else:
-        F = chain * (-z) ** (0 if spec.kind == "maximal" else spec.M)
+        F = chain * (-z) ** spec.M
     return E, F, z, V
 
 

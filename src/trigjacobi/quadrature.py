@@ -55,7 +55,7 @@ _GREGORY = np.array([-11153.0, 23719.0, -22742.0, 14762.0, -5449.0, 863.0]) / 60
 _CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaGrid:
     params: JacobiParams
     tag: str
@@ -104,8 +104,8 @@ class TGrid:
     t_min: float = 1e-4
     t_max: float = 40.0
     points_per_decade: int = _DENSITY
-    nodes: np.ndarray = field(init=False, repr=False)
-    log_weights: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_max):

@@ -354,7 +354,7 @@ def check_ball_comparability(params: JacobiParams, spec: SweepSpec,
 
 # --- identity suite -----------------------------------------------------------
 
-def check_orthonormality(params: JacobiParams, nmax: int = 20) -> list[EstimateReport]:
+def check_orthonormality(params: JacobiParams, nmax: int) -> list[EstimateReport]:
     tol = 1e-8
     out = []
     for tag, kind in TAG_KINDS.items():
@@ -456,16 +456,15 @@ def check_shift_identity(params: JacobiParams) -> EstimateReport:
     anchored to scipy.special.eval_jacobi at the top one, their L2(dmu+)
     norms as log-Gamma differences, which share nothing with the engine's
     step ratios (their rounding reads 2.6e-9 at (2.5, 3.5)), and the speeds
-    k + (alpha+beta+3)/2, to the series length the shifted handle asks for,
-    so the check does not share the recurrence it certifies."""
+    k + (alpha+beta+3)/2, to the series length of the even kernel at
+    params.shifted(1), so the check does not share the recurrence it certifies."""
     theta = np.array([0.4, 0.9, 1.7, 2.6, 3.0])
     phi = np.array([0.3, 1.2, 2.1, 0.8, 2.9])
     ts = np.array([0.05, 0.3, 1.5])
     odd = poisson_kernel(params, "odd").eval_pairs(theta, phi, ts)
-    shifted = partial_derivative_kernel(params, 1, 0, 0, 0)
-    lengths = [DEFAULT_TRUNCATION.series_length(shifted.table_params, t,
-                                                shifted.orders) for t in ts]
-    a, b = params.alpha + 1.0, params.beta + 1.0
+    shifted = params.shifted(1)
+    lengths = [DEFAULT_TRUNCATION.series_length(shifted, t, 0) for t in ts]
+    a, b = shifted.alpha, shifted.beta
     k = np.arange(max(lengths))
     log_norm2 = (np.log(2.0 * k + a + b + 1.0) + gammaln(k + 1.0)
                  + gammaln(k + a + b + 1.0) - gammaln(k + a + 1.0)
@@ -700,20 +699,20 @@ def _sweep_claims(suite: str, params: JacobiParams, spec: SweepSpec,
         moves = (("smooth-first-quarter", 0.25, (0.25, 0.0)),
                  ("smooth-first-eighth", 0.125, (0.125, 0.0)),
                  ("smooth-second-quarter", 0.25, (0.0, -0.25))) if full else ()
-        # (name, kernel, times, time functional, moves); a gradient reads chain N+1
-        families = [(f"riesz-kernel-odd-N{N}", kernel_derivative(odd, N, 0), nodes,
+        # (name, route, kernel, times, functional, moves); a gradient reads chain N+1
+        families = [(f"riesz-kernel-odd-N{N}", "ladder", kernel_derivative(odd, N, 0), nodes,
                      partial(_time_functional, tg, "riesz", float(N)), ()) for N in (1, 2)]
-        families.append(("multiplier-kernel-single-atom", odd, (1.0,),
+        families.append(("multiplier-kernel-single-atom", "ladder", odd, (1.0,),
                          partial(_time_functional, tg, "atom", None), ()))
-        families += [(f"vector-kernel-M{M}-N{N}-{route}", kernel_derivative(odd, N, M, route),
+        families += [(f"vector-kernel-M{M}-N{N}-{route}", route, kernel_derivative(odd, N, M, route),
                       nodes, partial(_time_functional, tg, 2, 2.0 * M + 2.0 * N), moves)
                      for M, N in ((1, 0), (0, 1), (1, 1)) for route in ("ladder", "direct")]
         add = partial(_Claim, "standard-estimates")
-        for name, kernel, times, norm, moved in families:
+        for name, route, kernel, times, norm, moved in families:
             rows.append(add(f"{name}/growth", kernel, times, norm))
             rows += [add(f"{name}/{claim}", kernel, times, norm, gain=frac, move=move)
                      for claim, frac, move in moved]
-            gradient = kernel_derivative(odd, kernel.N + 1, kernel.M, kernel.route)
+            gradient = kernel_derivative(odd, kernel.N + 1, kernel.M, route)
             rows.append(add(f"{name}/gradient", gradient, times, norm, gain="d"))
     if suite in ("domination", "all"):  # a range that holds no time is bad configuration
         ts = tuple(t for t in 0.01 * 2.0 ** np.arange(11) if spec.t_min <= t <= spec.t_max)
@@ -787,7 +786,7 @@ def _restricted_matrix(params: JacobiParams, grid, N: int, nmax: int,
     return V[live].T @ (F[live, None] * (E[live] * grid.weights[None, :]))
 
 
-def empirical_lp_sweep(params: JacobiParams, p: float, weights: tuple = ((0.0, 0.0),),
+def empirical_lp_sweep(params: JacobiParams, p: float, weights: tuple,
                        seed: int = 0) -> list[EstimateReport]:
     """Operator norm estimates for the first-order interlaced Riesz transform,
     on the even elements up to index 16, on weighted L^p over ((0,pi), mu+),

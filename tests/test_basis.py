@@ -553,7 +553,7 @@ class TestThetaTable:
                 q = term.params
                 gamma = basis._gamma(q.alpha, q.beta, nmax + 1)
                 rows = run_rows(q, np.cos(theta), -term.lag, gamma, (nmax + 1,))
-                want += rows * term.scale(0, nmax + 1, gamma)[:, None] * term.pi
+                want += rows * term.scale(nmax + 1, gamma)[1:, None] * term.pi
             assert np.array_equal(got[d], want), d
 
 

@@ -217,6 +217,21 @@ class TestEvalOperator:
         rc, _ = run_cli(["eval", "operator", *args, "--n", "2", "--grid", "16"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "semigroup", "--t", "0.5", "--N", "2"],
+        ["--kind", "maximal", "--N", "2"],
+        ["--kind", "riesz", "--N", "1", "--M", "3"],
+        ["--kind", "riesz", "--N", "1", "--t", "0.7"],
+        ["--kind", "riesz", "--N", "1", "--t-max", "10"],
+        ["--kind", "semigroup", "--t", "0.5", "--atom-t", "0.3"],
+        ["--kind", "semigroup", "--t", "0.5", "--atom-w", "2"],
+        ["--kind", "maximal", "--atom-w", "2"]])
+    def test_flag_its_kind_does_not_read_exit_2(self, args, capsys):
+        # a flag the operator would ignore, but the header would record
+        rc = cli.main(["eval", "operator", *args, "--n", "2", "--grid", "16"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
     def test_zero_time_bound_exit_2(self, bound, capsys):
         # a zero bound is a bad range, not a request for the default

@@ -123,7 +123,7 @@ def test_jacobi_rows_equal_eval_jacobi_on_long_series():
     # test_mixed_lengths_equal_single_time_calls, read at every 97th degree
     x = np.cos(np.concatenate([THETA, PHI]))
     h = KernelHandle(JacobiParams(1.5, -0.7), "odd", 1, 1)
-    n = TruncationConfig().series_length(h.table_params, MIXED_TIMES.min(), h.orders)
+    n = TruncationConfig().series_length(h.params, MIXED_TIMES.min(), h.orders)
     assert n > 5000
     ks = np.append(np.arange(0, n, 97), n - 1)
     for s in range(3):
@@ -146,7 +146,7 @@ def reference(h, n, theta, phi, t):
     """Kernel values and the sum of the absolute values of the terms,
     both of shape (npairs, nt), from the series' definition."""
     ks = np.arange(n)
-    a, b = h.params.alpha + h.shift, h.params.beta + h.shift
+    a, b = h.params.alpha, h.params.beta
     idx = ks if h.component == "even" else ks + 1
     speed = np.abs(idx + (a + b + 1) / 2.0)  # sqrt(lam)
     root = np.sqrt(idx * (idx + a + b + 1.0))
@@ -179,22 +179,28 @@ def reference(h, n, theta, phi, t):
 
 
 def kinds():
-    """KernelHandle fields after the parameters: (component, N, M, route,
-    shift, L). The Poisson kernels, chains of orders 1-4 by both routes, and
+    """(shift, KernelHandle fields after the parameters: component, N, M,
+    route, L). The Poisson kernels, chains of orders 1-4 by both routes, and
     size-lemma partials (the direct route at shifted parameters)."""
-    out = [(comp,) for comp in ("even", "odd")]
+    out = [(0, (comp,)) for comp in ("even", "odd")]
     for route in ("ladder", "direct"):
         for comp in ("even", "odd"):
-            out += [(comp, N, 0, route) for N in range(1, 5)]
-    out += [("even", N, 0, "direct", 1, L) for L in (0, 1) for N in (0, 1)]
-    out += [("odd", 1, 1), ("even", 0, 2, "direct", 0, 1)]
+            out += [(0, (comp, N, 0, route)) for N in range(1, 5)]
+    out += [(1, ("even", N, 0, "direct", L)) for L in (0, 1) for N in (0, 1)]
+    out += [(0, ("odd", 1, 1)), (0, ("even", 0, 2, "direct", 1))]
     return out
+
+
+def handle(params, kind):
+    """The kernel of a kinds() entry, its shift taken into the parameters."""
+    shift, fields = kind
+    return KernelHandle(params.shifted(shift), *fields)
 
 
 @pytest.mark.parametrize("a,b", PARAMS)
 @pytest.mark.parametrize("kind", kinds(), ids=str)
 def test_matches_reference_series(a, b, kind):
-    h = KernelHandle(JacobiParams(a, b), *kind)
+    h = handle(JacobiParams(a, b), kind)
     for n in LENGTHS:
         got = h.eval_pairs(THETA, PHI, TIMES, FixedLength(n=n))
         want, scale = reference(h, n, THETA, PHI, TIMES)
@@ -202,13 +208,14 @@ def test_matches_reference_series(a, b, kind):
 
 
 @pytest.mark.parametrize("a,b", PARAMS)
-@pytest.mark.parametrize("kind", [("even",), ("even", 1, 0), ("odd", 1, 0, "direct"),
-                                  ("even", 1, 0, "direct", 1, 1)], ids=str)
+@pytest.mark.parametrize("kind", [(0, ("even",)), (0, ("even", 1, 0)),
+                                  (0, ("odd", 1, 0, "direct")),
+                                  (1, ("even", 1, 0, "direct", 1))], ids=str)
 def test_matrix_matches_reference_series(a, b, kind):
-    h = KernelHandle(JacobiParams(a, b), *kind)
+    h = handle(JacobiParams(a, b), kind)
     cfg = TruncationConfig()
     t = 0.05
-    n = cfg.series_length(h.table_params, t, h.orders)
+    n = cfg.series_length(h.params, t, h.orders)
     assert n > _CHUNK
     grid = np.array([0.1, 0.9, 1.7, 2.9])
     got = h.eval_matrix(grid, grid, t)
@@ -225,7 +232,7 @@ def test_mixed_lengths_equal_single_time_calls(comp):
     together = h.eval_pairs(THETA, PHI, t, cfg)
     for i, ti in enumerate(t):
         alone = h.eval_pairs(THETA, PHI, [ti], cfg)[:, 0]
-        n = cfg.series_length(h.table_params, ti, h.orders)
+        n = cfg.series_length(h.params, ti, h.orders)
         want, scale = reference(h, n, THETA, PHI, np.array([ti]))
         assert np.all(np.abs(together[:, i] - alone) <= 1e-13 * scale[:, 0])
         assert np.all(np.abs(together[:, i] - want[:, 0]) <= 1e-12 * scale[:, 0])
@@ -238,7 +245,7 @@ def test_one_pass_equals_single_handle_calls(a, b):
     # is summed at the forced lengths only, since it takes one length for all
     # times (the single-handle path meets it at each mixed-length time in
     # test_mixed_lengths_equal_single_time_calls)
-    handles = [KernelHandle(JacobiParams(a, b), *kind) for kind in kinds()]
+    handles = [handle(JacobiParams(a, b), kind) for kind in kinds()]
     cases = ([(n, [TIMES] * len(handles)) for n in LENGTHS]
              + [(None, [MIXED_TIMES, MIXED_TIMES[::-1]] * (len(handles) // 2))])
     for n, times in cases:
@@ -381,7 +388,7 @@ def test_jobs_of_one_component_share_their_speeds():
                          (3, 0, "ladder")]]
     jobs = [(h, [5e-3 * (1.0 + 0.1 * i), 0.5]) for i, h in enumerate(handles)]
     cfg = TruncationConfig()
-    lengths = [max(cfg.series_length(h.table_params, t, h.orders) for t in ts)
+    lengths = [max(cfg.series_length(h.params, t, h.orders) for t in ts)
                for h, ts in jobs]
     assert len(set(lengths)) == len(jobs)
     tracemalloc.start()
@@ -435,9 +442,9 @@ def test_wide_call_equals_single_handle_calls():
     p = JacobiParams(1.5, -0.7)
     rng = np.random.default_rng(11)
     theta, phi = rng.uniform(0.01, math.pi - 0.01, (2, 2000))
-    handles = [KernelHandle(p, *kind) for kind in
-               [("even",), ("odd",), ("even", 1, 0), ("odd", 1, 0, "direct"),
-                ("even", 1, 0, "direct", 1, 1)]]
+    handles = [handle(p, kind) for kind in
+               [(0, ("even",)), (0, ("odd",)), (0, ("even", 1, 0)),
+                (0, ("odd", 1, 0, "direct")), (1, ("even", 1, 0, "direct", 1))]]
     times = [TIMES, TIMES[::-1]] * 2 + [TIMES]
     cfg = FixedLength(n=3 * 43 + 17)
     together = eval_kernels(list(zip(handles, times)), theta, phi, cfg)
@@ -457,7 +464,7 @@ def test_an_exp_block_is_made_again_for_a_longer_series(monkeypatch):
     odd = poisson_kernel(JacobiParams(2.5, 3.5), "odd")
     jobs = [(kernel_derivative(odd, N, 0), [1.0, 31.528680147034354]) for N in (1, 2)]
     cfg = TruncationConfig()
-    assert [[cfg.series_length(h.table_params, t, h.orders) for t in ts]
+    assert [[cfg.series_length(h.params, t, h.orders) for t in ts]
             for h, ts in jobs] == [[66, 3], [71, 2]]
     together = eval_kernels(jobs, THETA, PHI)
     for (h, ts), got in zip(jobs, together):

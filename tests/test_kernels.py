@@ -262,7 +262,7 @@ class TestKernelDescription:
         p = JacobiParams(a, b)
         th, ph, t = np.array([0.05, 0.7, 2.4]), np.array([1.9, 0.3, 3.05]), [0.02, 0.3]
         direct = KernelHandle(p, comp, route="direct")
-        assert direct != poisson_kernel(p, comp)
+        assert direct == poisson_kernel(p, comp)
         for cfg in (FixedLength(n=37), FixedLength(n=300)):
             got = poisson_kernel(p, comp).eval_pairs(th, ph, t, cfg)
             assert np.array_equal(got, direct.eval_pairs(th, ph, t, cfg))
@@ -270,10 +270,40 @@ class TestKernelDescription:
     def test_derivatives_start_from_a_semigroup_kernel(self):
         p = JacobiParams(0.0, 0.0)
         derived = kernel_derivative(poisson_kernel(p, "odd"), 1, 0)
-        for h in (derived, partial_derivative_kernel(p, 1, 0, 0, 0),
-                  partial_derivative_kernel(p, 0, 1, 0, 0)):
+        for h in (derived, partial_derivative_kernel(p, 0, 1, 0, 0)):
             with pytest.raises(ValueError, match="semigroup kernel"):
                 kernel_derivative(h, 1, 0)
+        # a shift with no orders is the Poisson kernel at the shifted parameters
+        shifted = poisson_kernel(p.shifted(1), "even")
+        assert (kernel_derivative(partial_derivative_kernel(p, 1, 0, 0, 0), 1, 0)
+                == kernel_derivative(shifted, 1, 0))
+
+    @pytest.mark.parametrize("fields", [
+        ("evn",), ("even", 1, 0, "diagonal"), ("odd", 0, 1, "diagonal"), ("odd", -1),
+        ("even", 0, -2), ("even", 1, 0, "ladder", -1), ("odd", 1.0), ("even", 0, 0.5),
+        ("even", 1, 0, "direct", "1")])
+    def test_a_handle_checks_its_own_fields(self, fields):
+        # a component, a route (also at N = 0, where it stores "ladder"),
+        # and N, M, L as nonnegative integers
+        with pytest.raises(ValueError, match="not a kernel"):
+            KernelHandle(JacobiParams(0.0, 0.0), *fields)
+
+    @pytest.mark.parametrize("comp", COMPONENTS)
+    @pytest.mark.parametrize("M,L", [(0, 0), (1, 0), (2, 1)])
+    def test_an_order_zero_chain_has_one_handle(self, comp, M, L):
+        # both routes sum one series at N = 0, so they make one handle;
+        # from N = 1 they are two
+        p = JacobiParams(1.5, -0.7)
+        ladder, direct = (KernelHandle(p, comp, 0, M, route, L) for route in ("ladder", "direct"))
+        assert ladder == direct and hash(ladder) == hash(direct)
+        assert direct.route == "ladder"
+        assert KernelHandle(p, comp, 1, M, "ladder", L) != KernelHandle(p, comp, 1, M, "direct", L)
+
+    @pytest.mark.parametrize("L,N,M", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 1, 1)])
+    def test_a_partial_derivative_is_a_handle_at_shifted_parameters(self, L, N, M):
+        p = JacobiParams(-0.7, -0.6)
+        want = KernelHandle(p.shifted(1), "even", N, M, "direct", L)
+        assert partial_derivative_kernel(p, 1, L, N, M) == want
 
     def test_empty_pair_set_gives_no_rows(self):
         # no rows, one column per time, as basis_matrix and eval_matrix give
@@ -348,10 +378,10 @@ class TestTruncation:
         verify.check_standard_estimates(p, spec, "full")
         verify.check_lemma_instances(p, spec, "full")
         kinds = {"poisson" if h == poisson_kernel(h.params, h.component)
-                 else "partial" if h.shift else h.route for h in handles}
+                 else "partial" if h.params != p else h.route for h in handles}
         assert kinds == {"poisson", "ladder", "direct", "partial"}
         for h in handles:
-            assert cfg.series_length(h.table_params, t_min, h.orders) <= cfg.n_cap
+            assert cfg.series_length(h.params, t_min, h.orders) <= cfg.n_cap
 
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_lemma_partials_hold_their_tail_without_the_shift(self, a, b):
@@ -369,7 +399,7 @@ class TestTruncation:
                    for key in ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))]
         for h in handles:
             assert h.orders == h.L + h.N + h.M
-        n = max(cfg.series_length(h.table_params, t[0], h.orders) for h in handles)
+        n = max(cfg.series_length(h.params, t[0], h.orders) for h in handles)
         got = eval_kernels([(h, t) for h in handles], theta, phi, cfg)
         longer = eval_kernels([(h, t) for h in handles], theta, phi,
                               FixedLength(n=3 * n // 2))

@@ -456,6 +456,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             OperatorSpec("square")
 
+    @pytest.mark.parametrize("kind,given", [
+        ("semigroup", dict(t=0.5, N=2)), ("maximal", dict(N=2)),
+        ("riesz", dict(N=1, M=3)), ("riesz", dict(N=1, t=0.7)),
+        ("riesz", dict(N=1, tgrid=TGrid(1e-4, 10.0))),
+        ("semigroup", dict(t=0.5, multiplier=DiscreteMeasure((0.3,), (1.0,)))),
+        ("semigroup", dict(t=0.5, tgrid=TGrid())), ("maximal", dict(t=0.0)),
+        ("multiplier", dict(multiplier=lambda z: z, M=1)),
+        ("square", dict(M=1, t=0.2)),
+        ("riesz_interlaced", dict(N=1, multiplier=lambda z: z))])
+    def test_spec_rejects_a_field_its_kind_does_not_read(self, kind, given):
+        with pytest.raises(ValueError, match=f"{kind} reads no"):
+            OperatorSpec(kind, **given)
+
+    def test_grid_functions_compare_by_identity(self):
+        grid = gauss_jacobi_grid(PARAMS, 8, "mu_full")
+        f = grid_function(grid, np.cos)
+        assert grid == grid and grid != gauss_jacobi_grid(PARAMS, 8, "mu_full")
+        assert f == f and f != grid_function(grid, np.cos)
+        assert len({grid, f}) == 2
+
     def test_grid_function_shape(self):
         grid = gauss_jacobi_grid(PARAMS, 8, "mu_full")
         with pytest.raises(ValueError):

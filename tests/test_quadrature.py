@@ -107,6 +107,13 @@ class TestTGrid:
         assert g.nodes[0] == pytest.approx(1e-4)
         assert g.nodes[-1] == pytest.approx(40.0)
 
+    def test_compares_and_hashes_by_its_range_and_density(self):
+        # the arrays follow from the three fields and take no part
+        assert TGrid() == TGrid() and hash(TGrid()) == hash(TGrid())
+        assert TGrid(1e-4, 40.0, 4) == TGrid(1e-4, 40.0, 8)
+        assert TGrid(1e-3, 40.0) != TGrid()
+        assert len({TGrid(), TGrid(), TGrid(1e-3, 40.0)}) == 2
+
     def test_arrays_are_read_only(self):
         g = TGrid()
         with pytest.raises(ValueError):

@@ -323,7 +323,7 @@ class TestIdentitySuite:
         # longest series (t = 0.05)
         params = JacobiParams(*ab)
         shifted = partial_derivative_kernel(params, 1, 0, 0, 0)
-        n = DEFAULT_TRUNCATION.series_length(shifted.table_params, 0.05, shifted.orders)
+        n = DEFAULT_TRUNCATION.series_length(shifted.params, 0.05, shifted.orders)
         a, b = params.alpha + 1.0, params.beta + 1.0
         x = np.cos([0.4, 0.9, 1.7, 2.6, 3.0, 0.3, 1.2, 2.1, 0.8, 2.9])
         rows, anchor = verify._scipy_jacobi_rows(n, a, b, x)
@@ -463,12 +463,12 @@ class TestDomination:
 def count_kernel_evaluations(monkeypatch):
     """Patch eval_kernels, which every kernel evaluation on pairs goes
     through, to log (kernel, number of times) per kernel evaluated, the
-    kernel by its fields other than the parameters."""
+    kernel by its fields."""
     calls = []
     original = kernels.eval_kernels
 
     def counted(jobs, *args, **kwargs):
-        calls.extend(((h.component, h.N, h.M, h.route, h.shift, h.L), np.size(t))
+        calls.extend(((h.params, h.component, h.N, h.M, h.route, h.L), np.size(t))
                      for h, t in jobs)
         return original(jobs, *args, **kwargs)
 
@@ -517,14 +517,14 @@ class TestStandardEstimates:
             f"{v}/{part}" for v in VECTOR_KERNELS
             for part in ("growth", "smooth-first-quarter", "smooth-first-eighth",
                          "smooth-second-quarter", "gradient")]
-        # the 13 unmoved evaluations of the quick profile, then three moved
-        # point sets per vector kernel
-        assert len(calls) == 13 + 3 * len(VECTOR_KERNELS)
+        # the 12 unmoved evaluations of the quick profile, then three moved
+        # point sets per distinct vector kernel: at N = 0 both routes are one
+        assert len(calls) == 12 + 3 * (len(VECTOR_KERNELS) - 1)
 
     def test_each_kernel_family_is_evaluated_once(self, monkeypatch):
         calls = count_kernel_evaluations(monkeypatch)
         check_standard_estimates(P, TEST_SWEEP, "quick")
-        assert len(calls) == len(set(calls)) == 13
+        assert len(calls) == len(set(calls)) == 12
         calls.clear()
         check_lemma_instances(P, TEST_SWEEP, "quick")
         assert len(calls) == len(set(calls)) == 4
@@ -589,6 +589,21 @@ class TestSharedSweepStep:
         claims = {c["claim"] for c in alone}
         assert ([report_json(c) for c in whole if c["claim"] in claims]
                 == [report_json(c) for c in alone])
+
+    def test_one_job_per_kernel(self, monkeypatch):
+        # the two routes of the vector kernel M1-N0, a chain of order 0, are
+        # one kernel, summed once: 18 jobs on the pairs in quick, 25 in full
+        # and 5 on each of its three moved point sets
+        sizes, original = [], verify.eval_kernels
+
+        def counted(jobs, *args, **kwargs):
+            sizes.append(len(jobs))
+            return original(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "eval_kernels", counted)
+        for profile in ("quick", "full"):
+            verify._sweep(verify._sweep_claims("all", P, TEST_SWEEP, profile), P, TEST_SWEEP)
+        assert sizes == [18, 25, 5, 5, 5]
 
     def test_one_scale_per_source_and_lag(self, monkeypatch):
         # the merged call reads each RowTerm.scale from its plan, computed
