@@ -508,12 +508,14 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     """Rows n of one family at theta, or their theta-derivatives of the given
     order; shape (len(n), npts).
 
-    n is a 1-D index array, in any order and with repeats. The symmetrized
-    kinds read Phi_2k and Phi_2k+1 from row k of the polynomials and the odd
-    factors; one _theta_table builds a table per parity present, at the order
-    asked. Polynomial kinds support order <= 2; the psi-weighted kinds
-    support order = 0 only (their derivatives are reached through the
-    conjugation identities rather than pointwise formulas).
+    n is a 1-D index array, in any order and with repeats; theta is points
+    or a quadrature.ThetaGrid. The symmetrized kinds read Phi_2k and
+    Phi_2k+1 from row k of the polynomials and the odd factors: a grid's
+    rows at its parameters, order 0 and every k below its order, or else
+    one _theta_table of a table per parity present, at the order asked.
+    Polynomial kinds support order <= 2; the psi-weighted kinds support
+    order = 0 only (their derivatives are reached through the conjugation
+    identities rather than pointwise formulas).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -522,7 +524,8 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
         raise ValueError("indices must be a 1-D array")
     if (n < 0).any():
         raise ValueError("index must be nonnegative")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    grid = theta if hasattr(theta, "nodes") else None
+    theta = np.atleast_1d(np.asarray(theta if grid is None else grid.nodes, dtype=float))
     sym = kind in (SYM_POLY, SYM_FN)
     if (np.abs(theta) >= np.pi).any() or not sym and (theta <= 0.0).any():
         raise ValueError(f"element is defined on {'(-pi,pi)' if sym else '(0,pi)'}")
@@ -532,9 +535,12 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     if n.size == 0:
         return np.empty((0, theta.size))
     k, odd = np.divmod(n, 2 if sym else 1)  # n = 2k + odd on the symmetrized kinds
-    rows = [int(k[odd == p].max(initial=-1)) + 1 for p in (0, 1)]  # 0 if absent
-    tables = [(bool(p), order, m) for p, m in enumerate(rows) if m]
-    out = _theta_table(params, theta, tables)[odd if len(tables) == 2 else 0, k]
+    if grid is not None and grid.params == params and order == 0 and k.max() < grid.order:
+        out = grid.rows[odd, k]
+    else:
+        rows = [int(k[odd == p].max(initial=-1)) + 1 for p in (0, 1)]  # 0 if absent
+        tables = [(bool(p), order, m) for p, m in enumerate(rows) if m]
+        out = _theta_table(params, theta, tables)[odd if len(tables) == 2 else 0, k]
     if sym:
         out *= 1.0 / math.sqrt(2.0)
     # phi_n = psi P_n; Theta_n = psi Phi_n exactly, both parities (the odd index's

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis import (JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, BasisElement,
-                    JacobiParams, eval_basis)
+                    JacobiParams, basis_matrix, eval_basis)
 from .kernels import (DiscreteMeasure, TruncationConfig, TruncationError,
                       poisson_kernel, symmetrized_kernel_pairs)
 from .operators import (OPERATOR_KINDS, OperatorSpec, apply_operator,
@@ -256,8 +256,7 @@ def _eval_operator(cfg: RunConfig) -> str:
     if cfg.n > nmax:
         raise ValueError(f"--n {cfg.n} needs --grid at least {2 * (cfg.n + 1)}")
     grid = gauss_jacobi_grid(params, order, tag)
-    elem = BasisElement(params, cfg.n, TAG_KINDS[tag])
-    f = grid_function(grid, lambda th: eval_basis(elem, th))
+    f = grid_function(grid, basis_matrix(params, TAG_KINDS[tag], [cfg.n], grid)[0])
 
     bounds = _time_bounds(cfg)
     multiplier = None

@@ -10,10 +10,10 @@ operators shift the type parameters.
 One core serves every setting, on a family (params, kind, index array):
 coefficient n goes to a factor times the ladder image of source index n,
 scaled by a function of the speed sqrt(lambda_n). Rows are read by index
-array from basis_matrix, one call for the sources and their images unless
-the chain shifts the parameters; speeds and ladder images are array
-arithmetic. Maximal and square operators share one time trajectory on a
-TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
+array from basis_matrix on the grid, which holds its family's rows, so only
+a chain that shifts the parameters builds a table; speeds and ladder images
+are array arithmetic. Maximal and square operators share one time trajectory
+on a TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class OperatorSpec:
 
     kind: one of OPERATOR_KINDS, which reads the fields _READS names (t the
     semigroup time, N the chain order, M the time-derivative order, tgrid the
-    time trajectory); a field its kind does not read keeps its default.
+    time trajectory, which a multiplier reads only in the form ("laplace",
+    profile)); a field its kind does not read keeps its default.
     """
 
     kind: str
@@ -98,6 +99,8 @@ class OperatorSpec:
             raise ValueError("Riesz kinds need N >= 1")
         if self.kind == "multiplier" and self.multiplier is None:
             raise ValueError("multiplier kind needs a multiplier")
+        if self.tgrid is not None and self.kind == "multiplier" and not _laplace(self.multiplier):
+            raise ValueError("only a ('laplace', profile) multiplier reads tgrid")
         if self.N < 0 or self.M < 0:
             raise ValueError("need N >= 0 and M >= 0")
         if self.kind in ("square", "square_interlaced") and self.N + self.M < 1:
@@ -108,7 +111,7 @@ class OperatorSpec:
 
 
 def _expand(f: GridFunction, family: tuple) -> np.ndarray:
-    return (f.values * basis_matrix(*family, f.grid.nodes)) @ f.grid.weights
+    return (f.values * basis_matrix(*family, f.grid)) @ f.grid.weights
 
 
 def expand(f: GridFunction, nmax: int) -> np.ndarray:
@@ -143,6 +146,11 @@ def synthesize(coefs: np.ndarray, family: tuple, theta: np.ndarray) -> np.ndarra
     return coefs @ basis_matrix(*family, theta)
 
 
+def _laplace(multiplier) -> bool:
+    """Whether multiplier is the form ("laplace", profile), the one that reads tgrid."""
+    return isinstance(multiplier, tuple) and len(multiplier) == 2 and multiplier[0] == "laplace"
+
+
 def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
     """m(z) for the three accepted multiplier forms.
 
@@ -154,10 +162,10 @@ def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
                                                            multiplier.weights))
     if callable(multiplier):
         return np.asarray(multiplier(z), dtype=float)
-    if isinstance(multiplier, tuple) and len(multiplier) == 2 and multiplier[0] == "laplace":
+    if _laplace(multiplier):
         ts, vals = tgrid.nodes, multiplier[1](tgrid.nodes)
-        return np.array([tgrid.integrate(zi * np.exp(-ts * zi) * vals, 1.0)
-                         for zi in np.atleast_1d(z)])
+        w = tgrid.log_weights * ts  # tgrid.integrate's weights at W = 1, formed once
+        return np.array([(zi * np.exp(-ts * zi) * vals) @ w for zi in np.atleast_1d(z)])
     raise ValueError("multiplier must be callable, a DiscreteMeasure, "
                      "or ('laplace', profile)")
 
@@ -184,11 +192,8 @@ def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
     """
     params, kind, n = source[0], source[1], np.asarray(source[2])
     chain, image_params, m = _chain(spec.kind, spec.N, params, kind, n)
-    if image_params == params:
-        E, V = np.split(basis_matrix(params, kind, np.concatenate([n, m]), grid.nodes), 2)
-    else:
-        E = basis_matrix(params, kind, n, grid.nodes)
-        V = basis_matrix(image_params, kind, m, grid.nodes)
+    E = basis_matrix(params, kind, n, grid)
+    V = basis_matrix(image_params, kind, m, grid)
     lam = eigenvalue(params, n if kind in (TRIG_POLY, JACOBI_FN) else half_index(n))
     z = np.sqrt(lam)
     if spec.kind == "semigroup":
@@ -262,8 +267,8 @@ def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction
     Plain Riesz chains of order N iterate the parameter-shifting first-order
     operator and land on params.shifted(N); interlaced ones alternate it with
     its adjoint and land on params.shifted(N % 2) exactly, so an even one
-    reads its sources and images from one basis_matrix call and only a chain
-    that shifts the parameters makes two. Square kinds follow the same
+    reads its sources and images from the grid's rows and only a chain that
+    shifts the parameters builds a table. Square kinds follow the same
     mapping with the time factors attached.
     """
     if f.grid.tag != "theta_plus":

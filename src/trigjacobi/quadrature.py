@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # roots_jacobi imports scipy.linalg on its first call (65-85 ms); loading it
@@ -35,6 +36,7 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi
 
+from . import basis
 from .basis import JACOBI_FN, SYM_FN, SYM_POLY, TRIG_POLY, JacobiParams
 from .measure import mu_density
 
@@ -57,15 +59,30 @@ _CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 
 @dataclass(frozen=True, eq=False)
 class ThetaGrid:
+    """A Gauss rule of `order` nodes on (0,pi), mirrored on the full tags; its
+    arrays are read-only, so its rows, built on first read, cannot go stale."""
+
     params: JacobiParams
     tag: str
+    order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The polynomials c_k P_k (rows[0]) and odd factors s_k (rows[1]) at
+        the grid's parameters and nodes for k < order, which basis_matrix
+        reads for every family: 2 * order * nodes floats, read-only."""
+        rows = basis._theta_table(self.params, self.nodes,
+                                  [(False, 0, self.order), (True, 0, self.order)])
+        rows.setflags(write=False)
+        return rows
 
 
 def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") -> ThetaGrid:
     """Gauss rule with `order` nodes on (0,pi), optionally symmetrized or
-    reweighted for plain-dtheta integration."""
+    reweighted for plain-dtheta integration; its nodes and weights are
+    read-only, and its rows are built on their first read, not here."""
     if tag not in TAG_KINDS:
         raise ValueError(f"tag must be one of {tuple(TAG_KINDS)}")
     if order < 1:
@@ -80,7 +97,9 @@ def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") ->
     if tag in ("mu_full", "theta_full"):
         theta = np.concatenate([-theta[::-1], theta])
         w = np.concatenate([w[::-1], w])
-    return ThetaGrid(params=params, tag=tag, nodes=theta, weights=w)
+    theta.setflags(write=False)
+    w.setflags(write=False)
+    return ThetaGrid(params=params, tag=tag, order=order, nodes=theta, weights=w)
 
 
 def _values_on(grid: ThetaGrid, f) -> np.ndarray:

@@ -359,7 +359,7 @@ def check_orthonormality(params: JacobiParams, nmax: int) -> list[EstimateReport
     out = []
     for tag, kind in TAG_KINDS.items():
         grid = gauss_jacobi_grid(params, 2 * nmax + 8, tag)
-        V = basis_matrix(params, kind, np.arange(nmax + 1), grid.nodes)
+        V = basis_matrix(params, kind, np.arange(nmax + 1), grid)
         G = (V * grid.weights) @ V.T
         out.append(_tolerance_report(f"orthonormality/{kind}",
                                      np.abs(G - np.eye(nmax + 1)), tol, nmax=nmax))
@@ -512,7 +512,7 @@ def check_identities(params: JacobiParams, profile: str = "quick") -> list[Estim
 
 def check_spectral_identities(params: JacobiParams) -> list[EstimateReport]:
     grid = gauss_jacobi_grid(params, 48, "mu_full")
-    V = basis_matrix(params, SYM_POLY, np.arange(11), grid.nodes)
+    V = basis_matrix(params, SYM_POLY, np.arange(11), grid)
 
     errors = []
     for n in range(1, 9):
@@ -800,13 +800,14 @@ def empirical_lp_sweep(params: JacobiParams, p: float, weights: tuple,
     always finite.
     """
     out = []
+    # neither the grid nor the matrix depends on the weight
+    grids = [gauss_jacobi_grid(params, order, "mu_plus") for order in (32, 64)]
+    matrices = [_restricted_matrix(params, grid, 1, 16, "even") for grid in grids]
     for r, s in weights:
         w = PowerWeight(r, s)
         admissible = ap_membership(params, w, p)
         norms = []
-        for order in (32, 64):
-            grid = gauss_jacobi_grid(params, order, "mu_plus")
-            T = _restricted_matrix(params, grid, 1, 16, "even")
+        for grid, T in zip(grids, matrices):
             wv = w(grid.nodes) * grid.weights
             if p == 2.0:
                 S = np.sqrt(wv)

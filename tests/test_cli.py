@@ -225,7 +225,8 @@ class TestEvalOperator:
         ["--kind", "riesz", "--N", "1", "--t-max", "10"],
         ["--kind", "semigroup", "--t", "0.5", "--atom-t", "0.3"],
         ["--kind", "semigroup", "--t", "0.5", "--atom-w", "2"],
-        ["--kind", "maximal", "--atom-w", "2"]])
+        ["--kind", "maximal", "--atom-w", "2"],
+        ["--kind", "multiplier", "--atom-t", "0.5", "--t-max", "10"]])
     def test_flag_its_kind_does_not_read_exit_2(self, args, capsys):
         # a flag the operator would ignore, but the header would record
         rc = cli.main(["eval", "operator", *args, "--n", "2", "--grid", "16"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from trigjacobi import operators
+from trigjacobi import basis
 from trigjacobi.basis import (
     JACOBI_FN,
     SYM_FN,
@@ -469,6 +469,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{kind} reads no"):
             OperatorSpec(kind, **given)
 
+    def test_only_a_laplace_multiplier_reads_a_time_grid(self):
+        for multiplier in (DiscreteMeasure((0.5,), (1.0,)), lambda z: z):
+            with pytest.raises(ValueError, match="laplace"):
+                OperatorSpec("multiplier", multiplier=multiplier, tgrid=TGrid())
+        tgrid = TGrid(1e-3, 10.0)
+        laplace = OperatorSpec("multiplier", multiplier=("laplace", np.exp), tgrid=tgrid)
+        assert laplace.time_grid() is tgrid
+
     def test_grid_functions_compare_by_identity(self):
         grid = gauss_jacobi_grid(PARAMS, 8, "mu_full")
         f = grid_function(grid, np.cos)
@@ -684,6 +692,18 @@ def assert_table_is_reference(got, want):
     assert np.all(F[~live] == 0.0)
 
 
+def count_table_builds(monkeypatch) -> list:
+    """The parameters of every basis._theta_table build from here on."""
+    builds, theta_table = [], basis._theta_table
+
+    def counted(params, theta, tables):
+        builds.append(params)
+        return theta_table(params, theta, tables)
+
+    monkeypatch.setattr(basis, "_theta_table", counted)
+    return builds
+
+
 class TestIndexArrayCore:
     @pytest.mark.parametrize("params", [LEGENDRE, PARAMS], ids=["0,0", "1.5,-0.7"])
     @pytest.mark.parametrize("setting,spec", CORE_CASES,
@@ -702,6 +722,26 @@ class TestIndexArrayCore:
             else:
                 family = (params, kind, n)
             assert_table_is_reference(spectral_table(spec, grid, family), want)
+
+    @pytest.mark.parametrize("setting", CORE_SETTINGS)
+    def test_every_kind_of_a_setting_builds_the_grids_rows_once(self, monkeypatch, setting):
+        builds = count_table_builds(monkeypatch)
+        tag, _, _ = CORE_SETTINGS[setting]
+        f = grid_function(gauss_jacobi_grid(PARAMS, 20, tag), np.cos)
+        if setting.startswith("restricted"):
+            component = setting.split("-")[1]
+            expand_restricted(f, 8, component)
+            act = functools.partial(apply_restricted, f=f, nmax=8, component=component)
+        else:
+            expand(f, 8)
+            act = functools.partial(nonsym_apply if setting == "nonsym" else apply_operator,
+                                    f=f, nmax=8)
+        specs = [spec for spec in CORE_SPECS if spec.kind in SETTINGS[setting.split("-")[0]]]
+        for spec in specs:
+            act(spec)
+        # only the plain chains on (0,pi) build tables, at their image parameters
+        assert builds.count(PARAMS) == 1
+        assert {p.alpha - PARAMS.alpha for p in builds} <= {0.0, 1.0, 2.0, 3.0}
 
     @pytest.mark.parametrize("spec", [OperatorSpec("riesz", N=2),
                                       OperatorSpec("square_interlaced", M=1, N=1),
@@ -731,20 +771,16 @@ class TestIndexArrayCore:
     @pytest.mark.parametrize("setting,spec", CORE_CASES,
                              ids=[f"{s}-{sp.kind}-M{sp.M}N{sp.N}-{i}"
                                   for i, (s, sp) in enumerate(CORE_CASES)])
-    def test_one_basis_matrix_call_unless_the_chain_shifts(self, monkeypatch, setting, spec,
-                                                           params):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return basis_matrix(*args, **kwargs)
-
-        monkeypatch.setattr(operators, "basis_matrix", counted)
+    def test_table_builds_only_where_the_chain_shifts(self, monkeypatch, setting, spec,
+                                                       params):
         tag, kind, indices = CORE_SETTINGS[setting]
-        spectral_table(spec, gauss_jacobi_grid(params, 20, tag), (params, kind, indices(4)))
+        grid = gauss_jacobi_grid(params, 20, tag)
+        grid.rows  # a grid that already holds its rows
+        builds = count_table_builds(monkeypatch)
+        spectral_table(spec, grid, (params, kind, indices(4)))
         # on (0,pi) a plain chain of order N lands at parameters shifted by N,
         # an interlaced one (D*D)^k or D(D*D)^k at a shift of N mod 2
         shift = 0
         if setting == "nonsym":
             shift = spec.N % 2 if spec.kind.endswith("_interlaced") else spec.N
-        assert calls == ([params, params.shifted(shift)] if shift else [params])
+        assert builds == ([params.shifted(shift)] if shift else [])

@@ -15,14 +15,16 @@ from scipy.integrate import quad
 
 from trigjacobi.basis import (
     JACOBI_FN,
+    KINDS,
     SYM_FN,
     SYM_POLY,
     TRIG_POLY,
     BasisElement,
     JacobiParams,
+    basis_matrix,
     eval_basis,
 )
-from trigjacobi import quadrature
+from trigjacobi import basis, quadrature
 from trigjacobi.measure import interval_measure
 from trigjacobi.quadrature import (
     TGrid,
@@ -99,6 +101,54 @@ class TestThetaGrids:
             inner_product(grid, np.ones(10), np.ones(11))
         with pytest.raises(ValueError):
             gauss_jacobi_grid(JacobiParams(0.0, 0.0), 10, "legendre")
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("a,b", PARAM_PAIRS)
+    def test_a_grid_read_is_basis_matrix_at_its_nodes(self, a, b):
+        # indices up to the order read the grid's rows; one past it builds
+        # its own table, as a read at bare points does
+        p, g = grids_for(a, b, order=12)
+        for tag, grid in g.items():
+            nodes = np.array(grid.nodes)
+            for kind in KINDS:
+                sym = kind in (SYM_POLY, SYM_FN)
+                top = 2 * grid.order if sym else grid.order
+                for n in (np.arange(top), np.array([top - 1, 0, 5, 0]), np.arange(top + 1)):
+                    if tag.endswith("_full") and not sym:  # defined on (0, pi) only
+                        with pytest.raises(ValueError):
+                            basis_matrix(p, kind, n, grid)
+                        continue
+                    assert np.array_equal(basis_matrix(p, kind, n, grid),
+                                          basis_matrix(p, kind, n, nodes))
+
+    def test_rows_are_built_on_their_first_fitting_read(self, monkeypatch):
+        builds = []
+        theta_table = basis._theta_table
+
+        def counted(params, theta, tables):
+            builds.append((params, [rows for *_, rows in tables]))
+            return theta_table(params, theta, tables)
+
+        monkeypatch.setattr(basis, "_theta_table", counted)
+        p = JacobiParams(1.5, -0.7)
+        grid = gauss_jacobi_grid(p, 10, "mu_full")
+        assert builds == []
+        # another parameter pair, a derivative and an index past the order
+        basis_matrix(p.shifted(1), SYM_POLY, [3], grid)
+        basis_matrix(p, SYM_POLY, [3], grid.nodes[10:], 1)
+        basis_matrix(p, SYM_POLY, [20], grid)
+        assert builds == [(p.shifted(1), [2]), (p, [2]), (p, [11])]
+        for _ in range(3):
+            basis_matrix(p, SYM_FN, np.arange(20), grid)
+        assert builds[3:] == [(p, [10, 10])]
+        assert grid.rows.shape == (2, 10, 20)
+
+    def test_arrays_are_read_only(self):
+        grid = gauss_jacobi_grid(JacobiParams(1.5, -0.7), 8, "theta_full")
+        for array in (grid.nodes, grid.weights, grid.rows):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestTGrid:

@@ -735,6 +735,17 @@ class TestLpSweep:
             want.append(max(norm(T @ f) / norm(f) for f in fs))
         np.testing.assert_allclose(rep.details["estimates"], want, rtol=1e-14, atol=0.0)
 
+    def test_each_order_builds_its_grid_and_matrix_once(self, monkeypatch):
+        # neither depends on the weight, so three weights share them
+        built = []
+        grid, matrix = verify.gauss_jacobi_grid, verify._restricted_matrix
+        monkeypatch.setattr(verify, "gauss_jacobi_grid",
+                            lambda *args: built.append("grid") or grid(*args))
+        monkeypatch.setattr(verify, "_restricted_matrix",
+                            lambda *args: built.append("matrix") or matrix(*args))
+        empirical_lp_sweep(P, 2.0, weights=((0.0, 0.0), (1.0, 1.0), (6.0, 0.0)))
+        assert sorted(built) == ["grid", "grid", "matrix", "matrix"]
+
     def test_a_nan_probe_fails_the_estimate(self, monkeypatch):
         original = verify._restricted_matrix
 
