@@ -509,10 +509,10 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     order; shape (len(n), npts).
 
     n is a 1-D index array, in any order and with repeats; theta is points
-    or a quadrature.ThetaGrid. The symmetrized kinds read Phi_2k and
-    Phi_2k+1 from row k of the polynomials and the odd factors: a grid's
-    rows at its parameters, order 0 and every k below its order, or else
-    one _theta_table of a table per parity present, at the order asked.
+    or a quadrature.ThetaGrid, whose table of the kind serves a read at its
+    parameters and order 0 within its size; any other read builds one
+    _theta_table of a table per parity present (Phi_2k and Phi_2k+1 are row
+    k of the polynomials and of the odd factors), at the order asked.
     Polynomial kinds support order <= 2; the psi-weighted kinds support
     order = 0 only (their derivatives are reached through the conjugation
     identities rather than pointwise formulas).
@@ -525,8 +525,11 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     if (n < 0).any():
         raise ValueError("index must be nonnegative")
     grid = theta if hasattr(theta, "nodes") else None
-    theta = np.atleast_1d(np.asarray(theta if grid is None else grid.nodes, dtype=float))
     sym = kind in (SYM_POLY, SYM_FN)
+    if (grid is not None and grid.params == params and order == 0 and n.size
+            and n.max() < grid.order * (1 + sym)):  # the table's size (see ThetaGrid)
+        return grid.table(kind)[n]
+    theta = np.atleast_1d(np.asarray(theta if grid is None else grid.nodes, dtype=float))
     if (np.abs(theta) >= np.pi).any() or not sym and (theta <= 0.0).any():
         raise ValueError(f"element is defined on {'(-pi,pi)' if sym else '(0,pi)'}")
     weighted = kind in (JACOBI_FN, SYM_FN)
@@ -535,12 +538,9 @@ def basis_matrix(params: JacobiParams, kind: str, n, theta, order: int = 0) -> n
     if n.size == 0:
         return np.empty((0, theta.size))
     k, odd = np.divmod(n, 2 if sym else 1)  # n = 2k + odd on the symmetrized kinds
-    if grid is not None and grid.params == params and order == 0 and k.max() < grid.order:
-        out = grid.rows[odd, k]
-    else:
-        rows = [int(k[odd == p].max(initial=-1)) + 1 for p in (0, 1)]  # 0 if absent
-        tables = [(bool(p), order, m) for p, m in enumerate(rows) if m]
-        out = _theta_table(params, theta, tables)[odd if len(tables) == 2 else 0, k]
+    rows = [int(k[odd == p].max(initial=-1)) + 1 for p in (0, 1)]  # 0 if absent
+    tables = [(bool(p), order, m) for p, m in enumerate(rows) if m]
+    out = _theta_table(params, theta, tables)[odd if len(tables) == 2 else 0, k]
     if sym:
         out *= 1.0 / math.sqrt(2.0)
     # phi_n = psi P_n; Theta_n = psi Phi_n exactly, both parities (the odd index's

@@ -9,11 +9,11 @@ operators shift the type parameters.
 
 One core serves every setting, on a family (params, kind, index array):
 coefficient n goes to a factor times the ladder image of source index n,
-scaled by a function of the speed sqrt(lambda_n). Rows are read by index
-array from basis_matrix on the grid, which holds its family's rows, so only
-a chain that shifts the parameters builds a table; speeds and ladder images
-are array arithmetic. Maximal and square operators share one time trajectory
-on a TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
+scaled by a function of the speed sqrt(lambda_n). basis_matrix reads the
+elements from the grid's table of the family, so only a chain that shifts
+the parameters builds a table; speeds and ladder images are array
+arithmetic. Maximal and square operators share one time trajectory on a
+TGrid and read it with its t-norm: the sup (p = inf) or the square norm.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ def _mult_value(multiplier, z: np.ndarray, tgrid: TGrid) -> np.ndarray:
     if _laplace(multiplier):
         ts, vals = tgrid.nodes, multiplier[1](tgrid.nodes)
         w = tgrid.log_weights * ts  # tgrid.integrate's weights at W = 1, formed once
-        return np.array([(zi * np.exp(-ts * zi) * vals) @ w for zi in np.atleast_1d(z)])
+        # one dot product per speed: a single matrix product rounds differently
+        return np.array([row @ w for row in z[:, None] * np.exp(-ts * z[:, None]) * vals])
     raise ValueError("multiplier must be callable, a DiscreteMeasure, "
                      "or ('laplace', profile)")
 
@@ -184,16 +185,16 @@ def spectral_table(spec: OperatorSpec, grid: ThetaGrid,
     """(E, F, z, V): the action of spec on the source family (params, kind,
     indices) at the nodes.
 
-    E[n] and V[n] are the rows of source element n and of its chain image,
-    z[n] = sqrt(lambda_n) its speed, F[n] its factor: e^{-t z}, m(z) or
-    lambda^{-N/2} times the chain factor, and for the time kinds the chain
-    factor times (-z)^M. A vanishing image has F[n] = 0 (and V[n] some row
-    of the image family).
+    E[n] and V[n] are the rows of source element n and of its chain image (V
+    is E at N = 0), z[n] = sqrt(lambda_n) its speed, F[n] its factor:
+    e^{-t z}, m(z) or lambda^{-N/2} times the chain factor, and for the time
+    kinds the chain factor times (-z)^M. A vanishing image has F[n] = 0 (and
+    V[n] some row of the image family).
     """
     params, kind, n = source[0], source[1], np.asarray(source[2])
     chain, image_params, m = _chain(spec.kind, spec.N, params, kind, n)
     E = basis_matrix(params, kind, n, grid)
-    V = basis_matrix(image_params, kind, m, grid)
+    V = E if spec.N == 0 else basis_matrix(image_params, kind, m, grid)
     lam = eigenvalue(params, n if kind in (TRIG_POLY, JACOBI_FN) else half_index(n))
     z = np.sqrt(lam)
     if spec.kind == "semigroup":
@@ -220,7 +221,7 @@ def _act(spec: OperatorSpec, f: GridFunction, setting: str,
         return GridFunction(f.grid, (coefs * F) @ V)
     tgrid = spec.time_grid()
     V = (coefs * F)[:, None] * V
-    field = np.exp(-np.outer(tgrid.nodes, z)) @ V
+    field = np.exp(-tgrid.nodes[:, None] * z) @ V
     if spec.kind == "maximal":
         # the sup over the grid's times, as the p = inf t-norm reads it, and
         # the t -> 0 limit of the trajectory, the (band-limited) function
@@ -267,7 +268,7 @@ def nonsym_apply(spec: OperatorSpec, f: GridFunction, nmax: int) -> GridFunction
     Plain Riesz chains of order N iterate the parameter-shifting first-order
     operator and land on params.shifted(N); interlaced ones alternate it with
     its adjoint and land on params.shifted(N % 2) exactly, so an even one
-    reads its sources and images from the grid's rows and only a chain that
+    reads its sources and images from the grid's table and only a chain that
     shifts the parameters builds a table. Square kinds follow the same
     mapping with the time factors attached.
     """

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 # roots_jacobi imports scipy.linalg on its first call (65-85 ms); loading it
@@ -60,29 +59,29 @@ _CUBIC = np.linalg.inv(np.vander(np.arange(4.0), increasing=True))
 @dataclass(frozen=True, eq=False)
 class ThetaGrid:
     """A Gauss rule of `order` nodes on (0,pi), mirrored on the full tags; its
-    arrays are read-only, so its rows, built on first read, cannot go stale."""
+    arrays are read-only, so the element tables it holds cannot go stale."""
 
     params: JacobiParams
     tag: str
     order: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The polynomials c_k P_k (rows[0]) and odd factors s_k (rows[1]) at
-        the grid's parameters and nodes for k < order, which basis_matrix
-        reads for every family: 2 * order * nodes floats, read-only."""
-        rows = basis._theta_table(self.params, self.nodes,
-                                  [(False, 0, self.order), (True, 0, self.order)])
-        rows.setflags(write=False)
-        return rows
+    def table(self, kind: str) -> np.ndarray:
+        """Elements n < order (2 * order on the symmetrized kinds) of a family
+        kind at the grid's parameters and nodes, read-only, built on first read."""
+        if kind not in self._tables:
+            size = 2 * self.order if kind in (SYM_POLY, SYM_FN) else self.order
+            self._tables[kind] = basis.basis_matrix(self.params, kind, np.arange(size), self.nodes)
+            self._tables[kind].setflags(write=False)
+        return self._tables[kind]
 
 
 def gauss_jacobi_grid(params: JacobiParams, order: int, tag: str = "mu_plus") -> ThetaGrid:
     """Gauss rule with `order` nodes on (0,pi), optionally symmetrized or
     reweighted for plain-dtheta integration; its nodes and weights are
-    read-only, and its rows are built on their first read, not here."""
+    read-only, and each family's table is built on its first read, not here."""
     if tag not in TAG_KINDS:
         raise ValueError(f"tag must be one of {tuple(TAG_KINDS)}")
     if order < 1:

@@ -359,7 +359,7 @@ def check_orthonormality(params: JacobiParams, nmax: int) -> list[EstimateReport
     out = []
     for tag, kind in TAG_KINDS.items():
         grid = gauss_jacobi_grid(params, 2 * nmax + 8, tag)
-        V = basis_matrix(params, kind, np.arange(nmax + 1), grid)
+        V = basis_matrix(params, kind, np.arange(nmax + 1), grid.nodes)
         G = (V * grid.weights) @ V.T
         out.append(_tolerance_report(f"orthonormality/{kind}",
                                      np.abs(G - np.eye(nmax + 1)), tol, nmax=nmax))

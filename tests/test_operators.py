@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from trigjacobi import basis
+from trigjacobi import basis, operators
 from trigjacobi.basis import (
     JACOBI_FN,
     SYM_FN,
@@ -743,6 +743,34 @@ class TestIndexArrayCore:
         assert builds.count(PARAMS) == 1
         assert {p.alpha - PARAMS.alpha for p in builds} <= {0.0, 1.0, 2.0, 3.0}
 
+    @pytest.mark.parametrize("setting", CORE_SETTINGS)
+    def test_an_identity_chain_reads_its_grid_once(self, monkeypatch, setting):
+        # N = 0: one basis_matrix read serves as E and V, and after the
+        # grid's first read of its kind no table is built and no psi computed
+        tag, _, _ = CORE_SETTINGS[setting]
+        f = grid_function(gauss_jacobi_grid(PARAMS, 20, tag), np.cos)
+        if setting.startswith("restricted"):
+            act = functools.partial(apply_restricted, f=f, nmax=8,
+                                    component=setting.split("-")[1])
+        else:
+            act = functools.partial(nonsym_apply if setting == "nonsym" else apply_operator,
+                                    f=f, nmax=8)
+        specs = [spec for spec in CORE_SPECS
+                 if spec.N == 0 and spec.kind in SETTINGS[setting.split("-")[0]]]
+        assert len(specs) >= 5  # the semigroup, three multipliers and maximal
+        reads, psis, read, weight = [], [], operators.basis_matrix, basis.psi
+        monkeypatch.setattr(operators, "basis_matrix",
+                            lambda *a, **k: reads.append(a[2]) or read(*a, **k))
+        monkeypatch.setattr(basis, "psi", lambda *a: psis.append(a) or weight(*a))
+        builds = count_table_builds(monkeypatch)
+        act(specs[0])
+        assert builds == [PARAMS]
+        del builds[:], psis[:]
+        for spec in specs[1:]:
+            act(spec)
+        assert builds == [] and psis == []
+        assert len(reads) == len(specs)
+
     @pytest.mark.parametrize("spec", [OperatorSpec("riesz", N=2),
                                       OperatorSpec("square_interlaced", M=1, N=1),
                                       OperatorSpec("semigroup", t=0.3)],
@@ -775,7 +803,7 @@ class TestIndexArrayCore:
                                                        params):
         tag, kind, indices = CORE_SETTINGS[setting]
         grid = gauss_jacobi_grid(params, 20, tag)
-        grid.rows  # a grid that already holds its rows
+        grid.table(kind)  # a grid that already holds its family's table
         builds = count_table_builds(monkeypatch)
         spectral_table(spec, grid, (params, kind, indices(4)))
         # on (0,pi) a plain chain of order N lands at parameters shifted by N,

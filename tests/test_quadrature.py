@@ -103,11 +103,11 @@ class TestThetaGrids:
             gauss_jacobi_grid(JacobiParams(0.0, 0.0), 10, "legendre")
 
 
-class TestGridRows:
+class TestGridTables:
     @pytest.mark.parametrize("a,b", PARAM_PAIRS)
     def test_a_grid_read_is_basis_matrix_at_its_nodes(self, a, b):
-        # indices up to the order read the grid's rows; one past it builds
-        # its own table, as a read at bare points does
+        # indices up to the table's size read the grid's table; one past it
+        # builds its own table, as a read at bare points does
         p, g = grids_for(a, b, order=12)
         for tag, grid in g.items():
             nodes = np.array(grid.nodes)
@@ -121,8 +121,11 @@ class TestGridRows:
                         continue
                     assert np.array_equal(basis_matrix(p, kind, n, grid),
                                           basis_matrix(p, kind, n, nodes))
+                if not (tag.endswith("_full") and not sym):
+                    assert np.array_equal(grid.table(kind),
+                                          basis_matrix(p, kind, np.arange(top), nodes))
 
-    def test_rows_are_built_on_their_first_fitting_read(self, monkeypatch):
+    def test_tables_are_built_on_their_first_fitting_read(self, monkeypatch):
         builds = []
         theta_table = basis._theta_table
 
@@ -134,21 +137,35 @@ class TestGridRows:
         p = JacobiParams(1.5, -0.7)
         grid = gauss_jacobi_grid(p, 10, "mu_full")
         assert builds == []
-        # another parameter pair, a derivative and an index past the order
+        # another parameter pair, a derivative and an index past the table
         basis_matrix(p.shifted(1), SYM_POLY, [3], grid)
         basis_matrix(p, SYM_POLY, [3], grid.nodes[10:], 1)
         basis_matrix(p, SYM_POLY, [20], grid)
         assert builds == [(p.shifted(1), [2]), (p, [2]), (p, [11])]
+        # one table per kind, each built once, of both parities
         for _ in range(3):
             basis_matrix(p, SYM_FN, np.arange(20), grid)
-        assert builds[3:] == [(p, [10, 10])]
-        assert grid.rows.shape == (2, 10, 20)
+            basis_matrix(p, SYM_POLY, [19, 0], grid)
+        assert builds[3:] == [(p, [10, 10])] * 2
+        assert grid.table(SYM_FN).shape == grid.table(SYM_POLY).shape == (20, 20)
+        # the (0, pi) kinds build the polynomial parity only
+        half = gauss_jacobi_grid(p, 10, "theta_plus")
+        basis_matrix(p, JACOBI_FN, [9, 2], half)
+        basis_matrix(p, TRIG_POLY, [9, 2], half)
+        assert builds[5:] == [(p, [10])] * 2
+        assert half.table(JACOBI_FN).shape == (10, 10)
 
     def test_arrays_are_read_only(self):
         grid = gauss_jacobi_grid(JacobiParams(1.5, -0.7), 8, "theta_full")
-        for array in (grid.nodes, grid.weights, grid.rows):
+        for array in (grid.nodes, grid.weights, grid.table(SYM_POLY), grid.table(SYM_FN)):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_a_read_is_a_copy_of_the_table(self):
+        grid = gauss_jacobi_grid(JacobiParams(1.5, -0.7), 8, "theta_full")
+        rows = basis_matrix(grid.params, SYM_FN, [3, 3], grid)
+        rows *= 2.0
+        assert np.array_equal(grid.table(SYM_FN)[[3, 3]], rows / 2.0)
 
 
 class TestTGrid:

@@ -36,6 +36,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("verify-quick", "kernel-grid", "operators")
 CLAIM_SHARE = 0.9  # of the pairs the change must win
+# variables that move the metrics: without bytecode files every fresh import
+# compiles the package, which set-up times; BLAS threads change products' cost
+ENVIRONMENT = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def quartiles(xs):
@@ -111,7 +114,8 @@ def machine() -> dict:
                   if line.startswith("model name")), platform.processor())
     return {"platform": platform.platform(), "cpu": model, "cpus": os.cpu_count(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "environment": {name: os.environ.get(name, "unset")
+                                                        for name in ENVIRONMENT}}
 
 
 def rev_parse(rev: str) -> str:
